@@ -570,7 +570,9 @@ def exp_lpp(params: dict, seeds: list, ctx: RunContext) -> dict:
     return {"results": results, "pass": ok, "retried": rep["retried"]}
 
 
-def _random_instance(rng: RngStream, t_span: int):
+def _random_instance(rng: RngStream, t_span: int, min_height: int = 0):
+    """Random boundary and bulk field over [s, s + t_span). The bulk covers
+    heights up to max(x, y) + t_span + 1, and at least up to min_height."""
     s = int(rng.gen.integers(0, 3))
     t = s + t_span
     x = int(rng.gen.integers(0, 4))
@@ -580,7 +582,7 @@ def _random_instance(rng: RngStream, t_span: int):
         values={i: float(np.exp(0.4 * rng.gen.standard_normal()))
                 for i in range(s, t)})
     beta = float(rng.gen.uniform(0.05, 0.5))
-    cap = max(x, y) + t_span + 1
+    cap = max(max(x, y) + t_span + 1, min_height)
     vals = {}
     for r in range(s, t):
         for w in range(1, cap + 1):
@@ -616,13 +618,16 @@ def exp_she(params: dict, seeds: list, ctx: RunContext) -> dict:
         _result("composition-law", worst["composition"], tol),
         _result("kernel-normalization", worst["normalization"], tol),
     ]
-    # exact monotone coupling in the boundary weights on one shared field
+    # exact monotone coupling in the boundary weights on one shared field;
+    # the window reads heights up to x_max + (t - s), whatever the
+    # instance's own endpoints
+    x_max, t_span = 3, 6
     rng = RngStream(seed, _stable_base("she_mono"))
-    boundary, bulk, s, x, t, y = _random_instance(rng, 6)
+    boundary, bulk, s, x, t, y = _random_instance(rng, t_span, x_max + t_span)
     lo = she.BoundaryWeights({i: 0.5 * v for i, v in boundary.values.items()})
     hi = she.BoundaryWeights({i: 1.5 * v for i, v in boundary.values.items()})
     mono = she.monotone_coupling_check(lo, boundary, hi, bulk,
-                                       {"s": s, "t": t, "x_max": 3})
+                                       {"s": s, "t": t, "x_max": x_max})
     results.append(_result("boundary-monotonicity", mono["max_violation"], 0.0,
                            extra={"checked": mono["checked"]}))
     ok = all(r["pass"] for r in results)
@@ -981,6 +986,8 @@ EXPERIMENTS = {
 def run_experiment(name: str, params: dict, seeds: list, ctx: RunContext) -> dict:
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r}")
+    if len(seeds) != 1:
+        raise ValueError(f"an experiment runs at exactly one seed, got {len(seeds)}")
     exp = EXPERIMENTS[name]
     merged = dict(exp.defaults)
     for k, v in (params or {}).items():

@@ -4,9 +4,11 @@ The model lives on lattice sites (i, j) with i >= j >= 1. Site weights are
 inverse-gamma with shape alpha_i + alpha_j off the diagonal and
 alpha_circ + alpha_i on it. The partition function z(n, m) sums, over up-right
 paths from (1,1) to (n,m) that stay inside the octant, the product of the
-weights along the path. All partition arithmetic is done in log domain with
-logaddexp; z grows or decays geometrically in n+m and would leave double
-range within a few hundred steps otherwise.
+weights along the path. All partition arithmetic is done in log domain; z
+grows or decays geometrically in n+m and would leave double range within a
+few hundred steps otherwise. The recurrence lives in one row sweep,
+replicated_rows, whose semiring sum is logaddexp here; lpp runs the same
+sweep with np.maximum for last passage, the zero-temperature limit.
 
 Divergent boundary weights (parameter sum zero) are represented by pinning
 the site's log-weight to 0 and exempting it from validation. The stationary
@@ -17,7 +19,8 @@ exactly the removal the definitions perform.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -157,21 +160,64 @@ def sample_weight_field(params: OctantParams, rng: RngStream) -> WeightField:
     return WeightField(log_w=log_w, params=params, exemptions=params.exemptions)
 
 
-def _row_update(prev_row: np.ndarray, logw_row: np.ndarray, m_hi: int) -> np.ndarray:
-    """One recurrence row in log domain.
+# ---------------------------------------------------------------------------
+# The octant recurrence, once. It is a row sweep over a replica axis in a
+# (plus, +) semiring: plus = logaddexp gives log z of the polymer, and
+# plus = maximum gives last-passage times, its zero-temperature limit.
+# Monte Carlo suites need 1e5+ independent grids, so callers record only the
+# sites they need and may sample each row's weights on the fly.
+# ---------------------------------------------------------------------------
 
-    prev_row holds log z(n-1, m) for m = 0..max_m (index 0 unused, -inf);
-    logw_row holds log w(n, m) for m = 1..m_hi. Returns log z(n, m). The
-    in-row dependency z(n,m-1) is resolved with a single logaddexp
-    accumulation after factoring out the cumulative weight product, which
-    also reproduces the diagonal rule since log z(n-1, n) = -inf.
+
+def replicated_rows(row_logw, max_n: int, max_m: int, n_replicas: int, record,
+                    plus=np.logaddexp) -> dict:
+    """Row sweep of the partition recurrence over a replica axis.
+
+    row_logw(n) must return log-weights of row n as an (n_replicas, M+1)
+    array with M = min(n, max_m) and column 0 ignored. record maps a row
+    index n to the column indices to capture. Returns {(n, m): (R,) array}.
+    The in-row dependency on (n, m-1) is resolved by one plus.accumulate
+    after factoring out the cumulative weight sum, which also reproduces the
+    diagonal rule since the entry (n-1, n) is -inf.
     """
-    c = np.concatenate([[0.0], np.cumsum(logw_row[1 : m_hi + 1])])
-    b = prev_row[1 : m_hi + 1] - c[:m_hi]
-    y = np.logaddexp.accumulate(b)
-    out = np.full_like(prev_row, -np.inf)
-    out[1 : m_hi + 1] = y + c[1 : m_hi + 1]
+    out = {}
+    prev = np.full((n_replicas, max_m + 1), -np.inf)
+    for n in range(1, max_n + 1):
+        m_hi = min(n, max_m)
+        lw = row_logw(n)
+        cur = np.full((n_replicas, max_m + 1), -np.inf)
+        if n == 1:
+            cur[:, 1] = lw[:, 1]
+        else:
+            c = np.concatenate(
+                [np.zeros((n_replicas, 1)), np.cumsum(lw[:, 1 : m_hi + 1], axis=1)],
+                axis=1,
+            )
+            b = prev[:, 1 : m_hi + 1] - c[:, :m_hi]
+            y = plus.accumulate(b, axis=1)
+            cur[:, 1 : m_hi + 1] = y + c[:, 1 : m_hi + 1]
+        for m in record.get(n, ()):
+            out[(n, m)] = cur[:, m].copy()
+        prev = cur
     return out
+
+
+def _sweep_dense(w: np.ndarray, max_n: int, max_m: int, record,
+                 plus=np.logaddexp) -> dict:
+    """replicated_rows over a dense weight array indexed [row, replica, column]."""
+    return replicated_rows(lambda n: w[n, :, : min(n, max_m) + 1],
+                           max_n, max_m, w.shape[1], record, plus)
+
+
+def _sweep_grid(w: np.ndarray, max_n: int, max_m: int, plus=np.logaddexp,
+                off=-np.inf) -> np.ndarray:
+    """Every octant value up to (max_n, max_m) of the sweep over one dense
+    (N+1, N+1) weight array; entries off the octant are set to off."""
+    every = {n: range(1, min(n, max_m) + 1) for n in range(1, max_n + 1)}
+    grid = np.full((max_n + 1, max_m + 1), off)
+    for (n, m), v in _sweep_dense(w[:, None, :], max_n, max_m, every, plus).items():
+        grid[n, m] = v[0]
+    return grid
 
 
 def partition_recurrence(field: WeightField, max_n: int, max_m: int) -> PartitionGrid:
@@ -182,12 +228,7 @@ def partition_recurrence(field: WeightField, max_n: int, max_m: int) -> Partitio
         raise ValueError("need max_n >= max_m >= 1")
     if field.size < max_n:
         raise ValueError("weight field does not cover the requested range")
-    log_z = np.full((max_n + 1, max_m + 1), -np.inf)
-    log_z[1, 1] = field.log_w[1, 1]
-    for n in range(2, max_n + 1):
-        m_hi = min(n, max_m)
-        log_z[n] = _row_update(log_z[n - 1], field.log_w[n, : max_m + 1], m_hi)
-    return PartitionGrid(log_z=log_z)
+    return PartitionGrid(log_z=_sweep_grid(field.log_w, max_n, max_m))
 
 
 def _octant_paths(start, end):
@@ -200,37 +241,41 @@ def _octant_paths(start, end):
     if total > 22:
         raise ValueError("path enumeration guard exceeded")
     paths = []
-    for up_positions in itertools.combinations(range(total), up):
+    for ups in map(set, itertools.combinations(range(total), up)):
         i, j = a, b
         sites = [(i, j)]
-        ok = True
-        ups = set(up_positions)
         for step in range(total):
             if step in ups:
                 j += 1
             else:
                 i += 1
             if i < j:
-                ok = False
                 break
             sites.append((i, j))
-        if ok:
+        else:
             paths.append(sites)
     return paths
 
 
-def partition_bruteforce(field: WeightField, n: int, m: int) -> float:
-    """log z(n, m) by explicit enumeration of all admissible paths."""
-    from math import comb
+def _path_sums(w: np.ndarray, start, end) -> np.ndarray:
+    """Weight sums along every up-right octant path from start to end, both
+    sites included; the brute-force oracle of both semirings."""
+    return np.array([sum(w[i, j] for i, j in p) for p in _octant_paths(start, end)])
 
-    if comb(n + m - 2, m - 1) > 10**6:
-        raise ValueError("instance too large for brute force")
-    paths = _octant_paths((1, 1), (n, m))
-    if not paths:
+
+def _log_sum_over_paths(log_w: np.ndarray, start, end) -> float:
+    sums = _path_sums(log_w, start, end)
+    if not sums.size:
         return -np.inf
-    sums = np.array([sum(field.log_w[i, j] for i, j in p) for p in paths])
     peak = sums.max()
     return float(peak + np.log(np.sum(np.exp(sums - peak))))
+
+
+def partition_bruteforce(field: WeightField, n: int, m: int) -> float:
+    """log z(n, m) by explicit enumeration of all admissible paths."""
+    if comb(n + m - 2, m - 1) > 10**6:
+        raise ValueError("instance too large for brute force")
+    return _log_sum_over_paths(field.log_w, (1, 1), (n, m))
 
 
 def point_to_point_partition(field: WeightField, start, end) -> float:
@@ -238,14 +283,7 @@ def point_to_point_partition(field: WeightField, start, end) -> float:
     (a, b), (ap, bp) = start, end
     if not (a >= b >= 1 and ap >= bp >= 1):
         raise ValueError("endpoints must be octant points")
-    if ap < a or bp < b:
-        return -np.inf
-    paths = _octant_paths(start, end)
-    if not paths:
-        return -np.inf
-    sums = np.array([sum(field.log_w[i, j] for i, j in p) for p in paths])
-    peak = sums.max()
-    return float(peak + np.log(np.sum(np.exp(sums - peak))))
+    return _log_sum_over_paths(field.log_w, start, end)
 
 
 def burke_step(U, V, w):
@@ -335,43 +373,6 @@ def increments_along_path(grid: PartitionGrid, path: DownRightPath, origin) -> l
         out.append(grid.logz(nn, mm))
     base = out[0]
     return [x - base for x in out]
-
-
-# ---------------------------------------------------------------------------
-# Replicated row sweeps. Monte Carlo suites need 1e5+ independent grids; a
-# dense grid per replica would be wasteful, so these sweep row by row with a
-# replica-leading axis, sampling weights on the fly and recording only the
-# requested sites.
-# ---------------------------------------------------------------------------
-
-
-def replicated_rows(row_logw, max_n: int, max_m: int, n_replicas: int, record) -> dict:
-    """Row sweep of the partition recurrence over a replica axis.
-
-    row_logw(n) must return log-weights of row n as an (n_replicas, M+1)
-    array with M = min(n, max_m) and column 0 ignored. record maps a row
-    index n to the column indices to capture. Returns {(n, m): (R,) array}.
-    """
-    out = {}
-    prev = np.full((n_replicas, max_m + 1), -np.inf)
-    for n in range(1, max_n + 1):
-        m_hi = min(n, max_m)
-        lw = row_logw(n)
-        cur = np.full((n_replicas, max_m + 1), -np.inf)
-        if n == 1:
-            cur[:, 1] = lw[:, 1]
-        else:
-            c = np.concatenate(
-                [np.zeros((n_replicas, 1)), np.cumsum(lw[:, 1 : m_hi + 1], axis=1)],
-                axis=1,
-            )
-            b = prev[:, 1 : m_hi + 1] - c[:, :m_hi]
-            y = np.logaddexp.accumulate(b, axis=1)
-            cur[:, 1 : m_hi + 1] = y + c[:, 1 : m_hi + 1]
-        for m in record.get(n, ()):
-            out[(n, m)] = cur[:, m].copy()
-        prev = cur
-    return out
 
 
 def make_row_logw(params: OctantParams, max_m: int, n_replicas: int, rng: RngStream,

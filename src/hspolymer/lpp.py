@@ -1,7 +1,9 @@
 """Half-space last passage percolation: geometric and exponential models.
 
 Same octant geometry as the polymer, with sums replaced by maxima and
-products by sums. Weights are geometric (parametrized by q_i q_j) or
+products by sums: every passage time comes from lattice's row sweep run with
+np.maximum as its semiring sum, and the brute-force oracle shares lattice's
+path enumeration. Weights are geometric (parametrized by q_i q_j) or
 exponential (rate a_i + a_j), with the boundary parameter folded in on the
 diagonal. Four stationary constructions mirror the polymer ones: defect
 parameters on the first one or two rows, with the passage time re-centered
@@ -11,11 +13,11 @@ by the corner weights.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
 from .distributions import sample_exponential, sample_geometric
+from .lattice import _path_sums, _sweep_dense, _sweep_grid, replicated_rows
 from .rng import RngStream
 
 
@@ -105,56 +107,13 @@ def lpp_recurrence(weights: np.ndarray, max_n: int, max_m: int | None = None) ->
     """
     if max_m is None:
         max_m = max_n
-    g = np.full((max_n + 1, max_m + 1), -np.inf)
-    g[1, 1] = weights[1, 1]
-    for n in range(2, max_n + 1):
-        m_hi = min(n, max_m)
-        for m in range(1, m_hi + 1):
-            best = g[n - 1, m] if m < n else -np.inf
-            if m >= 2:
-                best = max(best, g[n, m - 1])
-            g[n, m] = weights[n, m] + best
-    times = np.full_like(g, np.nan)
-    for n in range(1, max_n + 1):
-        for m in range(1, min(n, max_m) + 1):
-            times[n, m] = g[n, m]
-    return LppGrid(times=times)
-
-
-def _octant_paths(start, end):
-    """All up-right octant paths from start to end (both (n, m), n >= m)."""
-    a, b = start
-    a2, b2 = end
-    dn, dm = a2 - a, b2 - b
-    if dn < 0 or dm < 0:
-        return
-    total = dn + dm
-    if total > 22:
-        raise ValueError("path enumeration limited to 22 steps")
-    for vert in combinations(range(total), dm):
-        n, m = a, b
-        pts = [(n, m)]
-        vs = set(vert)
-        ok = True
-        for step in range(total):
-            if step in vs:
-                m += 1
-            else:
-                n += 1
-            if m > n:
-                ok = False
-                break
-            pts.append((n, m))
-        if ok:
-            yield pts
+    return LppGrid(times=_sweep_grid(weights, max_n, max_m, np.maximum, off=np.nan))
 
 
 def lpp_bruteforce(weights: np.ndarray, n: int, m: int) -> float:
     """Passage time by explicit path enumeration; oracle for small sizes."""
-    best = -np.inf
-    for pts in _octant_paths((1, 1), (n, m)):
-        best = max(best, sum(weights[i, j] for i, j in pts))
-    return best
+    sums = _path_sums(weights, (1, 1), (n, m))
+    return float(sums.max()) if sums.size else -np.inf
 
 
 def _stationary_setup(kind: str, bulk: float, p1: float, p2: float | None):
@@ -243,8 +202,8 @@ def stationary_row_samples_lpp(kind: str, bulk: float, p1: float, m: int,
     if m < min_m:
         raise ValueError(f"{kind} needs m >= {min_m}")
     offsets = sorted(set(int(k) for k in offsets))
-    if offsets[0] < 0:
-        raise ValueError("offsets must be nonnegative")
+    if offsets[0] != 0:
+        raise ValueError("offsets must be nonnegative and include 0 to recentre")
     max_n = m + offsets[-1]
     mk, exempt = _stationary_setup(kind, bulk, p1, p2)
     params = mk(max_n)
@@ -252,7 +211,8 @@ def stationary_row_samples_lpp(kind: str, bulk: float, p1: float, m: int,
     R = n_replicas
     geom = isinstance(params, LppGeomParams)
 
-    def row_weights(n, width):
+    def row_weights(n):
+        width = min(n, m)
         out = np.empty((R, width + 1))
         out[:, 0] = np.nan
         for j in range(1, width + 1):
@@ -264,27 +224,10 @@ def stationary_row_samples_lpp(kind: str, bulk: float, p1: float, m: int,
                 out[:, j] = sample_exponential(params.rate(n, j), rng, size=R)
         return out
 
-    cur = np.full((R, m + 1), -np.inf)
-    cur[:, 1] = row_weights(1, 1)[:, 1]
-    grabbed = {}
-    if m == 1 and 0 in offsets:
-        grabbed[0] = cur[:, 1].copy()
-    for n in range(2, max_n + 1):
-        m_hi = min(n, m)
-        w = row_weights(n, m_hi)
-        new = np.full((R, m + 1), -np.inf)
-        run = np.full(R, -np.inf)
-        for j in range(1, m_hi + 1):
-            left = cur[:, j] if j < n else np.full(R, -np.inf)
-            run = np.maximum(run, left) if j == 1 else np.maximum(new[:, j - 1], left)
-            new[:, j] = w[:, j] + run
-        cur = new
-        if n >= m and (n - m) in offsets:
-            grabbed[n - m] = cur[:, m].copy()
-    base = grabbed.get(0)
-    if base is None:
-        raise ValueError("offset 0 must be included to recentre")
-    return {k: grabbed[k] - base for k in offsets}
+    rows = replicated_rows(row_weights, max_n, m, R,
+                           {m + k: [m] for k in offsets}, plus=np.maximum)
+    base = rows[(m, m)]
+    return {k: rows[(m + k, m)] - base for k in offsets}
 
 
 def loggamma_to_exp_limit_check(a_circ: float, a_s, epsilon_list, rng: RngStream,
@@ -309,44 +252,23 @@ def loggamma_to_exp_limit_check(a_circ: float, a_s, epsilon_list, rng: RngStream
     exp_params.validate(n)
     R = n_replicas
     sites = [(i, j) for i in range(1, n + 1) for j in range(1, i + 1)]
-    w_exp = np.full((n + 1, n + 1, R), np.nan)
+    # dense weight cubes indexed [row, replica, column], swept in one call
+    w_exp = np.full((n + 1, R, n + 1), np.nan)
     for (i, j) in sites:
-        w_exp[i, j] = sample_exponential(exp_params.rate(i, j), rng, size=R)
-    ref = SampleSet(_lpp_recurrence_batch(w_exp, n, m), label=f"exp_G({n},{m})")
+        w_exp[i, :, j] = sample_exponential(exp_params.rate(i, j), rng, size=R)
+    g = _sweep_dense(w_exp, n, m, {n: [m]}, np.maximum)[(n, m)]
+    ref = SampleSet(g, label=f"exp_G({n},{m})")
     out = {"n": n, "m": m, "n_replicas": R, "ks": {}}
     for eps in eps_sorted:
-        logw = np.full((n + 1, n + 1, R), np.nan)
+        logw = np.full((n + 1, R, n + 1), np.nan)
         for (i, j) in sites:
             th = eps * exp_params.rate(i, j)
             # G_th = G_{th+1} U^{1/th} in law; sampling the log this way
             # avoids the underflow of tiny-shape gamma draws
             boost = np.log(rng.gen.standard_gamma(th + 1.0, size=R))
-            logw[i, j] = -(boost + np.log(rng.gen.random(size=R)) / th)
-        z = eps * _polymer_recurrence_batch(logw, n, m)
+            logw[i, :, j] = -(boost + np.log(rng.gen.random(size=R)) / th)
+        z = eps * _sweep_dense(logw, n, m, {n: [m]})[(n, m)]
         res = ks_two_sample(SampleSet(z, label=f"eps={eps}"), ref)
         out["ks"][eps] = {"statistic": res.statistic, "threshold": res.threshold}
     return out
 
-
-def _lpp_recurrence_batch(weights: np.ndarray, n: int, m: int) -> np.ndarray:
-    g = np.full(weights.shape, -np.inf)
-    g[1, 1] = weights[1, 1]
-    for i in range(2, n + 1):
-        for j in range(1, min(i, n) + 1):
-            best = g[i - 1, j] if j < i else np.full(weights.shape[2], -np.inf)
-            if j >= 2:
-                best = np.maximum(best, g[i, j - 1])
-            g[i, j] = weights[i, j] + best
-    return g[n, m]
-
-
-def _polymer_recurrence_batch(logw: np.ndarray, n: int, m: int) -> np.ndarray:
-    z = np.full(logw.shape, -np.inf)
-    z[1, 1] = logw[1, 1]
-    for i in range(2, n + 1):
-        for j in range(1, min(i, n) + 1):
-            prev = z[i - 1, j] if j < i else np.full(logw.shape[2], -np.inf)
-            if j >= 2:
-                prev = np.logaddexp(prev, z[i, j - 1])
-            z[i, j] = logw[i, j] + prev
-    return z[n, m]

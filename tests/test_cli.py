@@ -62,7 +62,8 @@ def test_seed_override_replaces_config_seeds(runner, tmp_path):
 
 
 @pytest.mark.parametrize("breakage", ["unknown_key", "not_json", "bad_seeds",
-                                      "bad_experiment", "bad_param"])
+                                      "bad_experiment", "bad_param",
+                                      "two_seeds"])
 def test_config_errors_exit_2(runner, tmp_path, breakage):
     path = tmp_path / "c.json"
     if breakage == "unknown_key":
@@ -75,6 +76,9 @@ def test_config_errors_exit_2(runner, tmp_path, breakage):
         _write_config(path, experiment="nonesuch")
     elif breakage == "bad_param":
         _write_config(path, params={"bogus": 1})
+    elif breakage == "two_seeds":
+        # every experiment runs at one seed; a second would be ignored
+        _write_config(path, seeds=[1, 2])
     res = runner.invoke(main, ["run", str(path), "--out", str(tmp_path / "o")])
     assert res.exit_code == 2, res.output
 

@@ -65,6 +65,9 @@ def test_run_experiment_validates_inputs():
         run_experiment("nonesuch", {}, [1], RunContext())
     with pytest.raises(ValueError):
         run_experiment("burke", {"bogus_knob": 3}, [1], RunContext())
+    for seeds in ([], [1, 2]):
+        with pytest.raises(ValueError):
+            run_experiment("burke", {}, seeds, RunContext())
 
 
 def test_run_experiment_small_end_to_end(tmp_path):
@@ -101,3 +104,14 @@ def test_run_experiment_reproducible():
     sa = [(r["test"], r["statistic"]) for r in a["results"]]
     sb = [(r["test"], r["statistic"]) for r in b["results"]]
     assert sa == sb
+
+
+def test_she_monotonicity_field_covers_its_window():
+    # at this seed the monotonicity instance has max(x, y) < 2, so a bulk
+    # field sized by the instance's own endpoints stopped short of the
+    # heights the x_max = 3 window reads
+    rep = run_experiment("she-identities", {"instances": 1}, [745539399],
+                         RunContext())
+    mono = rep["results"][-1]
+    assert mono["test"] == "boundary-monotonicity"
+    assert mono["pass"] and mono["checked"] > 0

@@ -3,6 +3,7 @@ import pytest
 
 from hspolymer import lpp
 from hspolymer.distributions import exponential_cdf, gamma_cdf
+from hspolymer.lattice import replicated_rows
 from hspolymer.rng import RngStream
 from hspolymer.stats import SampleSet, ks_one_sample
 
@@ -18,14 +19,29 @@ def _geom_params(rng, size):
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (3, 2), (4, 4), (6, 3), (7, 5)])
-@pytest.mark.parametrize("family", ["exp", "geom"])
-def test_recurrence_matches_bruteforce(family, n, m):
+@pytest.mark.parametrize("family,replicas", [("exp", None), ("geom", None),
+                                             ("exp", 5), ("geom", 5)],
+                         ids=["exp", "geom", "exp-R5", "geom-R5"])
+def test_recurrence_matches_bruteforce(family, replicas, n, m):
     rng = RngStream(4000 + 10 * n + m)
     params = _exp_params(rng, n) if family == "exp" else _geom_params(rng, n)
-    w = lpp.sample_lpp_weights(params, n, rng)
-    grid = lpp.lpp_recurrence(w, n)
-    assert grid.times[n, m] == pytest.approx(lpp.lpp_bruteforce(w, n, m),
-                                             rel=1e-12, abs=1e-12)
+    if replicas is None:
+        w = lpp.sample_lpp_weights(params, n, rng)
+        grid = lpp.lpp_recurrence(w, n)
+        assert grid.times[n, m] == pytest.approx(lpp.lpp_bruteforce(w, n, m),
+                                                 rel=1e-12, abs=1e-12)
+        return
+    # the shared row sweep in the (max, +) semiring, one replica per field
+    ws = [lpp.sample_lpp_weights(params, n, rng) for _ in range(replicas)]
+    got = replicated_rows(lambda i: np.stack([w[i, : i + 1] for w in ws]),
+                          n, n, replicas, {n: [m]}, plus=np.maximum)[(n, m)]
+    assert got.shape == (replicas,)
+    for g, w in zip(got, ws):
+        bf = lpp.lpp_bruteforce(w, n, m)
+        if family == "geom":
+            assert g == bf  # integer weights: the cumsum shift is exact
+        else:
+            assert g == pytest.approx(bf, rel=1e-12, abs=1e-12)
 
 
 def test_geometric_weights_are_nonnegative_integers():
