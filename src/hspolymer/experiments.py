@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,10 +73,7 @@ def _s_zuv_a(rng, n, alpha, u, v, k):
 
 
 def _s_ig_walk(rng, n, theta, ks):
-    steps = -np.log(rng.gen.standard_gamma(theta, size=(n, max(ks))))
-    walk = np.cumsum(steps, axis=1)
-    walk = np.concatenate([np.zeros((n, 1)), walk], axis=1)
-    return walk[:, list(ks)]
+    return stationary._log_ig_walk(theta, max(ks), rng, n)[:, list(ks)]
 
 
 def _s_gamma_limit(rng, n, u, v):
@@ -185,9 +184,11 @@ def collect_samples(sampler: str, kwargs: dict, seed: int, n_total: int,
     for i, size in enumerate(sizes):
         if ckpt is not None:
             path = ckpt / f"{tag}_{dig}_{i:04d}.npy"
-            if path.exists():
+            try:
                 parts[i] = np.load(path)
                 continue
+            except (OSError, ValueError, EOFError):
+                pass  # absent or unreadable (e.g. truncated): regenerate
         missing.append(i)
     if missing:
         if ctx.workers > 1 and len(missing) > 1:
@@ -201,8 +202,21 @@ def collect_samples(sampler: str, kwargs: dict, seed: int, n_total: int,
                 parts[i] = _run_batch(sampler, kwargs, seed, base + i, sizes[i])
         if ckpt is not None:
             for i in missing:
-                np.save(ckpt / f"{tag}_{dig}_{i:04d}.npy", parts[i])
+                _save_atomic(ckpt / f"{tag}_{dig}_{i:04d}.npy", parts[i])
     return np.concatenate(parts, axis=0)
+
+
+def _save_atomic(path: Path, arr: np.ndarray):
+    """Write arr to a temp file beside path, then rename it into place, so
+    an interrupted write never leaves a partial checkpoint under path."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.save(fh, arr)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _resampler(sampler: str, kwargs: dict, n: int, column=None, ref=None,

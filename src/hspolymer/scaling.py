@@ -21,6 +21,7 @@ from .lattice import (make_row_logw, partition_recurrence,
                       point_to_point_partition, replicated_rows,
                       sample_weight_field, two_row_params)
 from .rng import RngStream
+from .she import _step
 from .stationary import DiscreteStationaryParams, sample_zuv_path
 
 
@@ -326,10 +327,7 @@ def _matching_rhs(alpha: float, u: float, zp: DiscreteStationaryParams,
         g[:, 0] = bdry_scale * sample_inverse_gamma(alpha + u, rng, size=R)
         g[:, 1:] = 0.5 * bulk_scale * sample_inverse_gamma(
             2.0 * alpha, rng, size=(R, cap))
-        h = f * g
-        f = np.zeros_like(f)
-        f[:, 1:] += h[:, :-1]
-        f[:, :-1] += h[:, 1:]
+        f = _step(f, g)
     if s_end <= x_hi and y == s_end:
         f[:, y] += init[:, s_end]
     if y == 0:

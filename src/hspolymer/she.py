@@ -114,14 +114,15 @@ def _parity_ok(s: int, x: int, t: int, y: int) -> bool:
 def _step(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """One forward step of the reflected-walk DP.
 
-    f is the current weighted mass over heights 0..cap, g the per-height
-    factor at this time (boundary at 0, halved bulk factor above). Mass at
-    the cap moving up is dropped (absorbing truncation).
+    f is the current weighted mass over heights 0..cap on its last axis
+    (leading axes are a batch), g the per-height factor at this time
+    (boundary at 0, halved bulk factor above). Mass at the cap moving up is
+    dropped (absorbing truncation).
     """
     h = f * g
     out = np.zeros_like(f)
-    out[1:] += h[:-1]
-    out[:-1] += h[1:]
+    out[..., 1:] += h[..., :-1]
+    out[..., :-1] += h[..., 1:]
     return out
 
 
@@ -204,13 +205,8 @@ def build_kernel_table(boundary: BoundaryWeights | None, s: int, t: int,
         tables[(r1, r1)] = m
         cur = m
         for r2 in range(r1, t):
-            g = _factors(r2, cap, boundary, None)
-            h = cur * g[None, :]
-            nxt = np.zeros_like(cur)
-            nxt[:, 1:] += h[:, :-1]
-            nxt[:, :-1] += h[:, 1:]
-            tables[(r1, r2 + 1)] = nxt
-            cur = nxt
+            cur = _step(cur, _factors(r2, cap, boundary, None))
+            tables[(r1, r2 + 1)] = cur
     return KernelTable(s=s, t=t, cap=cap, tables=tables)
 
 

@@ -6,7 +6,8 @@ boundary weight; its law matches the two-row lattice ratio process, which is
 what the cross-checks in the test-suite exercise. The continuum process
 H_{u,v}(X) is the Brownian analogue, sampled on a delta-grid two different
 ways (the defining formula and the Pitman-transform form) that must agree in
-law.
+law; one streaming loop serves both routes. The scaled initial data at
+lattice level n are log z_{u,v} plus a deterministic shift.
 
 Conventions: walks start at 1 (log 0); when u = v the boundary term is
 dropped entirely, matching the 1/varpi := 0 convention, rather than sampling
@@ -66,6 +67,13 @@ def _log_ig_walk(theta: float, k_max: int, rng: RngStream, n: int) -> np.ndarray
     return out
 
 
+def _log_varpi(u: float, v: float, rng: RngStream, n: int) -> np.ndarray | None:
+    """log varpi for n draws of varpi ~ IG(u-v); None when u = v (1/varpi := 0)."""
+    if u == v:
+        return None
+    return -np.log(rng.gen.standard_gamma(u - v, size=n))
+
+
 def sample_zuv_path(params: DiscreteStationaryParams, k_max: int, rng: RngStream,
                     n_replicas: int = 1) -> np.ndarray:
     """Sample log z_{u,v}(k) for k = 0..k_max, replicated.
@@ -81,7 +89,7 @@ def sample_zuv_path(params: DiscreteStationaryParams, k_max: int, rng: RngStream
     if u == v:
         return log_r2
     log_r1 = _log_ig_walk(a + v, k_max, rng, R)
-    log_varpi = -np.log(rng.gen.standard_gamma(u - v, size=R))
+    log_varpi = _log_varpi(u, v, rng, R)
     # terms t_l = r1(l)/r2(l-1); cumulative logsumexp over l = 1..k
     t = log_r1[:, 1:] - log_r2[:, :-1]
     lse = np.logaddexp.accumulate(t, axis=1)
@@ -129,11 +137,54 @@ def sample_zuv_pra(params: DiscreteStationaryParams, k_max: int, rng: RngStream,
     if k_max >= 2:
         inc = log_zeta[:, 1:] - log_xi[:, :-1]
         log_r[:, 2:] = log_zeta[:, 0:1] + np.cumsum(inc, axis=1)
-    log_varpi = -np.log(rng.gen.standard_gamma(u - v, size=R))
+    log_varpi = _log_varpi(u, v, rng, R)
     lse = np.logaddexp.accumulate(log_r[:, 1:], axis=1)
     log_a = np.zeros((R, k_max + 1))
     log_a[:, 1:] = np.logaddexp(0.0, lse - log_varpi[:, None])
     return PraPath(log_p=log_p, log_r=log_r, log_a=log_a)
+
+
+def _huv_stream(params: ContinuumStationaryParams, rng: RngStream,
+                n_replicas: int, x_record, drift1: float, drift2: float,
+                var: float, log_integrand, height) -> dict:
+    """Stream height(W1, W2) + log(1 + (1/varpi) I) over the delta-grid.
+
+    W1, W2 are independent Brownian motions from 0 with drifts drift1,
+    drift2 and variance var per unit length; I is the left-endpoint Riemann
+    sum whose log-summand is log_integrand(log delta, W1, W2); varpi ~
+    IG(u-v), with the boundary term dropped when u = v. Keeps O(R) state and
+    records at the requested X values (default: the grid endpoint).
+    Returns {"X": array, "H": (R, len(X)) array}.
+    """
+    d = params.delta
+    steps = int(round(params.x_max / d))
+    if x_record is None:
+        x_record = [params.x_max]
+    targets = sorted(set(int(round(x / d)) for x in x_record))
+    if targets[-1] > steps:
+        raise ValueError("recorded X beyond x_max")
+    R = n_replicas
+    w1 = np.zeros(R)
+    w2 = np.zeros(R)
+    log_i = np.full(R, -np.inf)
+    log_varpi = _log_varpi(params.u, params.v, rng, R)
+    log_d = np.log(d)
+    out = np.empty((R, len(targets)))
+    pos = {t: c for c, t in enumerate(targets)}
+    if 0 in pos:
+        out[:, pos[0]] = 0.0
+    m1, m2, sd = drift1 * d, drift2 * d, np.sqrt(var * d)
+    gen = rng.gen
+    for j in range(1, steps + 1):
+        log_i = np.logaddexp(log_i, log_integrand(log_d, w1, w2))
+        w1 = w1 + gen.normal(m1, sd, size=R)
+        w2 = w2 + gen.normal(m2, sd, size=R)
+        if j in pos:
+            h = height(w1, w2)
+            if log_varpi is not None:
+                h = h + np.logaddexp(0.0, log_i - log_varpi)
+            out[:, pos[j]] = h
+    return {"X": np.array(targets, dtype=float) * d, "H": out}
 
 
 def sample_Huv_path(params: ContinuumStationaryParams, rng: RngStream,
@@ -147,38 +198,9 @@ def sample_Huv_path(params: ContinuumStationaryParams, rng: RngStream,
     records H at the requested X values (default: the grid endpoint).
     Returns {"X": array, "H": (R, len(X)) array}.
     """
-    u, v, d = params.u, params.v, params.delta
-    steps = int(round(params.x_max / d))
-    if x_record is None:
-        x_record = [params.x_max]
-    targets = sorted(set(int(round(x / d)) for x in x_record))
-    if targets[-1] > steps:
-        raise ValueError("recorded X beyond x_max")
-    R = n_replicas
-    b1 = np.zeros(R)
-    b2 = np.zeros(R)
-    log_i = np.full(R, -np.inf)
-    if u == v:
-        log_varpi = None
-    else:
-        log_varpi = -np.log(rng.gen.standard_gamma(u - v, size=R))
-    log_d = np.log(d)
-    out = np.empty((R, len(targets)))
-    pos = {t: c for c, t in enumerate(targets)}
-    if 0 in pos:
-        out[:, pos[0]] = 0.0
-    sd = np.sqrt(d)
-    gen = rng.gen
-    for j in range(1, steps + 1):
-        log_i = np.logaddexp(log_i, log_d + b1 - b2)
-        b1 = b1 + gen.normal(-v * d, sd, size=R)
-        b2 = b2 + gen.normal(v * d, sd, size=R)
-        if j in pos:
-            if log_varpi is None:
-                out[:, pos[j]] = b2
-            else:
-                out[:, pos[j]] = b2 + np.logaddexp(0.0, log_i - log_varpi)
-    return {"X": np.array(targets, dtype=float) * d, "H": out}
+    return _huv_stream(params, rng, n_replicas, x_record, -params.v, params.v, 1.0,
+                       lambda log_d, b1, b2: log_d + b1 - b2,
+                       lambda b1, b2: b2)
 
 
 def sample_Huv_pitman(params: ContinuumStationaryParams, rng: RngStream,
@@ -190,38 +212,9 @@ def sample_Huv_pitman(params: ContinuumStationaryParams, rng: RngStream,
     with drifts 0 and v and diffusion coefficient 1/2 each. Same law as
     sample_Huv_path at every grid point; sampled through a different route.
     """
-    u, v, d = params.u, params.v, params.delta
-    steps = int(round(params.x_max / d))
-    if x_record is None:
-        x_record = [params.x_max]
-    targets = sorted(set(int(round(x / d)) for x in x_record))
-    if targets[-1] > steps:
-        raise ValueError("recorded X beyond x_max")
-    R = n_replicas
-    be1 = np.zeros(R)
-    be2 = np.zeros(R)
-    log_j = np.full(R, -np.inf)
-    if u == v:
-        log_varpi = None
-    else:
-        log_varpi = -np.log(rng.gen.standard_gamma(u - v, size=R))
-    log_d = np.log(d)
-    out = np.empty((R, len(targets)))
-    pos = {t: c for c, t in enumerate(targets)}
-    if 0 in pos:
-        out[:, pos[0]] = 0.0
-    sd = np.sqrt(d / 2.0)
-    gen = rng.gen
-    for j in range(1, steps + 1):
-        log_j = np.logaddexp(log_j, log_d - 2.0 * be2)
-        be1 = be1 + gen.normal(0.0, sd, size=R)
-        be2 = be2 + gen.normal(v * d, sd, size=R)
-        if j in pos:
-            if log_varpi is None:
-                out[:, pos[j]] = be1 + be2
-            else:
-                out[:, pos[j]] = be1 + be2 + np.logaddexp(0.0, log_j - log_varpi)
-    return {"X": np.array(targets, dtype=float) * d, "H": out}
+    return _huv_stream(params, rng, n_replicas, x_record, 0.0, params.v, 0.5,
+                       lambda log_d, be1, be2: log_d - 2.0 * be2,
+                       lambda be1, be2: be1 + be2)
 
 
 def scaled_initial_data(n: int, u: float, v: float, x_grid, rng: RngStream,
@@ -231,11 +224,11 @@ def scaled_initial_data(n: int, u: float, v: float, x_grid, rng: RngStream,
 
     With alpha_n = 1/2 + sqrt(n) and k = sqrt(n) X, the value is
     (sqrt n)^k r2(k) + (1/(varpi sqrt n)) sum_{l=1}^{k} (sqrt n)^l r1(l)
-    (sqrt n)^{k+1-l} r2(k)/r2(l-1), evaluated in log domain with all powers
-    kept explicit. Requires sqrt(n) X integer on the grid.
+    (sqrt n)^{k+1-l} r2(k)/r2(l-1). Every summand carries the same power
+    (sqrt n)^k, so this is k log sqrt(n) + log z_{u,v}(k) at alpha_n, drawn by
+    sample_zuv_path. Requires sqrt(n) X integer on the grid.
     """
     sqrt_n = np.sqrt(n)
-    alpha_n = 0.5 + sqrt_n
     ks = []
     for x in x_grid:
         kf = sqrt_n * x
@@ -243,34 +236,9 @@ def scaled_initial_data(n: int, u: float, v: float, x_grid, rng: RngStream,
         if abs(kf - k) > 1e-9 or k < 0:
             raise ValueError(f"sqrt(n) X must be a nonnegative integer, got {kf}")
         ks.append(k)
-    k_max = max(ks)
-    s = 0.5 * np.log(n)
-    R = n_replicas
-    log_r2 = _log_ig_walk(alpha_n - v, k_max, rng, R)
-    if u == v:
-        log_varpi = None
-    else:
-        log_r1 = _log_ig_walk(alpha_n + v, k_max, rng, R)
-        log_varpi = -np.log(rng.gen.standard_gamma(u - v, size=R))
-    out = np.empty((R, len(ks)))
-    if log_varpi is None:
-        for c, k in enumerate(ks):
-            out[:, c] = k * s + log_r2[:, k]
-        return out
-    # summand at (l, k) collapses to
-    #   k*s + log r2(k) - log varpi + [log r1(l) - log r2(l-1)]
-    # and the bracket is accumulated as s + log r1(l) - log r2(l-1), which
-    # stays O(1) in l, with a compensating -s outside the sum
-    base = s + log_r1[:, 1:] - log_r2[:, :-1]
-    lse = np.logaddexp.accumulate(base, axis=1)
-    for c, k in enumerate(ks):
-        lead = k * s + log_r2[:, k]
-        if k == 0:
-            out[:, c] = lead
-        else:
-            tail = k * s + log_r2[:, k] - log_varpi - s + lse[:, k - 1]
-            out[:, c] = np.logaddexp(lead, tail)
-    return out
+    params = DiscreteStationaryParams(alpha=0.5 + sqrt_n, u=u, v=v)
+    log_z = sample_zuv_path(params, max(ks), rng, n_replicas)
+    return np.array(ks) * (0.5 * np.log(n)) + log_z[:, ks]
 
 
 def second_moment_analytic(n: int, u: float, v: float, x: float) -> float:

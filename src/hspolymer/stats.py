@@ -46,7 +46,7 @@ class KsResult:
 
     @property
     def passed(self) -> bool:
-        return self.statistic < self.threshold
+        return self.statistic <= self.threshold
 
 
 def kolmogorov_sf(lam: float, terms: int = 100) -> float:
@@ -140,8 +140,8 @@ def empirical_cdf_dump(a: SampleSet):
 class KsSuite:
     """Collects named KS checks and applies the multiplicity policy.
 
-    All statistics must fall below their thresholds; at most one marginal
-    excursion under 1.2x the threshold is allowed, and that single check is
+    No statistic may exceed its threshold; at most one marginal excursion
+    under 1.2x the threshold is allowed, and that single check is
     rerun once via the provided resample callback with a fresh stream. The
     retry must then clear the threshold outright.
     """
@@ -158,7 +158,7 @@ class KsSuite:
             r = c["result"]
             if r.statistic >= 1.2 * r.threshold:
                 hard.append(c)
-            elif r.statistic >= r.threshold:
+            elif r.statistic > r.threshold:
                 marginal.append(c)
         retried = []
         if not hard and len(marginal) == 1 and marginal[0]["resample"] is not None:

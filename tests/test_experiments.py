@@ -31,6 +31,13 @@ def test_collect_checkpoints_resume(tmp_path):
     # a full warm rerun reads every part back
     c = collect_samples("burke", BURKE_KW, 7, 500, ctx, batch=200)
     assert np.array_equal(a, c)
+    # a truncated part (an interrupted write) is regenerated, not an error
+    data = parts[2].read_bytes()
+    parts[2].write_bytes(data[:len(data) // 2])
+    d = collect_samples("burke", BURKE_KW, 7, 500, ctx, batch=200)
+    assert np.array_equal(a, d)
+    assert parts[2].read_bytes() == data
+    assert sorted((tmp_path / "checkpoints").iterdir()) == parts
 
 
 def test_collect_parallel_equals_serial(tmp_path):

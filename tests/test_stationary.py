@@ -120,6 +120,18 @@ def test_scaled_initial_data_grid_checks():
     assert np.all(out[:, 0] == 0.0)
 
 
+@pytest.mark.parametrize("u,v", [(0.6, 0.2), (0.4, 0.4)], ids=["u_gt_v", "u_eq_v"])
+def test_scaled_initial_data_is_shifted_zuv(u, v):
+    # k log sqrt(n) + log z_{u,v}(k) at alpha_n = 1/2 + sqrt(n), same draws
+    n, xs = 16, [0.0, 0.25, 1.0, 1.5]
+    got = stationary.scaled_initial_data(n, u, v, xs, RngStream(3015), 80)
+    ks = [int(round(4 * x)) for x in xs]
+    z = stationary.sample_zuv_path(_p(0.5 + 4.0, u, v), max(ks),
+                                   RngStream(3015), 80)
+    expect = np.array(ks) * np.log(4.0) + z[:, ks]
+    np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0.0)
+
+
 def test_scaled_initial_data_deterministic():
     a = stationary.scaled_initial_data(16, 0.6, 0.2, [0.25, 1.0],
                                        RngStream(3013), 50)

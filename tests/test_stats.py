@@ -108,8 +108,11 @@ def test_suite_all_pass():
     s = KsSuite(name="t")
     s.add("a", _fake(0.05))
     s.add("b", _fake(0.08))
+    # a statistic equal to its threshold passes, as in experiments._result
+    s.add("c", _fake(0.1), resample=lambda stream: _fake(0.5))
     rep = s.evaluate()
-    assert rep["pass"] and rep["retried"] == [] and rep["n_checks"] == 2
+    assert rep["pass"] and rep["retried"] == [] and rep["n_checks"] == 3
+    assert rep["results"][2]["pass"]
 
 
 def test_suite_hard_failure_not_retried():
