@@ -9,6 +9,7 @@ scheduling. Aggregation and KS evaluation happen in the parent process.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import lattice, lpp, scaling, she, stationary
+from . import __version__, lattice, lpp, scaling, she, stationary
 from .distributions import (exponential_cdf, inverse_gamma_cdf, normal_cdf,
                             sample_gamma, sample_inverse_gamma)
 from .rng import RngStream
@@ -149,13 +150,30 @@ class RunContext:
         return d
 
 
+# stream ids per tag; batch i of a tag draws from stream _stable_base(tag) + i
+_STREAMS_PER_TAG = 1000
+
+
 def _stable_base(tag: str) -> int:
     h = hashlib.sha1(tag.encode()).digest()
-    return int.from_bytes(h[:4], "big") * 1000
+    return int.from_bytes(h[:4], "big") * _STREAMS_PER_TAG
+
+
+@functools.lru_cache(maxsize=None)
+def _code_hash() -> str:
+    """SHA-1 of the package's module sources, read once per process."""
+    h = hashlib.sha1()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 def _digest(sampler: str, kwargs: dict, seed: int, batch: int) -> str:
-    blob = json.dumps({"s": sampler, "k": kwargs, "seed": seed, "b": batch},
+    """Checkpoint key: the draw's inputs, the package version and the code,
+    so a checkpoint written by other code is never read back."""
+    blob = json.dumps({"s": sampler, "k": kwargs, "seed": seed, "b": batch,
+                       "v": __version__, "code": _code_hash()},
                       sort_keys=True, default=str)
     return hashlib.sha1(blob.encode()).hexdigest()[:10]
 
@@ -172,11 +190,11 @@ def collect_samples(sampler: str, kwargs: dict, seed: int, n_total: int,
     and with per-batch checkpoints under the run's output directory."""
     tag = tag or sampler
     base = _stable_base(tag)
-    sizes = []
-    left = n_total
-    while left > 0:
-        sizes.append(min(batch, left))
-        left -= sizes[-1]
+    n_batches = -(-n_total // batch)
+    if n_batches > _STREAMS_PER_TAG:
+        raise ValueError(f"{n_batches} batches of {batch} exceed the "
+                         f"{_STREAMS_PER_TAG} streams of tag {tag!r}")
+    sizes = [min(batch, n_total - i * batch) for i in range(n_batches)]
     ckpt = ctx.checkpoint_dir()
     dig = _digest(sampler, kwargs, seed, batch)
     parts: list = [None] * len(sizes)

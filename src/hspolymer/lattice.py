@@ -176,28 +176,31 @@ def replicated_rows(row_logw, max_n: int, max_m: int, n_replicas: int, record,
     row_logw(n) must return log-weights of row n as an (n_replicas, M+1)
     array with M = min(n, max_m) and column 0 ignored. record maps a row
     index n to the column indices to capture. Returns {(n, m): (R,) array}.
-    The in-row dependency on (n, m-1) is resolved by one plus.accumulate
-    after factoring out the cumulative weight sum, which also reproduces the
-    diagonal rule since the entry (n-1, n) is -inf.
+    The in-row dependency on (n, m-1) is resolved by a running plus over
+    columns after factoring out the cumulative weight sum, which also
+    reproduces the diagonal rule since the entry (n-1, n) is -inf. Rows are
+    held as [column, replica], so each step of that running plus is one
+    contiguous vector operation; it is the same sequence of operations as
+    plus.accumulate along the column axis, so every value is bit-identical.
     """
     out = {}
-    prev = np.full((n_replicas, max_m + 1), -np.inf)
+    prev = np.full((max_m + 1, n_replicas), -np.inf)
     for n in range(1, max_n + 1):
         m_hi = min(n, max_m)
-        lw = row_logw(n)
-        cur = np.full((n_replicas, max_m + 1), -np.inf)
+        lw = np.ascontiguousarray(row_logw(n).T)
+        cur = np.full((max_m + 1, n_replicas), -np.inf)
         if n == 1:
-            cur[:, 1] = lw[:, 1]
+            cur[1] = lw[1]
         else:
-            c = np.concatenate(
-                [np.zeros((n_replicas, 1)), np.cumsum(lw[:, 1 : m_hi + 1], axis=1)],
-                axis=1,
-            )
-            b = prev[:, 1 : m_hi + 1] - c[:, :m_hi]
-            y = plus.accumulate(b, axis=1)
-            cur[:, 1 : m_hi + 1] = y + c[:, 1 : m_hi + 1]
+            c = np.empty((m_hi + 1, n_replicas))
+            c[0] = 0.0
+            np.cumsum(lw[1 : m_hi + 1], axis=0, out=c[1:])
+            y = prev[1 : m_hi + 1] - c[:m_hi]
+            for m in range(1, m_hi):
+                plus(y[m - 1], y[m], out=y[m])
+            np.add(y, c[1:], out=cur[1 : m_hi + 1])
         for m in record.get(n, ()):
-            out[(n, m)] = cur[:, m].copy()
+            out[(n, m)] = cur[m].copy()
         prev = cur
     return out
 
@@ -386,18 +389,21 @@ def make_row_logw(params: OctantParams, max_m: int, n_replicas: int, rng: RngStr
 
     def row(n: int) -> np.ndarray:
         m_hi = min(n, max_m)
-        lw = np.empty((n_replicas, m_hi + 1))
-        lw[:, 0] = np.nan
+        # one contiguous row per column; returned as an (R, M+1) view
+        buf = np.empty((m_hi + 1, n_replicas))
+        buf[0] = np.nan
         for m in range(1, m_hi + 1):
             if (n, m) in params.exemptions:
-                lw[:, m] = 0.0
+                buf[m] = 0.0
             else:
-                lw[:, m] = -np.log(gen.standard_gamma(params.theta(n, m), size=n_replicas))
+                np.log(gen.standard_gamma(params.theta(n, m), size=n_replicas),
+                       out=buf[m])
+                np.negative(buf[m], out=buf[m])
         if capture is not None:
             for (i, j) in list(capture):
                 if i == n and j <= m_hi and capture[(i, j)] is None:
-                    capture[(i, j)] = lw[:, j].copy()
-        return lw
+                    capture[(i, j)] = buf[j].copy()
+        return buf.T
 
     return row
 

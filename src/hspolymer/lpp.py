@@ -213,16 +213,16 @@ def stationary_row_samples_lpp(kind: str, bulk: float, p1: float, m: int,
 
     def row_weights(n):
         width = min(n, m)
-        out = np.empty((R, width + 1))
-        out[:, 0] = np.nan
+        out = np.empty((width + 1, R))
+        out[0] = np.nan
         for j in range(1, width + 1):
             if (n, j) in exempt:
-                out[:, j] = 0.0
+                out[j] = 0.0
             elif geom:
-                out[:, j] = sample_geometric(params.q_prod(n, j), rng, size=R)
+                out[j] = sample_geometric(params.q_prod(n, j), rng, size=R)
             else:
-                out[:, j] = sample_exponential(params.rate(n, j), rng, size=R)
-        return out
+                out[j] = sample_exponential(params.rate(n, j), rng, size=R)
+        return out.T
 
     rows = replicated_rows(row_weights, max_n, m, R,
                            {m + k: [m] for k in offsets}, plus=np.maximum)

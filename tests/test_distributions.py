@@ -51,6 +51,31 @@ def test_geometric_sampler_pmf():
         assert frac == pytest.approx(p, abs=4 * np.sqrt(p * (1 - p) / N))
 
 
+class _ZeroUniforms:
+    """Stands in for an RngStream whose uniforms are all exactly 0."""
+
+    class gen:
+        @staticmethod
+        def random(size=None):
+            return 0.0 if size is None else np.zeros(size)
+
+
+@pytest.mark.parametrize("q", [0.6, np.nextafter(1.0, 0.0)])
+def test_geometric_sampler_at_zero_uniform(q):
+    expect = np.floor(np.log(np.finfo(float).smallest_subnormal) / np.log(q))
+    g = d.sample_geometric(q, _ZeroUniforms(), size=3)
+    assert g.dtype == np.int64 and np.all(g == expect) and expect >= 0
+    assert d.sample_geometric(q, _ZeroUniforms()) == expect
+
+
+def test_geometric_sampler_is_inversion_for_positive_uniforms():
+    q = 0.6
+    u = RngStream(106).gen.random(size=1000)
+    assert np.all(u > 0)
+    expect = np.floor(np.log(u) / np.log(q)).astype(np.int64)
+    assert np.array_equal(d.sample_geometric(q, RngStream(106), size=1000), expect)
+
+
 def test_geometric_cdf_consistency():
     qs = np.array([0.3, 0.8])
     for q in qs:

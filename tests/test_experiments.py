@@ -40,6 +40,39 @@ def test_collect_checkpoints_resume(tmp_path):
     assert sorted((tmp_path / "checkpoints").iterdir()) == parts
 
 
+def test_checkpoints_from_other_code_are_regenerated(tmp_path, monkeypatch):
+    ctx = RunContext(out_dir=tmp_path)
+    fresh = collect_samples("burke", BURKE_KW, 7, 500, RunContext(), batch=200)
+    # write checkpoints under another code hash, holding stale values
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "_code_hash", lambda: "older code")
+        collect_samples("burke", BURKE_KW, 7, 500, ctx, batch=200)
+    stale = sorted((tmp_path / "checkpoints").glob("burke_*.npy"))
+    assert len(stale) == 3
+    for path in stale:
+        np.save(path, np.load(path) + 1.0)
+    # this code does not read them: it draws and writes its own parts
+    a = collect_samples("burke", BURKE_KW, 7, 500, ctx, batch=200)
+    assert np.array_equal(a, fresh)
+    parts = sorted(set((tmp_path / "checkpoints").glob("burke_*.npy")) - set(stale))
+    assert len(parts) == 3
+
+    # a resume under the same code loads every part and draws nothing
+    def no_draws(*args):
+        raise AssertionError("a checkpointed batch was redrawn")
+
+    monkeypatch.setattr(experiments, "_run_batch", no_draws)
+    assert np.array_equal(
+        collect_samples("burke", BURKE_KW, 7, 500, ctx, batch=200), fresh)
+
+
+def test_collect_refuses_more_batches_than_streams():
+    with pytest.raises(ValueError):
+        collect_samples("burke", BURKE_KW, 7, 1001, RunContext(), batch=1)
+    assert collect_samples("burke", BURKE_KW, 7, 1000, RunContext(),
+                           batch=1).shape[0] == 1000
+
+
 def test_collect_parallel_equals_serial(tmp_path):
     serial = collect_samples("burke", BURKE_KW, 11, 800, RunContext(),
                              batch=200)

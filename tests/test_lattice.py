@@ -145,6 +145,60 @@ def test_replicated_rows_matches_scalar_recurrence():
         assert vals[0] == pytest.approx(grid.log_z[n, m], rel=1e-12)
 
 
+def _sweep_replica_major(row_logw, max_n, max_m, n_replicas, record, plus):
+    """The sweep with rows held [replica, column] and one plus.accumulate
+    along axis 1 per row: the bit-level oracle of replicated_rows."""
+    out = {}
+    prev = np.full((n_replicas, max_m + 1), -np.inf)
+    for n in range(1, max_n + 1):
+        m_hi = min(n, max_m)
+        lw = row_logw(n)
+        cur = np.full((n_replicas, max_m + 1), -np.inf)
+        if n == 1:
+            cur[:, 1] = lw[:, 1]
+        else:
+            c = np.concatenate(
+                [np.zeros((n_replicas, 1)), np.cumsum(lw[:, 1 : m_hi + 1], axis=1)],
+                axis=1,
+            )
+            b = prev[:, 1 : m_hi + 1] - c[:, :m_hi]
+            y = plus.accumulate(b, axis=1)
+            cur[:, 1 : m_hi + 1] = y + c[:, 1 : m_hi + 1]
+        for m in record.get(n, ()):
+            out[(n, m)] = cur[:, m].copy()
+        prev = cur
+    return out
+
+
+@pytest.mark.parametrize("plus", [np.logaddexp, np.maximum],
+                         ids=["logaddexp", "maximum"])
+@pytest.mark.parametrize("n_replicas", [1, 7])
+def test_replicated_rows_is_bit_identical_to_replica_major_sweep(plus, n_replicas):
+    max_n, max_m = 9, 5
+    every = {n: range(1, min(n, max_m) + 1) for n in range(1, max_n + 1)}
+    # u + v <= 0 pins (1, 1) and (2, 1); make_row_logw returns F-ordered
+    # .T views of its [column, replica] buffer
+    params = lattice.two_row_params(1.5, -0.3, -0.4, max_n)
+    assert params.exemptions == {(1, 1), (2, 1)}
+    if n_replicas > 1:
+        row = lattice.make_row_logw(params, max_m, n_replicas, RngStream(3))(4)
+        assert row.shape == (n_replicas, 5) and not row.flags.c_contiguous
+    dense = RngStream(4).gen.standard_normal((max_n + 1, n_replicas, max_n + 1))
+    providers = [
+        lambda: lattice.make_row_logw(params, max_m, n_replicas, RngStream(3)),
+        lambda: (lambda n: dense[n, :, : min(n, max_m) + 1]),
+    ]
+    for provider in providers:
+        got = lattice.replicated_rows(provider(), max_n, max_m, n_replicas,
+                                      every, plus)
+        want = _sweep_replica_major(provider(), max_n, max_m, n_replicas,
+                                    every, plus)
+        assert got.keys() == want.keys()
+        for site in want:
+            assert got[site].shape == (n_replicas,)
+            assert np.array_equal(got[site], want[site]), site
+
+
 def test_make_row_logw_capture_and_pinning():
     p = lattice.one_row_params(1.5, 0.3, 3)
     rng = RngStream(2007)
