@@ -708,11 +708,11 @@ def exp_sheet(params: dict, seeds: list, ctx: RunContext) -> dict:
     var_study = {}
     for nn in params["var_ns"]:
         reps = int(params["var_replicas"])
-        vals = np.empty(reps)
-        for i in range(reps):
-            rng = RngStream(seed, _stable_base(f"sheet_var{nn}") + i)
-            vals[i] = she.scaled_sheet(she.ScalingParams(n=nn, mu=0.0, beta=1.0),
-                                       0.0, 0.0, 1.0, 0.0, "deterministic", rng)
+        rngs = [RngStream(seed, _stable_base(f"sheet_var{nn}") + i)
+                for i in range(reps)]
+        vals = she.scaled_sheet_table(she.ScalingParams(n=nn, mu=0.0, beta=1.0),
+                                      0.0, 0.0, [1.0], [0.0], "deterministic",
+                                      rngs)[:, 0, 0]
         var_study[nn] = float(np.var(vals))
     ok = all(r["pass"] for r in results)
     if ctx.emit_csv and ctx.out_dir is not None:

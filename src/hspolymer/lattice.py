@@ -194,7 +194,9 @@ def replicated_rows(row_logw, max_n: int, max_m: int, n_replicas: int, record,
         else:
             c = np.empty((m_hi + 1, n_replicas))
             c[0] = 0.0
-            np.cumsum(lw[1 : m_hi + 1], axis=0, out=c[1:])
+            c[1] = lw[1]
+            for m in range(2, m_hi + 1):
+                np.add(c[m - 1], lw[m], out=c[m])
             y = prev[1 : m_hi + 1] - c[:m_hi]
             for m in range(1, m_hi):
                 plus(y[m - 1], y[m], out=y[m])

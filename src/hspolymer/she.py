@@ -17,6 +17,7 @@ endpoint time t never contributes a factor.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -439,6 +440,8 @@ def scaled_sheet(params: ScalingParams, S: float, X: float, T: float, Y: float,
     matching mean. beta = 0 with deterministic boundary is fully
     deterministic; otherwise rng is required.
     """
+    if rng is not None and not isinstance(rng, RngStream):
+        raise ValueError("scaled_sheet takes a single rng stream")
     table = scaled_sheet_table(params, S, X, [T], [Y], boundary_mode, rng,
                                bulk_law=bulk_law)
     return float(table[0, 0])
@@ -446,8 +449,21 @@ def scaled_sheet(params: ScalingParams, S: float, X: float, T: float, Y: float,
 
 def scaled_sheet_table(params: ScalingParams, S: float, X: float, T_list, Y_list,
                        boundary_mode: str = "deterministic",
-                       rng: RngStream | None = None, bulk_law="uniform") -> np.ndarray:
-    """scaled_sheet on a (T, Y) grid from a single forward DP sweep."""
+                       rng: RngStream | Sequence[RngStream | None] | None = None,
+                       bulk_law="uniform") -> np.ndarray:
+    """scaled_sheet on a (T, Y) grid from a single forward DP sweep.
+
+    rng is one RngStream (or None when nothing is random), giving a
+    (len(T_list), len(Y_list)) table, or a sequence of streams, one per
+    replica, giving (R, len(T_list), len(Y_list)); replica i is exactly the
+    table a call with rng[i] alone gives. Each stream draws its boundary
+    weights first, then its bulk rows in blocks of consecutive rows, so a
+    callable bulk_law is called as law(rng, (rows, cap)) once per block.
+    """
+    batched = rng is not None and not isinstance(rng, RngStream)
+    rngs = list(rng) if batched else [rng]
+    if not rngs:
+        raise ValueError("need at least one rng stream")
     rn = params.sqrt_n
     pts = [_scaled_lattice_point(params, S, X, T, Y)
            for T in T_list for Y in Y_list]
@@ -458,58 +474,71 @@ def scaled_sheet_table(params: ScalingParams, S: float, X: float, T_list, Y_list
     cap = int(max(x, y_max) + math.ceil(8.0 * math.sqrt(t_span) * rn))
     cap = min(cap, x + (t_max - s))
     random_parts = boundary_mode == "random" or params.beta != 0.0
-    if random_parts and rng is None:
+    if random_parts and any(r is None for r in rngs):
         raise ValueError("random boundary or positive beta needs an rng")
+    n_rep, steps = len(rngs), t_max - s
     if boundary_mode == "deterministic":
-        boundary = BoundaryWeights.constant(params.boundary_level, s, t_max)
+        levels = np.broadcast_to(params.boundary_level, (n_rep, steps))
     elif boundary_mode == "random":
         u = params.mu + 0.5
-        boundary = BoundaryWeights.sample_ig(params.alpha_n, u, s, t_max, rng)
+        drawn = [BoundaryWeights.sample_ig(params.alpha_n, u, s, t_max, one).values
+                 for one in rngs]
+        levels = np.array([[d[r] for r in range(s, t_max)] for d in drawn])
     else:
         raise ValueError(f"unknown boundary mode {boundary_mode!r}")
-    beta_n = params.beta_n
+    beta_eff = params.beta_n
     if params.beta != 0.0:
         if bulk_law == "ig":
-            g = 2.0 * rn
-            draws = g * sample_inverse_gamma(
-                g + 1.0, rng, size=(t_max - s, cap))
-            om = (draws - 1.0) / (1.0 / math.sqrt(2.0 * rn))
             # the ig matching law fixes beta_n = n^{-1/4}/sqrt(2) internally
             beta_eff = 1.0 / math.sqrt(2.0 * rn)
+
+            def draw(one, k):
+                draws = 2.0 * rn * sample_inverse_gamma(2.0 * rn + 1.0, one,
+                                                        size=(k, cap))
+                return (draws - 1.0) / beta_eff
         elif bulk_law == "uniform":
-            om = rng.gen.uniform(-math.sqrt(3.0), math.sqrt(3.0),
-                                 size=(t_max - s, cap))
-            beta_eff = beta_n
+            def draw(one, k):
+                return one.gen.uniform(-math.sqrt(3.0), math.sqrt(3.0),
+                                       size=(k, cap))
         elif callable(bulk_law):
-            om = np.asarray(bulk_law(rng, (t_max - s, cap)))
-            beta_eff = beta_n
+            def draw(one, k):
+                return np.asarray(bulk_law(one, (k, cap)))
         else:
             raise ValueError(f"unknown bulk law {bulk_law!r}")
-    out = np.zeros((len(T_list), len(Y_list)))
+    # one block of bulk rows over all replicas holds at most a quarter of one
+    # replica's field, so the batch needs less memory than one whole field
+    rows = max(1, steps // (4 * n_rep))
+    om = np.empty((n_rep, rows, cap)) if params.beta != 0.0 else None
+    out = np.zeros((n_rep, len(T_list), len(Y_list)))
     want = {}
     for a, T in enumerate(T_list):
         t = int(round(params.n * T))
         want.setdefault(t, []).append(a)
-    f = np.zeros(cap + 1)
-    f[x] = 1.0
-    g = np.full(cap + 1, 0.5)
+    f = np.zeros((n_rep, cap + 1))
+    f[:, x] = 1.0
+    g = np.full((n_rep, cap + 1), 0.5)
 
     def record(t):
         for a in want.get(t, ()):
             for b, Y in enumerate(Y_list):
                 yy = int(round(rn * Y))
-                val = f[yy] if yy <= cap else 0.0
-                out[a, b] = (rn / 2.0) * val * (2.0 if yy == 0 else 1.0)
+                val = f[:, yy] if yy <= cap else 0.0
+                out[:, a, b] = (rn / 2.0) * val * (2.0 if yy == 0 else 1.0)
 
     record(s)
     for r in range(s, t_max):
-        g[1:] = 0.5
-        g[0] = boundary.values[r]
+        g[:, 0] = levels[:, r - s]
         if params.beta != 0.0:
-            g[1:] *= 1.0 + beta_eff * om[r - s, :]
+            k = (r - s) % rows
+            if k == 0:
+                block = min(rows, t_max - r)
+                for i, one in enumerate(rngs):
+                    om[i, :block] = draw(one, block)
+            # the halved bulk factor; without bulk noise g[:, 1:] stays 0.5
+            np.multiply(1.0 + beta_eff * om[:, k], 0.5, out=g[:, 1:])
         f = _step(f, g)
         record(r + 1)
-    return out
+    return out if batched else out[0]
 
 
 def robin_heat_kernel(mu: float, S: float, X: float, T: float, Y: float) -> float:

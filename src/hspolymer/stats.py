@@ -10,6 +10,7 @@ threshold is retried once with a fresh substream.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,8 +59,9 @@ def kolmogorov_sf(lam: float, terms: int = 100) -> float:
     return float(min(max(s, 0.0), 1.0))
 
 
+@functools.lru_cache(maxsize=None)
 def ks_critical_lambda(alpha: float = 1e-3) -> float:
-    """Solve Q(lambda) = alpha by bisection."""
+    """Solve Q(lambda) = alpha by bisection, once per alpha and process."""
     lo, hi = 1e-6, 10.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)

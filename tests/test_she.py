@@ -288,6 +288,47 @@ def test_scaled_sheet_random_modes_reproducible():
     assert a == b and np.isfinite(a) and a > 0.0
 
 
+@pytest.mark.parametrize("n_rep", [1, 3])
+@pytest.mark.parametrize("mode, beta, law", [
+    ("deterministic", 1.0, "uniform"),
+    ("random", 1.0, "ig"),
+    ("random", 0.0, "uniform"),
+], ids=["det-uniform", "random-ig", "random-beta0"])
+def test_batched_sheet_table_matches_single_streams(mode, beta, law, n_rep):
+    # 38 steps: three replicas draw bulk rows in blocks of 3, one replica in
+    # blocks of 9; neither divides 38, so every sweep ends on a short block
+    p = she.ScalingParams(64, 0.4, beta)
+    Ts, Ys = [0.25, 0.59375], [0.0, 0.25, 0.5]
+
+    def streams():
+        return [RngStream(8117, i) for i in range(n_rep)]
+
+    batched = she.scaled_sheet_table(p, 0.0, 0.0, Ts, Ys, mode, streams(),
+                                     bulk_law=law)
+    assert batched.shape == (n_rep, len(Ts), len(Ys))
+    for i, one in enumerate(streams()):
+        single = she.scaled_sheet_table(p, 0.0, 0.0, Ts, Ys, mode, one,
+                                        bulk_law=law)
+        assert np.array_equal(batched[i], single)
+    if n_rep > 1:
+        assert not np.array_equal(batched[0], batched[1])
+
+
+def test_batched_sheet_table_validates_streams():
+    p = she.ScalingParams(64, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        she.scaled_sheet_table(p, 0.0, 0.0, [0.25], [0.0], rng=[])
+    with pytest.raises(ValueError):
+        she.scaled_sheet_table(p, 0.0, 0.0, [0.25], [0.0],
+                               rng=[RngStream(1), None])
+    with pytest.raises(ValueError):
+        she.scaled_sheet(p, 0.0, 0.0, 0.25, 0.0, rng=[RngStream(1)])
+    # nothing random: a sequence of None gives identical replicas
+    q = she.ScalingParams(64, 0.0, 0.0)
+    tab = she.scaled_sheet_table(q, 0.0, 0.0, [0.25], [0.0], rng=[None, None])
+    assert tab.shape == (2, 1, 1) and tab[0, 0, 0] == tab[1, 0, 0]
+
+
 def test_robin_kernel_neumann_case_is_reflection():
     from scipy.stats import norm
 

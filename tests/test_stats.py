@@ -44,6 +44,13 @@ def test_kolmogorov_sf_reference_values():
     assert ks_critical_lambda(1e-3) == pytest.approx(1.9495, abs=2e-4)
 
 
+def test_critical_lambda_cache_matches_fresh_bisection():
+    for alpha in (1e-3, 0.05):
+        cached = ks_critical_lambda(alpha)
+        assert ks_critical_lambda(alpha) == cached
+        assert cached == ks_critical_lambda.__wrapped__(alpha)
+
+
 def test_threshold_scaling():
     assert ks_threshold(400.0) == pytest.approx(ks_critical_lambda(1e-3) / 20.0)
     assert ks_threshold(100.0) > ks_threshold(10000.0)
