@@ -35,8 +35,9 @@ def _load_config(path: str) -> dict:
     if cfg["experiment"] not in EXPERIMENTS:
         raise click.ClickException(f"unknown experiment {cfg['experiment']!r}")
     seeds = cfg.get("seeds", [20260801])
+    # type(), not isinstance: JSON true/false load as bool, a subclass of int
     if not isinstance(seeds, list) or not seeds or \
-            not all(isinstance(s, int) for s in seeds):
+            not all(type(s) is int for s in seeds):
         raise click.ClickException("'seeds' must be a non-empty list of integers")
     params = cfg.get("params", {})
     if not isinstance(params, dict):
@@ -63,7 +64,8 @@ def list_experiments():
 @click.argument("config", type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed-override", type=int, default=None,
               help="Replace the seed list from the config with one seed.")
-@click.option("--workers", type=int, default=1, show_default=True,
+@click.option("--workers", type=click.IntRange(min=1), default=1,
+              show_default=True,
               help="Worker processes for sample batches.")
 @click.option("--out", type=click.Path(file_okay=False), default=None,
               help="Directory for the report, checkpoints and CSV dumps.")
@@ -77,7 +79,7 @@ def run(config, seed_override, workers, out):
     seeds = [seed_override] if seed_override is not None else cfg["seeds"]
     out_dir = out or cfg.get("out_dir")
     ctx = RunContext(out_dir=Path(out_dir) if out_dir else None,
-                     workers=max(1, int(workers)),
+                     workers=workers,
                      emit_csv=bool(cfg.get("emit_csv", False)))
     if ctx.out_dir is not None:
         ctx.out_dir.mkdir(parents=True, exist_ok=True)

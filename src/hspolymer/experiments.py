@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -18,6 +19,7 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,12 +57,6 @@ def _s_zuv(rng, n, alpha, u, v, ks):
     return path[:, list(ks)]
 
 
-def _s_zuv_ratio(rng, n, alpha, u, v, k):
-    p = stationary.DiscreteStationaryParams(alpha=alpha, u=u, v=v)
-    path = stationary.sample_zuv_path(p, k + 1, rng, n_replicas=n)
-    return path[:, k + 1] - path[:, k]
-
-
 def _s_zuv_pra(rng, n, alpha, u, v, ks):
     p = stationary.DiscreteStationaryParams(alpha=alpha, u=u, v=v)
     pra = stationary.sample_zuv_pra(p, max(ks), rng, n_replicas=n)
@@ -93,11 +89,6 @@ def _s_scaled_init(rng, n_samp, n, u, v, xs):
     return stationary.scaled_initial_data(n, u, v, xs, rng, n_replicas=n_samp)
 
 
-def _s_scaled_sq(rng, n_samp, n, u, v, x):
-    logv = stationary.scaled_initial_data(n, u, v, [x], rng, n_replicas=n_samp)
-    return np.exp(2.0 * logv[:, 0])
-
-
 def _s_scaled_proc(rng, n_samp, n, u, v, T, xs):
     config = scaling.KpzScalingConfig(n=n, u=u, v=v)
     return scaling.scaled_stationary_process(config, T, xs, rng,
@@ -115,22 +106,30 @@ def _s_matching(rng, n, alpha, u, v, t, y):
     return np.stack([rep["lhs_log"], rep["rhs_log"]], axis=1)
 
 
+def _s_perm(rng, n, alpha_circ, alphas, sigma, m, offsets):
+    """[original columns | permuted columns], one column per offset."""
+    octant = lattice.OctantParams(alpha_circ, np.array(alphas, dtype=float))
+    orig, perm = lattice.permutation_symmetry_experiment(octant, sigma, m,
+                                                         offsets, n, rng)
+    return np.stack([orig[k].values for k in offsets]
+                    + [perm[k].values for k in offsets], axis=1)
+
+
 SAMPLERS = {
     "burke": _s_burke,
     "one_row": _s_one_row,
     "two_row": _s_two_row,
     "zuv": _s_zuv,
-    "zuv_ratio": _s_zuv_ratio,
     "zuv_pra": _s_zuv_pra,
     "zuv_a": _s_zuv_a,
     "ig_walk": _s_ig_walk,
     "gamma_limit": _s_gamma_limit,
     "huv": _s_huv,
     "scaled_init": _s_scaled_init,
-    "scaled_sq": _s_scaled_sq,
     "scaled_proc": _s_scaled_proc,
     "lpp_rows": _s_lpp_rows,
     "matching": _s_matching,
+    "perm": _s_perm,
 }
 
 _DEFAULT_BATCH = 50_000
@@ -237,21 +236,84 @@ def _save_atomic(path: Path, arr: np.ndarray):
         raise
 
 
-def _resampler(sampler: str, kwargs: dict, n: int, column=None, ref=None,
-               ref_kwargs=None, cdf=None):
-    """Build a KsSuite retry callback drawing fresh batches from a stream."""
+# ---------------------------------------------------------------------------
+# declared KS checks
+#
+# A check is (label, a, b). Each side is (draw, column): the column is an
+# index, None for a 1-D draw, or a function of the drawn array. b is a
+# second side (two-sample test) or a CDF (one-sample test). The main test,
+# its retry and the unretried extras are all computed by _ks.
 
-    def rerun(stream: RngStream) -> KsResult:
-        arr = SAMPLERS[sampler](stream, n, **kwargs)
-        a = arr if column is None else arr[:, column]
-        if cdf is not None:
-            return ks_one_sample(SampleSet(a, label="retry"), cdf)
-        brr = SAMPLERS[ref](stream.substream(1), n, **(ref_kwargs or kwargs))
-        b = brr if column is None else brr[:, column]
-        return ks_two_sample(SampleSet(a, label="retry-a"),
-                             SampleSet(b, label="retry-b"))
+class _Draw(NamedTuple):
+    """n samples of SAMPLERS[sampler](**kwargs), on the streams of tag."""
 
-    return rerun
+    sampler: str
+    kwargs: dict
+    tag: str
+    n: int
+    batch: int = _DEFAULT_BATCH
+
+
+def _side(draw, side) -> SampleSet:
+    d, column = side
+    arr = draw(d)
+    if callable(column):
+        arr = column(arr)
+    elif column is not None:
+        arr = arr[:, column]
+    return SampleSet(arr, label=d.tag)
+
+
+def _ks(draw, a, b) -> KsResult:
+    if isinstance(b, tuple):
+        return ks_two_sample(_side(draw, a), _side(draw, b))
+    return ks_one_sample(_side(draw, a), b)
+
+
+def _retry(a, b, stream: RngStream) -> KsResult:
+    """The check on fresh samples: its first draw comes from stream, a
+    second, distinct draw from stream.substream(1); a draw shared by both
+    sides is drawn once."""
+    def fresh(d, s):
+        return {d.tag: SAMPLERS[d.sampler](s, d.n, **d.kwargs)}
+
+    arrays = fresh(a[0], stream)
+    if isinstance(b, tuple) and b[0].tag not in arrays:
+        arrays.update(fresh(b[0], stream.substream(1)))
+    return _ks(lambda d: arrays[d.tag], a, b)
+
+
+def _suite(name: str, checks, seed: int, ctx: RunContext, keep=()):
+    """Evaluate the checks under the KsSuite retry rule. Each draw is
+    collected once and released after the last check that reads it, unless
+    it is in keep. Returns the report fields and a draw function that
+    serves the kept draws and collects any other."""
+    arrays = {}
+
+    def draw(d: _Draw) -> np.ndarray:
+        if d.tag not in arrays:
+            arrays[d.tag] = collect_samples(d.sampler, d.kwargs, seed, d.n, ctx,
+                                            tag=d.tag, batch=d.batch)
+        return arrays[d.tag]
+
+    # index of the last check reading each tag; None keeps the draw
+    last = {side[0].tag: i for i, (_, a, b) in enumerate(checks)
+            for side in (a, b) if isinstance(side, tuple)}
+    last.update((d.tag, None) for d in keep)
+    suite = KsSuite(name=name)
+    for i, (label, a, b) in enumerate(checks):
+        suite.add(label, _ks(draw, a, b), functools.partial(_retry, a, b))
+        for tag in [t for t, j in last.items() if j == i]:
+            del arrays[tag]
+    rep = suite.evaluate(RngStream(seed, 0xDEAD))
+    return {k: rep[k] for k in ("results", "pass", "retried")}, draw
+
+
+def _extend(rep: dict, results: list) -> dict:
+    """A suite report with unretried results appended; only the gated ones
+    count toward its verdict."""
+    ok = rep["pass"] and all(r["pass"] for r in results if r.get("gated", True))
+    return {**rep, "results": rep["results"] + results, "pass": ok}
 
 
 def _result(test: str, statistic: float, threshold: float, extra=None) -> dict:
@@ -263,107 +325,73 @@ def _result(test: str, statistic: float, threshold: float, extra=None) -> dict:
     return out
 
 
-def _emit_grid_csv(ctx: RunContext, name: str, log_z: np.ndarray):
-    """grid.csv schema: n, m, log_z over the sampled octant."""
+def _write_csv(ctx: RunContext, filename: str, header: list, rows):
+    """Write header and rows under the output directory when CSV dumps are
+    on; rows may be a generator, which is then never consumed."""
     if not ctx.emit_csv or ctx.out_dir is None:
         return
     import csv
 
-    path = Path(ctx.out_dir) / f"{name}_grid.csv"
-    with open(path, "w", newline="") as fh:
+    with open(Path(ctx.out_dir) / filename, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["n", "m", "log_z"])
-        for i in range(1, log_z.shape[0]):
-            for j in range(1, min(i, log_z.shape[1] - 1) + 1):
-                w.writerow([i, j, repr(float(log_z[i, j]))])
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _emit_samples_csv(ctx: RunContext, name: str, arrays: dict, seed: int):
-    """samples.csv schema: replica, k, value, seed."""
-    if not ctx.emit_csv or ctx.out_dir is None:
-        return
-    import csv
-
-    path = Path(ctx.out_dir) / f"{name}_samples.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["replica", "k", "value", "seed"])
-        for k, arr in arrays.items():
-            arr = np.asarray(arr)
-            if arr.ndim == 1:
-                for i, val in enumerate(arr):
-                    w.writerow([i, k, repr(float(val)), seed])
-            else:
-                for i in range(arr.shape[0]):
-                    for j in range(arr.shape[1]):
-                        w.writerow([i, f"{k}[{j}]", repr(float(arr[i, j])), seed])
+    """samples.csv schema: replica, k, value, seed; one k per column."""
+    _write_csv(ctx, f"{name}_samples.csv", ["replica", "k", "value", "seed"],
+               ([i, f"{k}[{j}]", repr(float(val)), seed]
+                for k, arr in arrays.items()
+                for (i, j), val in np.ndenumerate(arr)))
 
 
 # ---------------------------------------------------------------------------
 # experiments
 
 def exp_burke(params: dict, seeds: list, ctx: RunContext) -> dict:
-    alphas = params["alpha_grid"]
     n = int(params["n_samples"])
-    seed = seeds[0]
-    suite = KsSuite(name="burke")
-    for alpha in alphas:
+    checks = []
+    for alpha in params["alpha_grid"]:
         for u_spec in params["u_spec"]:
             u = 0.5 * alpha if u_spec == "half" else float(u_spec)
-            kw = {"alpha": alpha, "u": u}
-            arr = collect_samples("burke", kw, seed, n, ctx,
-                                  tag=f"burke_a{alpha}_u{u}")
+            d = _Draw("burke", {"alpha": alpha, "u": u}, f"burke_a{alpha}_u{u}", n)
             for col, (label, theta) in enumerate(
                     [("Uprime", alpha + u), ("Vprime", alpha - u),
                      ("wprime", 2.0 * alpha)]):
-                cdf = (lambda th: (lambda x: inverse_gamma_cdf(x, th)))(theta)
-                res = ks_one_sample(SampleSet(arr[:, col], label=label), cdf)
-                suite.add(f"alpha={alpha},u={u}:{label}", res,
-                          _resampler("burke", kw, n, column=col, cdf=cdf))
-    rep = suite.evaluate(RngStream(seed, 0xDEAD))
-    return {"results": rep["results"], "pass": rep["pass"], "retried": rep["retried"]}
+                checks.append((f"alpha={alpha},u={u}:{label}", (d, col),
+                               functools.partial(inverse_gamma_cdf, theta=theta)))
+    return _suite("burke", checks, seeds[0], ctx)[0]
 
 
-def _pairwise_m_suite(suite: KsSuite, sampler: str, base_kw: dict, m_list,
-                      offsets, n: int, seed: int, ctx: RunContext, tag: str):
-    arrs = {}
-    for m in m_list:
-        kw = dict(base_kw, m=m, offsets=list(offsets))
-        arrs[m] = collect_samples(sampler, kw, seed, n, ctx, tag=f"{tag}_m{m}")
-    for ci, k in enumerate(offsets):
-        for i in range(len(m_list)):
-            for j in range(i + 1, len(m_list)):
-                m1, m2 = m_list[i], m_list[j]
-                res = ks_two_sample(
-                    SampleSet(arrs[m1][:, ci], label=f"m={m1},k={k}"),
-                    SampleSet(arrs[m2][:, ci], label=f"m={m2},k={k}"))
-                suite.add(f"{tag}:k={k}:m{m1}-vs-m{m2}", res,
-                          _resampler(sampler, dict(base_kw, m=m1, offsets=list(offsets)),
-                                     n, column=ci, ref=sampler,
-                                     ref_kwargs=dict(base_kw, m=m2, offsets=list(offsets))))
-    return arrs
+def _pairwise_m(sampler: str, base_kw: dict, m_list, offsets, n: int, tag: str):
+    """One draw per base point m, and a check per offset and pair of m."""
+    draws = {m: _Draw(sampler, dict(base_kw, m=m, offsets=list(offsets)),
+                      f"{tag}_m{m}", n) for m in m_list}
+    checks = [(f"{tag}:k={k}:m{m1}-vs-m{m2}", (draws[m1], ci), (draws[m2], ci))
+              for ci, k in enumerate(offsets)
+              for m1, m2 in itertools.combinations(m_list, 2)]
+    return draws, checks
 
 
 def exp_one_row(params: dict, seeds: list, ctx: RunContext) -> dict:
     alpha, u = params["alpha"], params["u"]
     n = int(params["n_samples"])
-    m_list, offsets = params["m_list"], params["offsets"]
-    seed = seeds[0]
-    suite = KsSuite(name="one-row-stationarity")
+    m_list = params["m_list"]
     base = {"alpha": alpha, "u": u}
-    arrs = _pairwise_m_suite(suite, "one_row", base, m_list, offsets, n, seed,
-                             ctx, "onerow")
+    draws, checks = _pairwise_m("one_row", base, m_list, params["offsets"], n,
+                                "onerow")
     # increment law: the first off-diagonal ratio is inverse-gamma(alpha - u)
-    cdf = lambda x: inverse_gamma_cdf(x, alpha - u)
+    cdf = functools.partial(inverse_gamma_cdf, theta=alpha - u)
     for m in m_list:
-        kw = dict(base, m=m, offsets=[1])
-        arr = collect_samples("one_row", kw, seed, n, ctx, tag=f"onerow_inc_m{m}")
-        res = ks_one_sample(SampleSet(np.exp(arr[:, 0]), label=f"inc m={m}"), cdf)
-        suite.add(f"onerow:increment-ig:m={m}", res,
-                  _resampler("one_row", kw, n, column=0, cdf=lambda x, c=cdf: c(np.exp(x))))
-    rep = suite.evaluate(RngStream(seed, 0xDEAD))
-    _emit_samples_csv(ctx, "one_row", {f"m{m}": a for m, a in arrs.items()}, seed)
-    return {"results": rep["results"], "pass": rep["pass"], "retried": rep["retried"]}
+        inc = _Draw("one_row", dict(base, m=m, offsets=[1]), f"onerow_inc_m{m}", n)
+        checks.append((f"onerow:increment-ig:m={m}",
+                       (inc, lambda a: np.exp(a[:, 0])), cdf))
+    rep, draw = _suite("one-row-stationarity", checks, seeds[0], ctx,
+                       keep=draws.values())
+    _emit_samples_csv(ctx, "one_row", {f"m{m}": draw(d) for m, d in draws.items()},
+                      seeds[0])
+    return rep
 
 
 def exp_two_row(params: dict, seeds: list, ctx: RunContext) -> dict:
@@ -371,55 +399,43 @@ def exp_two_row(params: dict, seeds: list, ctx: RunContext) -> dict:
     n = int(params["n_samples"])
     m_list, offsets = params["m_list"], params["offsets"]
     seed = seeds[0]
-    suite = KsSuite(name="two-row-stationarity")
-    base = {"alpha": alpha, "u": u, "v": v}
-    arrs = _pairwise_m_suite(suite, "two_row", base, m_list, offsets, n, seed,
-                             ctx, "tworow")
+    draws, checks = _pairwise_m("two_row", {"alpha": alpha, "u": u, "v": v},
+                                m_list, offsets, n, "tworow")
     # base row m=2 against the direct z_{u,v} sampler, marginally per offset
-    direct_kw = {"alpha": alpha, "u": u, "v": v, "ks": list(offsets)}
-    direct = collect_samples("zuv", direct_kw, seed, n, ctx, tag="tworow_direct")
+    direct = _Draw("zuv", {"alpha": alpha, "u": u, "v": v, "ks": list(offsets)},
+                   "tworow_direct", n)
     m0 = m_list[0]
-    for ci, k in enumerate(offsets):
-        res = ks_two_sample(SampleSet(arrs[m0][:, ci], label=f"lattice k={k}"),
-                            SampleSet(direct[:, ci], label=f"direct k={k}"))
-        suite.add(f"tworow:k={k}:m{m0}-vs-direct", res,
-                  _resampler("two_row", dict(base, m=m0, offsets=list(offsets)),
-                             n, column=ci, ref="zuv", ref_kwargs=direct_kw))
-    rep = suite.evaluate(RngStream(seed, 0xDEAD))
-    _emit_samples_csv(ctx, "two_row", {f"m{m_list[0]}": arrs[m_list[0]],
-                                       "direct": direct}, seed)
+    checks += [(f"tworow:k={k}:m{m0}-vs-direct", (draws[m0], ci), (direct, ci))
+               for ci, k in enumerate(offsets)]
+    rep, draw = _suite("two-row-stationarity", checks, seed, ctx,
+                       keep=[draws[m0], direct])
+    _emit_samples_csv(ctx, "two_row", {f"m{m0}": draw(draws[m0]),
+                                       "direct": draw(direct)}, seed)
     if ctx.emit_csv and ctx.out_dir is not None:
-        gp = lattice.two_row_params(alpha, u, v, 12)
+        size = 12
+        gp = lattice.two_row_params(alpha, u, v, size)
         f = lattice.sample_weight_field(gp, RngStream(seed, 0x971D))
-        grid = lattice.partition_recurrence(f, 12, 12)
-        _emit_grid_csv(ctx, "two_row", grid.log_z)
-    return {"results": rep["results"], "pass": rep["pass"], "retried": rep["retried"]}
+        log_z = lattice.partition_recurrence(f, size, size).log_z
+        # grid.csv schema: n, m, log_z over the sampled octant
+        _write_csv(ctx, "two_row_grid.csv", ["n", "m", "log_z"],
+                   ([i, j, repr(float(log_z[i, j]))] for i in range(1, size + 1)
+                    for j in range(1, i + 1)))
+    return rep
 
 
 def exp_permutation(params: dict, seeds: list, ctx: RunContext) -> dict:
     alphas = list(params["alphas"]) + [params["bulk_alpha"]] * max(params["offsets"])
-    octant = lattice.OctantParams(params["alpha_circ"], np.array(alphas, dtype=float))
-    octant.validate()
-    n = int(params["n_samples"])
-    seed = seeds[0]
-    suite = KsSuite(name="permutation-symmetry")
-    m = int(params["m"])
+    n, m, offsets = int(params["n_samples"]), int(params["m"]), params["offsets"]
+    checks = []
     for pi, sigma in enumerate(params["perms"]):
-        full_sigma = list(sigma) + list(range(m + 1, len(alphas) + 1))
-        rng = RngStream(seed, _stable_base(f"perm{pi}"))
-        orig, perm = lattice.permutation_symmetry_experiment(
-            octant, full_sigma, m, params["offsets"], n, rng)
-        for k in params["offsets"]:
-            res = ks_two_sample(orig[k], perm[k])
-
-            def rerun(stream, sigma=full_sigma, k=k):
-                o2, p2 = lattice.permutation_symmetry_experiment(
-                    octant, sigma, m, params["offsets"], n, stream)
-                return ks_two_sample(o2[k], p2[k])
-
-            suite.add(f"perm{pi}:k={k}", res, rerun)
-    rep = suite.evaluate(RngStream(seed, 0xDEAD))
-    return {"results": rep["results"], "pass": rep["pass"], "retried": rep["retried"]}
+        kw = {"alpha_circ": params["alpha_circ"], "alphas": alphas, "m": m,
+              "sigma": list(sigma) + list(range(m + 1, len(alphas) + 1)),
+              "offsets": list(offsets)}
+        # one batch: both sides come from substreams of a single stream
+        d = _Draw("perm", kw, f"perm{pi}", n, batch=max(n, 1))
+        checks += [(f"perm{pi}:k={k}", (d, ci), (d, len(offsets) + ci))
+                   for ci, k in enumerate(offsets)]
+    return _suite("permutation-symmetry", checks, seeds[0], ctx)[0]
 
 
 # frozen finite-size tolerance multipliers for the two asymptotic-law checks
@@ -432,67 +448,45 @@ ALIMIT_TOL_MULT = 1.5
 def exp_zuv(params: dict, seeds: list, ctx: RunContext) -> dict:
     alpha = params["alpha"]
     n = int(params["n_samples"])
-    seed = seeds[0]
-    suite = KsSuite(name="zuv-properties")
+
+    def zuv(tag, u, v, ks, sampler="zuv"):
+        return _Draw(sampler, {"alpha": alpha, "u": u, "v": v, "ks": ks}, tag, n)
+
     # antisymmetric point u = -v: the process is an inverse-gamma walk
     u0 = params["u_walk"]
-    walk_kw = {"alpha": alpha, "u": u0, "v": -u0, "ks": [1, 5]}
-    ref_kw = {"theta": alpha - u0, "ks": [1, 5]}
-    zw = collect_samples("zuv", walk_kw, seed, n, ctx, tag="zuv_walk")
-    ig = collect_samples("ig_walk", ref_kw, seed, n, ctx, tag="zuv_walk_ref")
-    for ci, k in enumerate([1, 5]):
-        res = ks_two_sample(SampleSet(zw[:, ci], label=f"z k={k}"),
-                            SampleSet(ig[:, ci], label=f"walk k={k}"))
-        suite.add(f"uv-antisymmetric:k={k}", res,
-                  _resampler("zuv", walk_kw, n, column=ci, ref="ig_walk",
-                             ref_kwargs=ref_kw))
+    walk = zuv("zuv_walk", u0, -u0, [1, 5])
+    ig = _Draw("ig_walk", {"theta": alpha - u0, "ks": [1, 5]}, "zuv_walk_ref", n)
+    checks = [(f"uv-antisymmetric:k={k}", (walk, ci), (ig, ci))
+              for ci, k in enumerate([1, 5])]
     # sign symmetry in v
     u1, v1 = params["u_sym"], params["v_sym"]
-    kw_p = {"alpha": alpha, "u": u1, "v": v1, "ks": [1, 4]}
-    kw_m = {"alpha": alpha, "u": u1, "v": -v1, "ks": [1, 4]}
-    zp = collect_samples("zuv", kw_p, seed, n, ctx, tag="zuv_vplus")
-    zm = collect_samples("zuv", kw_m, seed, n, ctx, tag="zuv_vminus")
-    for ci, k in enumerate([1, 4]):
-        res = ks_two_sample(SampleSet(zp[:, ci], label=f"+v k={k}"),
-                            SampleSet(zm[:, ci], label=f"-v k={k}"))
-        suite.add(f"v-sign-symmetry:k={k}", res,
-                  _resampler("zuv", kw_p, n, column=ci, ref="zuv", ref_kwargs=kw_m))
+    zp, zm = zuv("zuv_vplus", u1, v1, [1, 4]), zuv("zuv_vminus", u1, -v1, [1, 4])
+    checks += [(f"v-sign-symmetry:k={k}", (zp, ci), (zm, ci))
+               for ci, k in enumerate([1, 4])]
     # product decomposition route
     u2, v2 = params["u_pra"], params["v_pra"]
-    kw_z = {"alpha": alpha, "u": u2, "v": v2, "ks": [1, 4]}
-    zd = collect_samples("zuv", kw_z, seed, n, ctx, tag="zuv_direct")
-    zpra = collect_samples("zuv_pra", kw_z, seed, n, ctx, tag="zuv_pra")
-    for ci, k in enumerate([1, 4]):
-        res = ks_two_sample(SampleSet(zd[:, ci], label=f"direct k={k}"),
-                            SampleSet(zpra[:, ci], label=f"pra k={k}"))
-        suite.add(f"pra-route:k={k}", res,
-                  _resampler("zuv", kw_z, n, column=ci, ref="zuv_pra",
-                             ref_kwargs=kw_z))
-    rep = suite.evaluate(RngStream(seed, 0xDEAD))
-    results = rep["results"]
-    ok = rep["pass"]
+    zd = zuv("zuv_direct", u2, v2, [1, 4])
+    zpra = zuv("zuv_pra", u2, v2, [1, 4], sampler="zuv_pra")
+    checks += [(f"pra-route:k={k}", (zd, ci), (zpra, ci))
+               for ci, k in enumerate([1, 4])]
+    rep, draw = _suite("zuv-properties", checks, seeds[0], ctx)
     # tail ratio law at large k, with a documented finite-k tolerance
     k_tail = int(params["k_tail"])
-    tail_kw = {"alpha": alpha, "u": u2, "v": v2, "k": k_tail}
-    tail = collect_samples("zuv_ratio", tail_kw, seed, n, ctx, tag="zuv_tail")
-    theta_tail = alpha - abs(v2)
-    res = ks_one_sample(SampleSet(np.exp(tail), label="tail ratio"),
-                        lambda x: inverse_gamma_cdf(x, theta_tail))
-    thr = TAIL_TOL_MULT * res.threshold
-    results.append(_result(f"tail-ratio:k={k_tail}", res.statistic, thr))
-    ok = ok and results[-1]["pass"]
+    tail = zuv("zuv_tail", u2, v2, [k_tail, k_tail + 1])
+    res = _ks(draw, (tail, lambda a: np.exp(a[:, 1] - a[:, 0])),
+              functools.partial(inverse_gamma_cdf, theta=alpha - abs(v2)))
+    extra = [_result(f"tail-ratio:k={k_tail}", res.statistic,
+                     TAIL_TOL_MULT * res.threshold)]
     # boundary series limit 1 + G_{u-v}/G_{2v} for positive v
     u3, v3 = params["u_alim"], params["v_alim"]
     n_alim = int(params["n_alim"])
-    a_kw = {"alpha": alpha, "u": u3, "v": v3, "k": n_alim}
-    av = collect_samples("zuv_a", a_kw, seed, n, ctx, tag="zuv_alim")
-    gl = collect_samples("gamma_limit", {"u": u3, "v": v3}, seed, n, ctx,
-                         tag="zuv_alim_ref")
-    res = ks_two_sample(SampleSet(av, label="a(n)"), SampleSet(gl, label="limit"))
-    thr = ALIMIT_TOL_MULT * res.threshold
-    results.append(_result(f"a-limit:n={n_alim}", res.statistic, thr))
-    ok = ok and results[-1]["pass"]
-    return {"results": results, "pass": ok, "retried": rep["retried"]}
+    a_n = _Draw("zuv_a", {"alpha": alpha, "u": u3, "v": v3, "k": n_alim},
+                "zuv_alim", n)
+    limit = _Draw("gamma_limit", {"u": u3, "v": v3}, "zuv_alim_ref", n)
+    res = _ks(draw, (a_n, None), (limit, None))
+    extra.append(_result(f"a-limit:n={n_alim}", res.statistic,
+                         ALIMIT_TOL_MULT * res.threshold))
+    return _extend(rep, extra)
 
 
 def exp_huv(params: dict, seeds: list, ctx: RunContext) -> dict:
@@ -500,54 +494,37 @@ def exp_huv(params: dict, seeds: list, ctx: RunContext) -> dict:
     delta = float(params["delta"])
     xs = list(params["xs"])
     x_max = max(xs)
-    seed = seeds[0]
-    suite = KsSuite(name="huv-properties")
+
+    def huv(tag, u, v, route="direct", delta=delta, xs=xs):
+        return _Draw("huv", {"u": u, "v": v, "delta": delta, "x_max": x_max,
+                             "xs": xs, "route": route}, tag, n)
+
     # Brownian marginals at u = -v
     ub = params["u_brownian"]
-    bk = {"u": ub, "v": -ub, "delta": delta, "x_max": x_max, "xs": xs,
-          "route": "direct"}
-    hb = collect_samples("huv", bk, seed, n, ctx, tag="huv_brownian")
-    for ci, X in enumerate(xs):
-        cdf = (lambda m, s: (lambda x: normal_cdf(x, mean=m, sd=s)))(
-            ub * X, math.sqrt(X))
-        res = ks_one_sample(SampleSet(hb[:, ci], label=f"H({X})"), cdf)
-        suite.add(f"brownian:X={X}", res, _resampler("huv", bk, n, column=ci, cdf=cdf))
+    hb = huv("huv_brownian", ub, -ub)
+
+    def brownian(X):
+        return functools.partial(normal_cdf, mean=ub * X, sd=math.sqrt(X))
+
+    checks = [(f"brownian:X={X}", (hb, ci), brownian(X)) for ci, X in enumerate(xs)]
     # v sign symmetry
     us, vs = params["u_sym"], params["v_sym"]
-    kp = {"u": us, "v": vs, "delta": delta, "x_max": x_max, "xs": xs,
-          "route": "direct"}
-    km = {"u": us, "v": -vs, "delta": delta, "x_max": x_max, "xs": xs,
-          "route": "direct"}
-    hp = collect_samples("huv", kp, seed, n, ctx, tag="huv_vplus")
-    hm = collect_samples("huv", km, seed, n, ctx, tag="huv_vminus")
-    for ci, X in enumerate(xs):
-        res = ks_two_sample(SampleSet(hp[:, ci], label=f"+v X={X}"),
-                            SampleSet(hm[:, ci], label=f"-v X={X}"))
-        suite.add(f"v-sign-symmetry:X={X}", res,
-                  _resampler("huv", kp, n, column=ci, ref="huv", ref_kwargs=km))
+    hp, hm = huv("huv_vplus", us, vs), huv("huv_vminus", us, -vs)
+    checks += [(f"v-sign-symmetry:X={X}", (hp, ci), (hm, ci))
+               for ci, X in enumerate(xs)]
     # Pitman route agreement
-    kpit = dict(km, route="pitman")
-    hpit = collect_samples("huv", kpit, seed, n, ctx, tag="huv_pitman")
-    for ci, X in enumerate(xs[-2:], start=len(xs) - 2):
-        res = ks_two_sample(SampleSet(hm[:, ci], label=f"direct X={X}"),
-                            SampleSet(hpit[:, ci], label=f"pitman X={X}"))
-        suite.add(f"pitman-route:X={X}", res,
-                  _resampler("huv", km, n, column=ci, ref="huv", ref_kwargs=kpit))
-    rep = suite.evaluate(RngStream(seed, 0xDEAD))
-    results = rep["results"]
-    ok = rep["pass"]
+    hpit = huv("huv_pitman", us, -vs, route="pitman")
+    checks += [(f"pitman-route:X={X}", (hm, ci), (hpit, ci))
+               for ci, X in enumerate(xs[-2:], start=len(xs) - 2)]
+    rep, draw = _suite("huv-properties", checks, seeds[0], ctx, keep=[hb])
     # resolution stability: halve delta, KS shift must sit inside MC noise
     X_ref = xs[min(1, len(xs) - 1)]
-    half = dict(bk, delta=delta / 2.0, xs=[X_ref])
-    hb2 = collect_samples("huv", half, seed, n, ctx, tag="huv_haldelta")
-    cdf = lambda x: normal_cdf(x, mean=ub * X_ref, sd=math.sqrt(X_ref))
-    d1 = ks_one_sample(SampleSet(hb[:, xs.index(X_ref)], label="d"), cdf).statistic
-    d2 = ks_one_sample(SampleSet(hb2[:, 0], label="d/2"), cdf).statistic
-    floor = ks_threshold(n)
-    results.append(_result(f"delta-halving:X={X_ref}", abs(d1 - d2), floor,
-                           extra={"d_at_delta": d1, "d_at_half": d2}))
-    ok = ok and results[-1]["pass"]
-    return {"results": results, "pass": ok, "retried": rep["retried"]}
+    half = huv("huv_haldelta", ub, -ub, delta=delta / 2.0, xs=[X_ref])
+    d1 = _ks(draw, (hb, xs.index(X_ref)), brownian(X_ref)).statistic
+    d2 = _ks(draw, (half, 0), brownian(X_ref)).statistic
+    return _extend(rep, [_result(f"delta-halving:X={X_ref}", abs(d1 - d2),
+                                 ks_threshold(n),
+                                 extra={"d_at_delta": d1, "d_at_half": d2})])
 
 
 # finite-epsilon tolerance (KS distance) for the zero-temperature limit at
@@ -558,7 +535,6 @@ EPS_LIMIT_TOL = 0.05
 def exp_lpp(params: dict, seeds: list, ctx: RunContext) -> dict:
     n = int(params["n_samples"])
     seed = seeds[0]
-    suite = KsSuite(name="lpp-stationarity")
     offsets = params["offsets"]
     kinds = {
         "exp_one": ({"kind": "exp_one", "bulk": params["a"], "p1": params["exp_u"]},
@@ -570,20 +546,16 @@ def exp_lpp(params: dict, seeds: list, ctx: RunContext) -> dict:
         "geom_two": ({"kind": "geom_two", "bulk": params["q"], "p1": params["geom_r"],
                       "p2": params["geom_s"]}, params["m_two"]),
     }
+    checks = []
     for name, (base, m_list) in kinds.items():
-        _pairwise_m_suite(suite, "lpp_rows", base, m_list, offsets, n, seed,
-                          ctx, f"lpp_{name}")
+        checks += _pairwise_m("lpp_rows", base, m_list, offsets, n, f"lpp_{name}")[1]
     # exponential increments of the one-row specialization
     a, eu = params["a"], params["exp_u"]
-    inc_kw = {"kind": "exp_one", "bulk": a, "p1": eu, "m": 2, "offsets": [1]}
-    inc = collect_samples("lpp_rows", inc_kw, seed, n, ctx, tag="lpp_exp_inc")
-    cdf = lambda x: exponential_cdf(x, a - eu)
-    res = ks_one_sample(SampleSet(inc[:, 0], label="exp_one inc"), cdf)
-    suite.add("exp_one:increment-exponential", res,
-              _resampler("lpp_rows", inc_kw, n, column=0, cdf=cdf))
-    rep = suite.evaluate(RngStream(seed, 0xDEAD))
-    results = rep["results"]
-    ok = rep["pass"]
+    inc = _Draw("lpp_rows", {"kind": "exp_one", "bulk": a, "p1": eu, "m": 2,
+                             "offsets": [1]}, "lpp_exp_inc", n)
+    checks.append(("exp_one:increment-exponential", (inc, 0),
+                   functools.partial(exponential_cdf, a=a - eu)))
+    rep, _ = _suite("lpp-stationarity", checks, seed, ctx)
     # zero-temperature limit: reported KS along the epsilon grid, gated only
     # at the smallest epsilon with the documented finite-epsilon tolerance
     lim = lpp.loggamma_to_exp_limit_check(
@@ -592,14 +564,11 @@ def exp_lpp(params: dict, seeds: list, ctx: RunContext) -> dict:
         n=params["lim_n"], m=params["lim_m"],
         n_replicas=int(params["lim_samples"]))
     eps_min = min(lim["ks"])
-    for eps, entry in sorted(lim["ks"].items(), reverse=True):
-        gated = eps == eps_min
-        thr = EPS_LIMIT_TOL if gated else 1.0
-        results.append(_result(f"lpp-limit:eps={eps}", entry["statistic"], thr,
-                               extra={"gated": gated}))
-        if gated:
-            ok = ok and results[-1]["pass"]
-    return {"results": results, "pass": ok, "retried": rep["retried"]}
+    return _extend(rep, [
+        _result(f"lpp-limit:eps={eps}", entry["statistic"],
+                EPS_LIMIT_TOL if eps == eps_min else 1.0,
+                extra={"gated": eps == eps_min})
+        for eps, entry in sorted(lim["ks"].items(), reverse=True)])
 
 
 def _random_instance(rng: RngStream, t_span: int, min_height: int = 0):
@@ -690,7 +659,7 @@ def exp_sheet(params: dict, seeds: list, ctx: RunContext) -> dict:
                     env = ENVELOPE_C / math.sqrt(T) * math.exp(
                         -(X - Y) ** 2 / (ENVELOPE_C * T))
                     env_worst = max(env_worst, got / env)
-                    rows.append((0.0, X, T, Y, got, ref, mu))
+                    rows.append((0.0, X, T, Y, got))
         results.append(_result(f"kernel-vs-robin:mu={mu}", sup_diff / sup_ref,
                                float(params["kernel_tol"])))
     results.append(_result("gaussian-envelope", env_worst, 1.0,
@@ -715,16 +684,16 @@ def exp_sheet(params: dict, seeds: list, ctx: RunContext) -> dict:
                                       rngs)[:, 0, 0]
         var_study[nn] = float(np.var(vals))
     ok = all(r["pass"] for r in results)
-    if ctx.emit_csv and ctx.out_dir is not None:
-        import csv
-
-        with open(Path(ctx.out_dir) / "sheet_kernels.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["s", "x", "t", "y", "value"])
-            for (S, X, T, Y, got, ref, mu) in rows:
-                w.writerow([S, repr(X), repr(T), repr(Y), repr(got)])
+    _write_csv(ctx, "sheet_kernels.csv", ["s", "x", "t", "y", "value"],
+               ([S, repr(X), repr(T), repr(Y), repr(got)]
+                for (S, X, T, Y, got) in rows))
     return {"results": results, "pass": ok, "retried": [],
             "variance_study": var_study}
+
+
+def _increment(c):
+    """Column function: the height increment from x = 0 to the (c+1)-th x."""
+    return lambda a: a[:, c + 1] - a[:, 0]
 
 
 def exp_kpz(params: dict, seeds: list, ctx: RunContext) -> dict:
@@ -733,90 +702,40 @@ def exp_kpz(params: dict, seeds: list, ctx: RunContext) -> dict:
     Ts = params["Ts"]
     Xs = list(params["Xs"])
     nsamp = int(params["n_samples"])
-    seed = seeds[0]
     xs_full = [0.0] + Xs
-    suite = KsSuite(name="kpz-scaling")
-    ens = {}
-    for T in Ts:
-        kw = {"n": n, "u": u, "v": v, "T": T, "xs": xs_full}
-        arr = collect_samples("scaled_proc", kw, seed, nsamp, ctx,
-                              tag=f"kpz_T{T}", batch=20000)
-        ens[T] = arr[:, 1:] - arr[:, :1]
+    procs = {T: _Draw("scaled_proc", {"n": n, "u": u, "v": v, "T": T, "xs": xs_full},
+                      f"kpz_T{T}", nsamp, batch=20000) for T in Ts}
     T0 = Ts[0]
-    for Tb in Ts[1:]:
-        for ci, X in enumerate(Xs):
-            res = ks_two_sample(SampleSet(ens[T0][:, ci], label=f"T={T0},X={X}"),
-                                SampleSet(ens[Tb][:, ci], label=f"T={Tb},X={X}"))
-
-            def rerun(stream, Ta=T0, Tb_=Tb, ci_=ci):
-                kwa = {"n": n, "u": u, "v": v, "T": Ta, "xs": xs_full}
-                kwb = {"n": n, "u": u, "v": v, "T": Tb_, "xs": xs_full}
-                a = _s_scaled_proc(stream, nsamp, **kwa)
-                b = _s_scaled_proc(stream.substream(1), nsamp, **kwb)
-                return ks_two_sample(
-                    SampleSet(a[:, ci_ + 1] - a[:, 0], label="retry-a"),
-                    SampleSet(b[:, ci_ + 1] - b[:, 0], label="retry-b"))
-
-            suite.add(f"T-invariance:X={X}:T{T0}-vs-T{Tb}", res, rerun)
+    checks = [(f"T-invariance:X={X}:T{T0}-vs-T{Tb}", (procs[T0], _increment(ci)),
+               (procs[Tb], _increment(ci)))
+              for Tb in Ts[1:] for ci, X in enumerate(Xs)]
     # direct-route check at T = 0 against the explicit initial-data sampler
-    init_kw = {"n": n, "u": u, "v": v, "xs": xs_full}
-    init = collect_samples("scaled_init", init_kw, seed, nsamp, ctx,
-                           tag="kpz_init", batch=20000)
-    init_inc = init[:, 1:] - init[:, :1]
-    for ci, X in enumerate(Xs):
-        res = ks_two_sample(SampleSet(ens[T0][:, ci], label=f"lattice X={X}"),
-                            SampleSet(init_inc[:, ci], label=f"direct X={X}"))
-
-        def rerun(stream, ci_=ci):
-            kwa = {"n": n, "u": u, "v": v, "T": T0, "xs": xs_full}
-            a = _s_scaled_proc(stream, nsamp, **kwa)
-            b = _s_scaled_init(stream.substream(1), nsamp, **init_kw)
-            return ks_two_sample(
-                SampleSet(a[:, ci_ + 1] - a[:, 0], label="retry-a"),
-                SampleSet(b[:, ci_ + 1] - b[:, 0], label="retry-b"))
-
-        suite.add(f"T0-vs-initial-data:X={X}", res, rerun)
-    rep = suite.evaluate(RngStream(seed, 0xDEAD))
-    results = rep["results"]
-    ok = rep["pass"]
+    init = _Draw("scaled_init", {"n": n, "u": u, "v": v, "xs": xs_full},
+                 "kpz_init", nsamp, batch=20000)
+    checks += [(f"T0-vs-initial-data:X={X}", (procs[T0], _increment(ci)),
+                (init, _increment(ci))) for ci, X in enumerate(Xs)]
+    rep, draw = _suite("kpz-scaling", checks, seeds[0], ctx)
+    if not params["resolution_check"]:
+        return rep
     # resolution report: distance between levels n and 4n (not gated)
-    if params.get("resolution_check", True):
-        nsmall = int(params.get("res_samples", 20000))
-        X_ref = Xs[0]
-        lo = collect_samples("scaled_init", {"n": n // 4, "u": u, "v": v,
-                                             "xs": [0.0, X_ref]},
-                             seed, nsmall, ctx, tag="kpz_res_lo")
-        hi = collect_samples("scaled_init", {"n": n, "u": u, "v": v,
-                                             "xs": [0.0, X_ref]},
-                             seed, nsmall, ctx, tag="kpz_res_hi")
-        d = ks_two_sample(SampleSet(lo[:, 1] - lo[:, 0], label="n/4"),
-                          SampleSet(hi[:, 1] - hi[:, 0], label="n")).statistic
-        results.append({"test": f"resolution:n{n // 4}-vs-n{n}:X={X_ref}",
-                        "statistic": float(d), "threshold": 1.0, "pass": True,
-                        "gated": False})
-    return {"results": results, "pass": ok, "retried": rep["retried"]}
+    X_ref = Xs[0]
+    lo, hi = (_Draw("scaled_init", {"n": nn, "u": u, "v": v, "xs": [0.0, X_ref]},
+                    tag, int(params["res_samples"]))
+              for nn, tag in ((n // 4, "kpz_res_lo"), (n, "kpz_res_hi")))
+    d = _ks(draw, (lo, _increment(0)), (hi, _increment(0))).statistic
+    return _extend(rep, [_result(f"resolution:n{n // 4}-vs-n{n}:X={X_ref}", d, 1.0,
+                                 extra={"gated": False})])
 
 
 def exp_matching(params: dict, seeds: list, ctx: RunContext) -> dict:
-    alpha, u, v = params["alpha"], params["u"], params["v"]
+    kw = {"alpha": params["alpha"], "u": params["u"], "v": params["v"]}
     n = int(params["n_samples"])
-    seed = seeds[0]
-    suite = KsSuite(name="matching-identity")
+    checks = []
     for (t, y) in params["points"]:
-        kw = {"alpha": alpha, "u": u, "v": v, "t": t, "y": y}
-        arr = collect_samples("matching", kw, seed, n, ctx,
-                              tag=f"match_t{t}y{y}", batch=20000)
-        res = ks_two_sample(SampleSet(arr[:, 0], label=f"octant ({t},{y})"),
-                            SampleSet(arr[:, 1], label=f"framework ({t},{y})"))
-
-        def rerun(stream, kw=kw):
-            a = _s_matching(stream, n, **kw)
-            return ks_two_sample(SampleSet(a[:, 0], label="retry-l"),
-                                 SampleSet(a[:, 1], label="retry-r"))
-
-        suite.add(f"matching:t={t},y={y}", res, rerun)
-    rep = suite.evaluate(RngStream(seed, 0xDEAD))
-    return {"results": rep["results"], "pass": rep["pass"], "retried": rep["retried"]}
+        # both sides come from one draw, so a retry redraws it once
+        d = _Draw("matching", dict(kw, t=t, y=y), f"match_t{t}y{y}", n, batch=20000)
+        checks.append((f"matching:t={t},y={y}", (d, 0), (d, 1)))
+    return _suite("matching-identity", checks, seeds[0], ctx)[0]
 
 
 # frozen bounds on the scaled moment gaps of the matching bulk law; the even
@@ -834,10 +753,11 @@ def exp_moments(params: dict, seeds: list, ctx: RunContext) -> dict:
     nsamp = int(params["mc_samples"])
     for (n, u, v, X) in params["second_moment_points"]:
         target = stationary.second_moment_analytic(n, u, v, X)
-        kw = {"n": n, "u": u, "v": v, "x": X}
-        sq = collect_samples("scaled_sq", kw, seed, nsamp, ctx,
-                             tag=f"mom_n{n}_u{u}_v{v}_x{X}", batch=200000)
-        cmp = moment_compare(SampleSet(sq, label="sq"), 1, target)
+        logv = collect_samples("scaled_init", {"n": n, "u": u, "v": v, "xs": [X]},
+                               seed, nsamp, ctx, tag=f"mom_n{n}_u{u}_v{v}_x{X}",
+                               batch=200000)
+        cmp = moment_compare(SampleSet(np.exp(2.0 * logv[:, 0]), label="sq"), 1,
+                             target)
         results.append(_result(
             f"second-moment:n={n},u={u},v={v},X={X}", cmp["statistic"], 3.0,
             extra={"estimate": cmp["estimate"], "target": cmp["target"],
@@ -1026,15 +946,5 @@ def run_experiment(name: str, params: dict, seeds: list, ctx: RunContext) -> dic
         if k not in merged:
             raise ValueError(f"unknown parameter {k!r} for experiment {name}")
         merged[k] = v
-    report = exp.func(merged, seeds, ctx)
-    return {
-        "experiment": name,
-        "verifies": exp.verifies,
-        "params": merged,
-        "seeds": list(seeds),
-        "results": report["results"],
-        "pass": report["pass"],
-        "retried": report.get("retried", []),
-        **{k: v for k, v in report.items()
-           if k not in {"results", "pass", "retried"}},
-    }
+    return {"experiment": name, "verifies": exp.verifies, "params": merged,
+            "seeds": list(seeds), **exp.func(merged, seeds, ctx)}

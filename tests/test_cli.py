@@ -63,7 +63,7 @@ def test_seed_override_replaces_config_seeds(runner, tmp_path):
 
 @pytest.mark.parametrize("breakage", ["unknown_key", "not_json", "bad_seeds",
                                       "bad_experiment", "bad_param",
-                                      "two_seeds"])
+                                      "two_seeds", "bool_seed"])
 def test_config_errors_exit_2(runner, tmp_path, breakage):
     path = tmp_path / "c.json"
     if breakage == "unknown_key":
@@ -79,8 +79,20 @@ def test_config_errors_exit_2(runner, tmp_path, breakage):
     elif breakage == "two_seeds":
         # every experiment runs at one seed; a second would be ignored
         _write_config(path, seeds=[1, 2])
+    elif breakage == "bool_seed":
+        # JSON true loads as a Python bool, which is an int subclass
+        _write_config(path, seeds=[True])
     res = runner.invoke(main, ["run", str(path), "--out", str(tmp_path / "o")])
     assert res.exit_code == 2, res.output
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_2(runner, tmp_path, workers):
+    cfg = _write_config(tmp_path / "c.json")
+    out = tmp_path / "o"
+    res = runner.invoke(main, ["run", cfg, "--workers", workers, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert not out.exists()
 
 
 def test_missing_config_file(runner, tmp_path):

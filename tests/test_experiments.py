@@ -3,6 +3,8 @@ import pytest
 
 from hspolymer import experiments
 from hspolymer.experiments import RunContext, collect_samples, run_experiment
+from hspolymer.rng import RngStream
+from hspolymer.stats import KsSuite
 
 
 BURKE_KW = {"alpha": 1.5, "u": 0.3}
@@ -155,3 +157,56 @@ def test_she_monotonicity_field_covers_its_window():
     mono = rep["results"][-1]
     assert mono["test"] == "boundary-monotonicity"
     assert mono["pass"] and mono["checked"] > 0
+
+
+# the nine experiments gated by a KS suite, at small sizes
+KS_SMALL = {
+    "burke": {"n_samples": 2000},
+    "one-row-stationarity": {"n_samples": 1000},
+    "two-row-stationarity": {"n_samples": 1000},
+    "permutation-symmetry": {"n_samples": 1000},
+    "zuv-properties": {"n_samples": 1000, "k_tail": 20, "n_alim": 20},
+    "huv-properties": {"n_samples": 200, "delta": 2.0 ** -6},
+    "lpp-stationarity": {"n_samples": 1000, "lim_samples": 500},
+    "kpz-scaling": {"n": 64, "n_samples": 1000, "res_samples": 500},
+    "matching-identity": {"n_samples": 1000},
+}
+
+
+def test_every_ks_check_retries_its_own_comparison(monkeypatch):
+    seed = 20260801
+    calls = []
+    for name, fn in list(experiments.SAMPLERS.items()):
+        def counted(rng, size, /, _fn=fn, **kw):
+            calls.append(size)
+            return _fn(rng, size, **kw)
+
+        monkeypatch.setitem(experiments.SAMPLERS, name, counted)
+    checked = {}
+    evaluate = KsSuite.evaluate
+
+    def force_every_retry(suite, retry_stream=None):
+        for c in suite.checks:
+            label, main = c["label"], c["result"]
+            assert c["resample"] is not None, label
+            a, b = c["resample"].args
+            one_draw = not isinstance(b, tuple) or b[0] == a[0]
+            calls.clear()
+            retry = c["resample"](RngStream(7, 0xBEEF))
+            # a paired or one-sample check redraws its one draw once
+            assert len(calls) == (1 if one_draw else 2), label
+            # same threshold, so the retry compares samples of the same sizes
+            assert retry.threshold == main.threshold, label
+            if one_draw and a[0].n <= a[0].batch:
+                # on the stream of the main draw's only batch, the retry
+                # repeats the main comparison exactly
+                stream = RngStream(seed, experiments._stable_base(a[0].tag))
+                assert c["resample"](stream).statistic == main.statistic, label
+            checked[suite.name] = checked.get(suite.name, 0) + 1
+        return evaluate(suite, retry_stream)
+
+    monkeypatch.setattr(KsSuite, "evaluate", force_every_retry)
+    for name, params in KS_SMALL.items():
+        run_experiment(name, params, [seed], RunContext())
+    # each suite is named after its experiment
+    assert set(checked) == set(KS_SMALL)
