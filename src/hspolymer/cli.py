@@ -42,6 +42,10 @@ def _load_config(path: str) -> dict:
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise click.ClickException("'params' must be an object")
+    if type(cfg.get("emit_csv", False)) is not bool:
+        raise click.ClickException("'emit_csv' must be true or false")
+    if not isinstance(cfg.get("out_dir", ""), str):
+        raise click.ClickException("'out_dir' must be a string")
     cfg["seeds"] = seeds
     cfg["params"] = params
     return cfg
@@ -80,7 +84,7 @@ def run(config, seed_override, workers, out):
     out_dir = out or cfg.get("out_dir")
     ctx = RunContext(out_dir=Path(out_dir) if out_dir else None,
                      workers=workers,
-                     emit_csv=bool(cfg.get("emit_csv", False)))
+                     emit_csv=cfg.get("emit_csv", False))
     if ctx.out_dir is not None:
         ctx.out_dir.mkdir(parents=True, exist_ok=True)
     start = time.monotonic()

@@ -59,11 +59,29 @@ class ContinuumStationaryParams:
             raise ValueError("need v <= u")
 
 
+# doubles per gamma block: the walks draw this many at a time, replica rows
+# in order, so peak memory is the returned paths plus one block
+_GAMMA_BLOCK = 1 << 18
+
+
+def _fill_neg_log_gamma(gen: np.random.Generator, theta: float,
+                        dest: np.ndarray) -> None:
+    """Write -log Gamma(theta) draws into dest (rows, k), a block of rows at a
+    time. Successive row blocks draw the same numbers as one dest.shape call."""
+    rows = max(1, _GAMMA_BLOCK // max(dest.shape[1], 1))
+    for r0 in range(0, dest.shape[0], rows):
+        block = dest[r0:r0 + rows]
+        np.log(gen.standard_gamma(theta, size=block.shape), out=block)
+        np.negative(block, out=block)
+
+
 def _log_ig_walk(theta: float, k_max: int, rng: RngStream, n: int) -> np.ndarray:
     """Log of an inverse-gamma multiplicative walk: (n, k_max+1), column 0 = 0."""
-    steps = -np.log(rng.gen.standard_gamma(theta, size=(n, k_max)))
-    out = np.zeros((n, k_max + 1))
-    np.cumsum(steps, axis=1, out=out[:, 1:])
+    out = np.empty((n, k_max + 1))
+    out[:, 0] = 0.0
+    steps = out[:, 1:]
+    _fill_neg_log_gamma(rng.gen, theta, steps)
+    np.cumsum(steps, axis=1, out=steps)
     return out
 
 
@@ -85,18 +103,18 @@ def sample_zuv_path(params: DiscreteStationaryParams, k_max: int, rng: RngStream
     """
     a, u, v = params.alpha, params.u, params.v
     R = n_replicas
-    log_r2 = _log_ig_walk(a - v, k_max, rng, R)
+    out = _log_ig_walk(a - v, k_max, rng, R)
     if u == v:
-        return log_r2
-    log_r1 = _log_ig_walk(a + v, k_max, rng, R)
+        return out
+    # w runs through log r1(l), then t_l = r1(l)/r2(l-1), then the cumulative
+    # logsumexp over l = 1..k, then log(1 + lse/varpi)
+    w = _log_ig_walk(a + v, k_max, rng, R)[:, 1:]
     log_varpi = _log_varpi(u, v, rng, R)
-    # terms t_l = r1(l)/r2(l-1); cumulative logsumexp over l = 1..k
-    t = log_r1[:, 1:] - log_r2[:, :-1]
-    lse = np.logaddexp.accumulate(t, axis=1)
-    out = log_r2.copy()
-    out[:, 1:] = log_r2[:, 1:] + np.logaddexp(
-        0.0, lse - log_varpi[:, None]
-    )
+    np.subtract(w, out[:, :-1], out=w)
+    np.logaddexp.accumulate(w, axis=1, out=w)
+    np.subtract(w, log_varpi[:, None], out=w)
+    np.logaddexp(0.0, w, out=w)
+    np.add(out[:, 1:], w, out=out[:, 1:])
     return out
 
 
@@ -127,20 +145,27 @@ def sample_zuv_pra(params: DiscreteStationaryParams, k_max: int, rng: RngStream,
     if u == v:
         raise ValueError("the p/r/a decomposition needs u > v")
     R = n_replicas
-    log_xi = -np.log(rng.gen.standard_gamma(a_ - v, size=(R, k_max)))
-    log_zeta = -np.log(rng.gen.standard_gamma(a_ + v, size=(R, k_max)))
-    log_p = np.zeros((R, k_max + 1))
+    gen = rng.gen
+    log_p = np.empty((R, k_max + 1))
+    log_r = np.empty((R, k_max + 1))
+    log_a = np.empty((R, k_max + 1))
+    # log_a[:, 1:] holds log xi until the a-branch overwrites it
+    log_xi = log_a[:, 1:]
+    _fill_neg_log_gamma(gen, a_ - v, log_xi)
+    _fill_neg_log_gamma(gen, a_ + v, log_r[:, 1:])
+    log_p[:, 0] = 0.0
     np.cumsum(log_xi, axis=1, out=log_p[:, 1:])
     # log r(k) = log zeta_1 + sum_{i=2}^{k} (log zeta_i - log xi_{i-1})
-    log_r = np.full((R, k_max + 1), -np.inf)
-    log_r[:, 1] = log_zeta[:, 0]
-    if k_max >= 2:
-        inc = log_zeta[:, 1:] - log_xi[:, :-1]
-        log_r[:, 2:] = log_zeta[:, 0:1] + np.cumsum(inc, axis=1)
+    log_r[:, 0] = -np.inf
+    tail = log_r[:, 2:]
+    np.subtract(tail, log_xi[:, :-1], out=tail)
+    np.cumsum(tail, axis=1, out=tail)
+    np.add(tail, log_r[:, 1:2], out=tail)
     log_varpi = _log_varpi(u, v, rng, R)
-    lse = np.logaddexp.accumulate(log_r[:, 1:], axis=1)
-    log_a = np.zeros((R, k_max + 1))
-    log_a[:, 1:] = np.logaddexp(0.0, lse - log_varpi[:, None])
+    log_a[:, 0] = 0.0
+    np.logaddexp.accumulate(log_r[:, 1:], axis=1, out=log_a[:, 1:])
+    np.subtract(log_a[:, 1:], log_varpi[:, None], out=log_a[:, 1:])
+    np.logaddexp(0.0, log_a[:, 1:], out=log_a[:, 1:])
     return PraPath(log_p=log_p, log_r=log_r, log_a=log_a)
 
 
@@ -158,9 +183,12 @@ def _huv_stream(params: ContinuumStationaryParams, rng: RngStream,
     """
     d = params.delta
     steps = int(round(params.x_max / d))
-    if x_record is None:
-        x_record = [params.x_max]
-    targets = sorted(set(int(round(x / d)) for x in x_record))
+    xs = [params.x_max] if x_record is None else list(x_record)
+    if not xs:
+        raise ValueError("x_record is empty")
+    if min(xs) < 0:
+        raise ValueError("recorded X must be nonnegative")
+    targets = sorted(set(int(round(x / d)) for x in xs))
     if targets[-1] > steps:
         raise ValueError("recorded X beyond x_max")
     R = n_replicas

@@ -63,7 +63,8 @@ def test_seed_override_replaces_config_seeds(runner, tmp_path):
 
 @pytest.mark.parametrize("breakage", ["unknown_key", "not_json", "bad_seeds",
                                       "bad_experiment", "bad_param",
-                                      "two_seeds", "bool_seed"])
+                                      "two_seeds", "bool_seed", "emit_csv_string",
+                                      "out_dir_number"])
 def test_config_errors_exit_2(runner, tmp_path, breakage):
     path = tmp_path / "c.json"
     if breakage == "unknown_key":
@@ -82,6 +83,11 @@ def test_config_errors_exit_2(runner, tmp_path, breakage):
     elif breakage == "bool_seed":
         # JSON true loads as a Python bool, which is an int subclass
         _write_config(path, seeds=[True])
+    elif breakage == "emit_csv_string":
+        # a non-empty string is truthy: "false" used to write the CSV dumps
+        _write_config(path, emit_csv="false")
+    elif breakage == "out_dir_number":
+        _write_config(path, out_dir=5)
     res = runner.invoke(main, ["run", str(path), "--out", str(tmp_path / "o")])
     assert res.exit_code == 2, res.output
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,106 @@ def test_continuum_params_validation():
         stationary.ContinuumStationaryParams(0.5, 0.2, x_max=-1.0)
     with pytest.raises(ValueError):
         stationary.ContinuumStationaryParams(0.2, 0.5)
+
+
+# The out-of-place sampler bodies the in-place ones replaced, kept as the
+# oracle: same draws in the same order, so every value must match exactly.
+def _oracle_walk(theta, k_max, rng, n):
+    steps = -np.log(rng.gen.standard_gamma(theta, size=(n, k_max)))
+    out = np.zeros((n, k_max + 1))
+    np.cumsum(steps, axis=1, out=out[:, 1:])
+    return out
+
+
+def _oracle_varpi(u, v, rng, n):
+    return -np.log(rng.gen.standard_gamma(u - v, size=n))
+
+
+def _oracle_zuv(params, k_max, rng, R):
+    a, u, v = params.alpha, params.u, params.v
+    log_r2 = _oracle_walk(a - v, k_max, rng, R)
+    if u == v:
+        return log_r2
+    log_r1 = _oracle_walk(a + v, k_max, rng, R)
+    log_varpi = _oracle_varpi(u, v, rng, R)
+    t = log_r1[:, 1:] - log_r2[:, :-1]
+    lse = np.logaddexp.accumulate(t, axis=1)
+    out = log_r2.copy()
+    out[:, 1:] = log_r2[:, 1:] + np.logaddexp(0.0, lse - log_varpi[:, None])
+    return out
+
+
+def _oracle_pra(params, k_max, rng, R):
+    a_, u, v = params.alpha, params.u, params.v
+    log_xi = -np.log(rng.gen.standard_gamma(a_ - v, size=(R, k_max)))
+    log_zeta = -np.log(rng.gen.standard_gamma(a_ + v, size=(R, k_max)))
+    log_p = np.zeros((R, k_max + 1))
+    np.cumsum(log_xi, axis=1, out=log_p[:, 1:])
+    log_r = np.full((R, k_max + 1), -np.inf)
+    log_r[:, 1] = log_zeta[:, 0]
+    if k_max >= 2:
+        inc = log_zeta[:, 1:] - log_xi[:, :-1]
+        log_r[:, 2:] = log_zeta[:, 0:1] + np.cumsum(inc, axis=1)
+    log_varpi = _oracle_varpi(u, v, rng, R)
+    lse = np.logaddexp.accumulate(log_r[:, 1:], axis=1)
+    log_a = np.zeros((R, k_max + 1))
+    log_a[:, 1:] = np.logaddexp(0.0, lse - log_varpi[:, None])
+    return log_p, log_r, log_a
+
+
+def _same_bits(a, b):
+    # array_equal treats -0.0 == 0.0; the sign bits must match as well
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 5, 400])
+@pytest.mark.parametrize("r_kind", ["one", "seven", "block_plus_3"])
+@pytest.mark.parametrize("u,v", [(0.4, 0.4), (-0.3, -0.3), (0.8, 0.2), (0.5, -0.5)],
+                         ids=["eq_pos", "eq_neg", "gt_pos", "gt_neg"])
+def test_in_place_zuv_samplers_match_oracle(k_max, r_kind, u, v):
+    # the last replica block ends short at one block plus 3 rows
+    R = {"one": 1, "seven": 7,
+         "block_plus_3": stationary._GAMMA_BLOCK // k_max + 3}[r_kind]
+    params = _p(1.5, u, v)
+    seed = 3100 + k_max
+    assert _same_bits(stationary.sample_zuv_path(params, k_max, RngStream(seed), R),
+                      _oracle_zuv(params, k_max, RngStream(seed), R))
+    assert _same_bits(stationary._log_ig_walk(1.5 + v, k_max, RngStream(seed), R),
+                      _oracle_walk(1.5 + v, k_max, RngStream(seed), R))
+    if u > v:
+        got = stationary.sample_zuv_pra(params, k_max, RngStream(seed), R)
+        expect = _oracle_pra(params, k_max, RngStream(seed), R)
+        for g, e in zip((got.log_p, got.log_r, got.log_a), expect):
+            assert g.shape == (R, k_max + 1)
+            assert _same_bits(g, e)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name,limit", [("pra", 3.5), ("path", 2.5), ("walk", 1.5),
+                                        ("path_u_eq_v", 1.5)])
+def test_zuv_samplers_peak_memory(name, limit):
+    # traced peak in units of one returned (R, k_max+1) path; the returned
+    # paths count, so p/r/a can go no lower than 3 and a path no lower than 1
+    R, k_max = 2000, 400
+    gt, eq = _p(1.5, 0.8, 0.2), _p(1.5, 0.4, 0.4)
+    fn = {
+        "pra": lambda: stationary.sample_zuv_pra(gt, k_max, RngStream(5), R),
+        "path": lambda: stationary.sample_zuv_path(gt, k_max, RngStream(5), R),
+        "walk": lambda: stationary._log_ig_walk(1.3, k_max, RngStream(5), R),
+        "path_u_eq_v": lambda: stationary.sample_zuv_path(eq, k_max, RngStream(5), R),
+    }[name]
+    fn()  # lazy set-up (bit generator state, ufunc loops) stays out of the peak
+    paths = _traced_peak(fn) / (R * (k_max + 1) * 8)
+    assert paths <= limit, paths
 
 
 def test_zuv_boundary_free_case_is_plain_walk():
@@ -109,6 +211,15 @@ def test_huv_rejects_record_beyond_range():
     p = stationary.ContinuumStationaryParams(0.8, 0.3, x_max=1.0)
     with pytest.raises(ValueError):
         stationary.sample_Huv_path(p, RngStream(0), 1, x_record=[2.0])
+
+
+@pytest.mark.parametrize("sampler", [stationary.sample_Huv_path,
+                                     stationary.sample_Huv_pitman])
+@pytest.mark.parametrize("x_record", [[], [-0.5, 1.0]], ids=["empty", "negative"])
+def test_huv_rejects_bad_record(sampler, x_record):
+    p = stationary.ContinuumStationaryParams(0.8, 0.3, x_max=1.0)
+    with pytest.raises(ValueError):
+        sampler(p, RngStream(0), 1, x_record=x_record)
 
 
 def test_scaled_initial_data_grid_checks():
