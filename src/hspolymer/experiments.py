@@ -65,8 +65,7 @@ def _s_zuv_pra(rng, n, alpha, u, v, ks):
 
 def _s_zuv_a(rng, n, alpha, u, v, k):
     p = stationary.DiscreteStationaryParams(alpha=alpha, u=u, v=v)
-    pra = stationary.sample_zuv_pra(p, k, rng, n_replicas=n)
-    return np.exp(pra.log_a[:, k])
+    return np.exp(stationary._sample_log_a(p, k, rng, n_replicas=n))
 
 
 def _s_ig_walk(rng, n, theta, ks):

@@ -131,6 +131,43 @@ class PraPath:
         return self.log_p + self.log_a
 
 
+def _pra_log_a(params: DiscreteStationaryParams, rng: RngStream,
+               log_xi: np.ndarray, log_a: np.ndarray, log_r=None) -> None:
+    """The a-branch of the p/r/a decomposition over the xi steps log_xi (R, k).
+
+    Draws zeta_1..zeta_k ~ IG(alpha+v) a block of replica rows at a time,
+    forms log r(j) = log zeta_1 + sum_{i=2}^{j} (log zeta_i - log xi_{i-1})
+    and its running logsumexp over j, then draws varpi ~ IG(u-v) and writes
+    log a(j) = log(1 + (1/varpi) sum_{i<=j} r(i)) into log_a: for every j
+    when log_a is (R, k), for j = k alone when it is (R, 1). log r goes to
+    log_r (R, k) when given. Each row block reads its log xi before writing
+    its log a, so log_a may share memory with log_xi.
+    """
+    R, k = log_xi.shape
+    gen = rng.gen
+    rows = max(1, _GAMMA_BLOCK // max(k, 1))
+    buf = np.empty((min(rows, R), k))
+    for r0 in range(0, R, rows):
+        r1 = min(r0 + rows, R)
+        z = buf[:r1 - r0]
+        gen.standard_gamma(params.alpha + params.v, out=z)
+        np.log(z, out=z)
+        w = z if log_r is None else log_r[r0:r1]
+        np.negative(z, out=w)
+        tail = w[:, 1:]
+        np.subtract(tail, log_xi[r0:r1, :-1], out=tail)
+        np.cumsum(tail, axis=1, out=tail)
+        np.add(tail, w[:, :1], out=tail)
+        if log_a.shape[1] == k:
+            np.logaddexp.accumulate(w, axis=1, out=log_a[r0:r1])
+        else:
+            np.logaddexp.accumulate(w, axis=1, out=z)
+            log_a[r0:r1, 0] = z[:, -1]
+    log_varpi = _log_varpi(params.u, params.v, rng, R)
+    np.subtract(log_a, log_varpi[:, None], out=log_a)
+    np.logaddexp(0.0, log_a, out=log_a)
+
+
 def sample_zuv_pra(params: DiscreteStationaryParams, k_max: int, rng: RngStream,
                    n_replicas: int = 1) -> PraPath:
     """Sample the alternative decomposition z(k) = p(k) a(k).
@@ -141,32 +178,38 @@ def sample_zuv_pra(params: DiscreteStationaryParams, k_max: int, rng: RngStream,
     has the same law as the direct z_{u,v} sampler, path by path in k. The
     a-branch needs u > v. log_r column 0 is -inf (r starts at k=1).
     """
-    a_, u, v = params.alpha, params.u, params.v
-    if u == v:
+    if params.u == params.v:
         raise ValueError("the p/r/a decomposition needs u > v")
     R = n_replicas
-    gen = rng.gen
     log_p = np.empty((R, k_max + 1))
     log_r = np.empty((R, k_max + 1))
     log_a = np.empty((R, k_max + 1))
-    # log_a[:, 1:] holds log xi until the a-branch overwrites it
+    # log_a[:, 1:] holds log xi until the a-branch overwrites it, row block
+    # by row block
     log_xi = log_a[:, 1:]
-    _fill_neg_log_gamma(gen, a_ - v, log_xi)
-    _fill_neg_log_gamma(gen, a_ + v, log_r[:, 1:])
+    _fill_neg_log_gamma(rng.gen, params.alpha - params.v, log_xi)
     log_p[:, 0] = 0.0
     np.cumsum(log_xi, axis=1, out=log_p[:, 1:])
-    # log r(k) = log zeta_1 + sum_{i=2}^{k} (log zeta_i - log xi_{i-1})
     log_r[:, 0] = -np.inf
-    tail = log_r[:, 2:]
-    np.subtract(tail, log_xi[:, :-1], out=tail)
-    np.cumsum(tail, axis=1, out=tail)
-    np.add(tail, log_r[:, 1:2], out=tail)
-    log_varpi = _log_varpi(u, v, rng, R)
     log_a[:, 0] = 0.0
-    np.logaddexp.accumulate(log_r[:, 1:], axis=1, out=log_a[:, 1:])
-    np.subtract(log_a[:, 1:], log_varpi[:, None], out=log_a[:, 1:])
-    np.logaddexp(0.0, log_a[:, 1:], out=log_a[:, 1:])
+    _pra_log_a(params, rng, log_xi, log_a[:, 1:], log_r[:, 1:])
     return PraPath(log_p=log_p, log_r=log_r, log_a=log_a)
+
+
+def _sample_log_a(params: DiscreteStationaryParams, k: int, rng: RngStream,
+                  n_replicas: int = 1) -> np.ndarray:
+    """log a(k) of sample_zuv_pra alone: the same draws in the same order and
+    the same bits as its log_a[:, k], holding one (R, k) log xi array and
+    one gamma block instead of the three paths. Needs u > v and k >= 1."""
+    if params.u == params.v:
+        raise ValueError("the p/r/a decomposition needs u > v")
+    if k < 1:
+        raise ValueError("need k >= 1")
+    log_xi = np.empty((n_replicas, k))
+    _fill_neg_log_gamma(rng.gen, params.alpha - params.v, log_xi)
+    log_a = np.empty((n_replicas, 1))
+    _pra_log_a(params, rng, log_xi, log_a)
+    return log_a[:, 0]
 
 
 def _huv_stream(params: ContinuumStationaryParams, rng: RngStream,
@@ -176,43 +219,52 @@ def _huv_stream(params: ContinuumStationaryParams, rng: RngStream,
 
     W1, W2 are independent Brownian motions from 0 with drifts drift1,
     drift2 and variance var per unit length; I is the left-endpoint Riemann
-    sum whose log-summand is log_integrand(log delta, W1, W2); varpi ~
-    IG(u-v), with the boundary term dropped when u = v. Keeps O(R) state and
-    records at the requested X values (default: the grid endpoint).
-    Returns {"X": array, "H": (R, len(X)) array}.
+    sum whose log-summand log_integrand(log delta, W1, W2, out) writes into
+    out; varpi ~ IG(u-v), with the boundary term dropped when u = v. Keeps
+    O(R) state and records at the grid point nearest each requested X
+    (default: the grid endpoint), stepping no further than the last of them.
+    Returns {"X": the requested X, "H": (R, len(X)) array, columns in
+    request order}.
     """
     d = params.delta
-    steps = int(round(params.x_max / d))
-    xs = [params.x_max] if x_record is None else list(x_record)
+    xs = [params.x_max] if x_record is None else [float(x) for x in x_record]
     if not xs:
         raise ValueError("x_record is empty")
     if min(xs) < 0:
         raise ValueError("recorded X must be nonnegative")
-    targets = sorted(set(int(round(x / d)) for x in xs))
-    if targets[-1] > steps:
+    targets = [int(round(x / d)) for x in xs]
+    last = max(targets)
+    if last > int(round(params.x_max / d)):
         raise ValueError("recorded X beyond x_max")
+    cols = {}
+    for c, t in enumerate(targets):
+        cols.setdefault(t, []).append(c)
     R = n_replicas
-    w1 = np.zeros(R)
-    w2 = np.zeros(R)
+    w = np.zeros((2, R))
+    z = np.empty((2, R))
     log_i = np.full(R, -np.inf)
+    term = np.empty(R)
     log_varpi = _log_varpi(params.u, params.v, rng, R)
     log_d = np.log(d)
-    out = np.empty((R, len(targets)))
-    pos = {t: c for c, t in enumerate(targets)}
-    if 0 in pos:
-        out[:, pos[0]] = 0.0
-    m1, m2, sd = drift1 * d, drift2 * d, np.sqrt(var * d)
+    out = np.empty((R, len(xs)))
+    out[:, cols.get(0, [])] = 0.0
+    m = np.array([[drift1 * d], [drift2 * d]])
+    sd = np.sqrt(var * d)
     gen = rng.gen
-    for j in range(1, steps + 1):
-        log_i = np.logaddexp(log_i, log_integrand(log_d, w1, w2))
-        w1 = w1 + gen.normal(m1, sd, size=R)
-        w2 = w2 + gen.normal(m2, sd, size=R)
-        if j in pos:
-            h = height(w1, w2)
+    # one fill draws W1's R normals, then W2's: the stream of two
+    # gen.normal(m_i, sd, size=R) calls, and m_i + sd * z to the bit
+    for j in range(1, last + 1):
+        np.logaddexp(log_i, log_integrand(log_d, w[0], w[1], term), out=log_i)
+        gen.standard_normal(out=z)
+        z *= sd
+        z += m
+        w += z
+        if j in cols:
+            h = height(w[0], w[1])
             if log_varpi is not None:
                 h = h + np.logaddexp(0.0, log_i - log_varpi)
-            out[:, pos[j]] = h
-    return {"X": np.array(targets, dtype=float) * d, "H": out}
+            out[:, cols[j]] = h[:, None]
+    return {"X": np.array(xs), "H": out}
 
 
 def sample_Huv_path(params: ContinuumStationaryParams, rng: RngStream,
@@ -227,7 +279,8 @@ def sample_Huv_path(params: ContinuumStationaryParams, rng: RngStream,
     Returns {"X": array, "H": (R, len(X)) array}.
     """
     return _huv_stream(params, rng, n_replicas, x_record, -params.v, params.v, 1.0,
-                       lambda log_d, b1, b2: log_d + b1 - b2,
+                       lambda log_d, b1, b2, out: np.subtract(
+                           np.add(log_d, b1, out=out), b2, out=out),
                        lambda b1, b2: b2)
 
 
@@ -241,7 +294,8 @@ def sample_Huv_pitman(params: ContinuumStationaryParams, rng: RngStream,
     sample_Huv_path at every grid point; sampled through a different route.
     """
     return _huv_stream(params, rng, n_replicas, x_record, 0.0, params.v, 0.5,
-                       lambda log_d, be1, be2: log_d - 2.0 * be2,
+                       lambda log_d, be1, be2, out: np.subtract(
+                           log_d, np.multiply(2.0, be2, out=out), out=out),
                        lambda be1, be2: be1 + be2)
 
 

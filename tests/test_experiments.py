@@ -148,6 +148,16 @@ def test_run_experiment_reproducible():
     assert sa == sb
 
 
+def test_huv_unsorted_xs_label_their_own_columns():
+    # each KS check reads the H column of the X in its label: with the
+    # columns sorted, brownian:X=2.0 was tested against the X = 0.5 column
+    rep = run_experiment("huv-properties",
+                         {"xs": [2.0, 0.5, 1.0], "n_samples": 2000,
+                          "delta": 2.0 ** -6}, [5], RunContext())
+    assert rep["pass"], [(r["test"], r["statistic"], r["threshold"])
+                         for r in rep["results"] if not r["pass"]]
+
+
 def test_she_monotonicity_field_covers_its_window():
     # at this seed the monotonicity instance has max(x, y) < 2, so a bulk
     # field sized by the instance's own endpoints stopped short of the

@@ -134,6 +134,37 @@ def test_zuv_samplers_peak_memory(name, limit):
     assert paths <= limit, paths
 
 
+@pytest.mark.parametrize("k", [1, 2, 400])
+@pytest.mark.parametrize("r_kind", ["one", "seven", "block_plus_3"])
+def test_a_limit_draw_matches_pra_column(k, r_kind):
+    R = {"one": 1, "seven": 7, "block_plus_3": stationary._GAMMA_BLOCK // k + 3}[r_kind]
+    params, seed = _p(1.5, 0.8, 0.2), 3200 + k
+    got = np.exp(stationary._sample_log_a(params, k, RngStream(seed), R))
+    pra = stationary.sample_zuv_pra(params, k, RngStream(seed), R)
+    assert _same_bits(got, np.exp(pra.log_a[:, k]))
+
+
+def test_a_limit_draw_peak_memory():
+    # the one (R, k) array of log xi plus a gamma block; drawing the whole
+    # p/r/a decomposition for its last column took about 9 such arrays
+    R, k = 2000, 400
+    params = _p(1.5, 0.8, 0.2)
+
+    def draw():
+        return stationary._sample_log_a(params, k, RngStream(5), R)
+
+    draw()  # lazy set-up stays out of the peak
+    arrays = _traced_peak(draw) / (R * k * 8)
+    assert arrays <= 1.5, arrays
+
+
+def test_a_limit_draw_rejects_bad_input():
+    with pytest.raises(ValueError):
+        stationary._sample_log_a(_p(1.5, 0.4, 0.4), 5, RngStream(0))
+    with pytest.raises(ValueError):
+        stationary._sample_log_a(_p(1.5, 0.8, 0.2), 0, RngStream(0))
+
+
 def test_zuv_boundary_free_case_is_plain_walk():
     # at u = v the boundary term drops and the path is the xi-walk itself
     a = stationary.sample_zuv_path(_p(1.5, 0.4, 0.4), 6, RngStream(3001), 200)
@@ -205,6 +236,86 @@ def test_huv_degenerate_boundary_is_drifted_brownian():
     h = stationary.sample_Huv_path(p, RngStream(3011), 20000)["H"][:, 0]
     res = ks_one_sample(SampleSet(h), lambda x: normal_cdf(x, v, 1.0))
     assert res.passed, (res.statistic, res.threshold)
+
+
+# The H_{u,v} loop before it stopped at its last record and stepped in
+# place, kept as the oracle: it steps to x_max with two gen.normal calls per
+# step and returns sorted, deduplicated columns.
+def _oracle_huv_stream(params, rng, R, x_record, drift1, drift2, var,
+                       log_integrand, height):
+    d = params.delta
+    steps = int(round(params.x_max / d))
+    xs = [params.x_max] if x_record is None else list(x_record)
+    targets = sorted(set(int(round(x / d)) for x in xs))
+    w1 = np.zeros(R)
+    w2 = np.zeros(R)
+    log_i = np.full(R, -np.inf)
+    log_varpi = _oracle_varpi(params.u, params.v, rng, R) if params.u != params.v else None
+    log_d = np.log(d)
+    out = np.empty((R, len(targets)))
+    pos = {t: c for c, t in enumerate(targets)}
+    if 0 in pos:
+        out[:, pos[0]] = 0.0
+    m1, m2, sd = drift1 * d, drift2 * d, np.sqrt(var * d)
+    gen = rng.gen
+    for j in range(1, steps + 1):
+        log_i = np.logaddexp(log_i, log_integrand(log_d, w1, w2))
+        w1 = w1 + gen.normal(m1, sd, size=R)
+        w2 = w2 + gen.normal(m2, sd, size=R)
+        if j in pos:
+            h = height(w1, w2)
+            if log_varpi is not None:
+                h = h + np.logaddexp(0.0, log_i - log_varpi)
+            out[:, pos[j]] = h
+    return {"X": np.array(targets, dtype=float) * d, "H": out}
+
+
+def _oracle_huv(route, params, rng, R, x_record):
+    if route == "pitman":
+        return _oracle_huv_stream(params, rng, R, x_record, 0.0, params.v, 0.5,
+                                  lambda log_d, be1, be2: log_d - 2.0 * be2,
+                                  lambda be1, be2: be1 + be2)
+    return _oracle_huv_stream(params, rng, R, x_record, -params.v, params.v, 1.0,
+                              lambda log_d, b1, b2: log_d + b1 - b2,
+                              lambda b1, b2: b2)
+
+
+_HUV = {"direct": stationary.sample_Huv_path, "pitman": stationary.sample_Huv_pitman}
+
+
+@pytest.mark.parametrize("x_record", [[0.0, 0.5, 1.0], [0.25, 1.0], None],
+                         ids=["with_zero", "inner", "default"])
+@pytest.mark.parametrize("u,v", [(0.3, 0.3), (0.8, 0.3), (0.5, -0.5)],
+                         ids=["eq", "gt_pos", "gt_neg"])
+@pytest.mark.parametrize("route", ["direct", "pitman"])
+def test_huv_early_stop_matches_oracle(route, u, v, x_record):
+    params = stationary.ContinuumStationaryParams(u, v, delta=2.0 ** -6, x_max=2.0)
+    for R in (1, 37):
+        got = _HUV[route](params, RngStream(3300 + R), R, x_record=x_record)
+        expect = _oracle_huv(route, params, RngStream(3300 + R), R, x_record)
+        assert got["H"].shape == (R, len(expect["X"]))
+        assert _same_bits(got["H"], expect["H"])
+        assert _same_bits(got["X"], expect["X"])
+
+
+@pytest.mark.parametrize("u,v", [(0.3, 0.3), (0.8, 0.3)], ids=["eq", "gt"])
+@pytest.mark.parametrize("route", ["direct", "pitman"])
+def test_huv_records_do_not_depend_on_x_max(route, u, v):
+    # the loop ends at the last record, so the grid beyond it draws nothing
+    short, long = (stationary.ContinuumStationaryParams(u, v, delta=2.0 ** -6, x_max=x)
+                   for x in (1.0, 2.0))
+    a = _HUV[route](short, RngStream(3400), 50, x_record=[0.0, 0.5, 1.0])["H"]
+    b = _HUV[route](long, RngStream(3400), 50, x_record=[0.0, 0.5, 1.0])["H"]
+    assert _same_bits(a, b)
+
+
+@pytest.mark.parametrize("route", ["direct", "pitman"])
+def test_huv_columns_follow_request_order(route):
+    params = stationary.ContinuumStationaryParams(0.8, 0.3, delta=2.0 ** -6, x_max=2.0)
+    ref = _HUV[route](params, RngStream(3500), 40, x_record=[0.5, 1.0, 2.0])
+    got = _HUV[route](params, RngStream(3500), 40, x_record=[2.0, 0.5, 1.0, 0.5])
+    assert np.array_equal(got["X"], [2.0, 0.5, 1.0, 0.5])
+    assert _same_bits(got["H"], ref["H"][:, [2, 0, 1, 0]])
 
 
 def test_huv_rejects_record_beyond_range():
