@@ -11,24 +11,11 @@ Gamma(theta) on x > 0, i.e. the law of 1/G for G ~ Gamma(theta, 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import gammaincc
 
 from .rng import RngStream
 from .special import digamma, trigamma
-
-
-@dataclass(frozen=True)
-class InvGammaParam:
-    """Shape parameter of an inverse-gamma weight."""
-
-    theta: float
-
-    def __post_init__(self):
-        if not self.theta > 0:
-            raise ValueError(f"inverse-gamma shape must be positive, got {self.theta}")
 
 
 def _check_positive(name, value):
@@ -47,16 +34,6 @@ def sample_inverse_gamma(theta, rng: RngStream, size=None):
     """Draw from Gamma^{-1}(theta) as the reciprocal of a gamma variate."""
     _check_positive("theta", theta)
     return 1.0 / rng.gen.standard_gamma(theta, size=size)
-
-
-def log_sample_inverse_gamma(theta, rng: RngStream, size=None):
-    """Draw log X for X ~ Gamma^{-1}(theta), computed as -log(gamma draw).
-
-    Consumes exactly the same underlying stream state as
-    sample_inverse_gamma, so paired streams give exp(log draw) == draw.
-    """
-    _check_positive("theta", theta)
-    return -np.log(rng.gen.standard_gamma(theta, size=size))
 
 
 def sample_beta_prime(a, b, rng: RngStream, size=None):

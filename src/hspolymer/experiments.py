@@ -578,16 +578,11 @@ def _random_instance(rng: RngStream, t_span: int, min_height: int = 0):
     x = int(rng.gen.integers(0, 4))
     y_lo_parity = (s + x + t) % 2
     y = int(2 * rng.gen.integers(0, 3) + y_lo_parity)
-    boundary = she.BoundaryWeights(
-        values={i: float(np.exp(0.4 * rng.gen.standard_normal()))
-                for i in range(s, t)})
+    boundary = she.BoundaryWeights(s, np.exp(0.4 * rng.gen.standard_normal(t_span)))
     beta = float(rng.gen.uniform(0.05, 0.5))
     cap = max(max(x, y) + t_span + 1, min_height)
-    vals = {}
-    for r in range(s, t):
-        for w in range(1, cap + 1):
-            vals[(r, w)] = float(rng.gen.uniform(-np.sqrt(3), np.sqrt(3)))
-    bulk = she.BulkWeights(values=vals, beta=beta)
+    bulk = she.BulkWeights(s, rng.gen.uniform(-np.sqrt(3), np.sqrt(3),
+                                              size=(t_span, cap)), beta)
     return boundary, bulk, s, x, t, y
 
 
@@ -624,8 +619,8 @@ def exp_she(params: dict, seeds: list, ctx: RunContext) -> dict:
     x_max, t_span = 3, 6
     rng = RngStream(seed, _stable_base("she_mono"))
     boundary, bulk, s, x, t, y = _random_instance(rng, t_span, x_max + t_span)
-    lo = she.BoundaryWeights({i: 0.5 * v for i, v in boundary.values.items()})
-    hi = she.BoundaryWeights({i: 1.5 * v for i, v in boundary.values.items()})
+    lo = she.BoundaryWeights(s, 0.5 * boundary.values)
+    hi = she.BoundaryWeights(s, 1.5 * boundary.values)
     mono = she.monotone_coupling_check(lo, boundary, hi, bulk,
                                        {"s": s, "t": t, "x_max": x_max})
     results.append(_result("boundary-monotonicity", mono["max_violation"], 0.0,

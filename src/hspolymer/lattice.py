@@ -320,17 +320,6 @@ def one_row_params(alpha: float, u: float, max_n: int) -> OctantParams:
     return OctantParams(alpha_circ=u, alphas=alphas, exemptions=frozenset({(1, 1)}))
 
 
-def one_row_stationary_grid(alpha, u, max_n, max_m, rng: RngStream) -> PartitionGrid:
-    """Grid of the one-parameter stationary partition function.
-
-    The ratio z(n,m)/w(1,1) is realized directly by pinning (1,1), so the
-    grid entries are the stationary values themselves.
-    """
-    params = one_row_params(alpha, u, max_n)
-    fld = sample_weight_field(params, rng)
-    return partition_recurrence(fld, max_n, max_m)
-
-
 def two_row_params(alpha: float, u: float, v: float, max_n: int) -> OctantParams:
     """Specialization alpha_circ=u, alpha_1=v, alpha_2=-v, alpha_i=alpha for
     i>=3. Site (2,1) is always pinned; (1,1) is pinned too when u+v <= 0
@@ -356,13 +345,6 @@ def two_row_params(alpha: float, u: float, v: float, max_n: int) -> OctantParams
     if u + v <= 0:
         exempt.add((1, 1))
     return OctantParams(alpha_circ=u, alphas=alphas, exemptions=frozenset(exempt))
-
-
-def two_row_stationary_grid(alpha, u, v, max_n, max_m, rng: RngStream) -> PartitionGrid:
-    """Grid of the two-parameter stationary partition function."""
-    params = two_row_params(alpha, u, v, max_n)
-    fld = sample_weight_field(params, rng)
-    return partition_recurrence(fld, max_n, max_m)
 
 
 def increments_along_path(grid: PartitionGrid, path: DownRightPath, origin) -> list:

@@ -31,48 +31,54 @@ CHAOS_GUARD = 12
 
 @dataclass
 class BoundaryWeights:
-    """Origin-visit factors X(i) on a finite time window."""
+    """Origin-visit factors X(i) at times i in [start, start + len(values))."""
 
-    values: dict
+    start: int
+    values: np.ndarray
 
     def __post_init__(self):
-        for i, x in self.values.items():
-            if not x >= 0:
-                raise ValueError(f"boundary weight at {i} is negative: {x}")
+        self.values = np.asarray(self.values, dtype=float)
+        bad = np.flatnonzero(~(self.values >= 0))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"boundary weight at {self.start + k} is negative: "
+                             f"{self.values[k]}")
 
     @classmethod
     def constant(cls, gamma: float, s: int, t: int) -> "BoundaryWeights":
-        return cls(values={i: float(gamma) for i in range(s, t)})
+        return cls(start=s, values=np.full(t - s, float(gamma)))
 
     @classmethod
     def sample_ig(cls, alpha: float, u: float, s: int, t: int,
                   rng: RngStream) -> "BoundaryWeights":
         """X(i) ~ ((2 alpha - 1)/2) * InvGamma(alpha + u), i.i.d."""
         scale = (2.0 * alpha - 1.0) / 2.0
-        draws = scale * sample_inverse_gamma(alpha + u, rng, size=t - s)
-        return cls(values={s + k: float(draws[k]) for k in range(t - s)})
+        return cls(start=s,
+                   values=scale * sample_inverse_gamma(alpha + u, rng, size=t - s))
 
-    def covers(self, s: int, t: int) -> bool:
-        return all(i in self.values for i in range(s, t))
-
-    def require(self, s: int, t: int):
-        if not self.covers(s, t):
+    def window(self, s: int, t: int) -> np.ndarray:
+        """X(i) for i in [s, t); ValueError unless the weights cover it."""
+        if s < self.start or t > self.start + len(self.values):
             raise ValueError(f"boundary weights must cover [{s}, {t})")
+        return self.values[s - self.start:t - self.start]
 
 
 @dataclass
 class BulkWeights:
-    """Disorder omega(s, x) at positive heights, with inverse temperature."""
+    """Disorder omega(r, w) at times r in [start, start + rows) and heights
+    w = 1..columns, held in column w - 1, with inverse temperature beta."""
 
-    values: dict
+    start: int
+    values: np.ndarray
     beta: float
 
     def __post_init__(self):
-        for (r, w), om in self.values.items():
-            if w <= 0:
-                raise ValueError("bulk weights live at positive heights")
-            if not 1.0 + self.beta * om >= 0.0:
-                raise ValueError(f"1 + beta*omega < 0 at {(r, w)}")
+        self.values = np.asarray(self.values, dtype=float)
+        bad = np.argwhere(~(1.0 + self.beta * self.values >= 0.0))
+        if bad.size:
+            a, b = bad[0]
+            raise ValueError(
+                f"1 + beta*omega < 0 at {(self.start + int(a), int(b) + 1)}")
 
     @classmethod
     def sample(cls, s: int, t: int, x_max: int, beta: float, rng: RngStream,
@@ -92,24 +98,35 @@ class BulkWeights:
             draws = g * sample_inverse_gamma(g + 1.0, rng, size=shape)
             om = (draws - 1.0) / beta
         elif callable(law):
-            om = np.asarray(law(rng, shape))
+            om = law(rng, shape)
         else:
             raise ValueError(f"unknown bulk law {law!r}")
-        vals = {}
-        for a in range(t - s):
-            for b in range(x_max):
-                vals[(s + a, b + 1)] = float(om[a, b])
-        return cls(values=vals, beta=beta)
+        return cls(start=s, values=om, beta=beta)
 
-    def factor(self, r: int, w: int) -> float:
-        """1 + beta * omega(r, w); equals 1 at the origin where omega = 0."""
-        if w == 0 or self.beta == 0.0:
-            return 1.0
-        return 1.0 + self.beta * self.values[(r, w)]
+    def window(self, s: int, t: int, cap: int) -> np.ndarray:
+        """omega(r, w) as a (t - s, cap + 1) array over r in [s, t) and
+        w = 0..cap, zero at the origin; ValueError unless the field covers
+        heights 1..cap at those times."""
+        rows, heights = self.values.shape
+        if s < self.start or t > self.start + rows or cap > heights:
+            raise ValueError(f"bulk weights must cover [{s}, {t}) x [1, {cap}]")
+        om = np.zeros((t - s, cap + 1))
+        om[:, 1:] = self.values[s - self.start:t - self.start, :cap]
+        return om
 
 
 def _parity_ok(s: int, x: int, t: int, y: int) -> bool:
     return (s + x) % 2 == (t + y) % 2
+
+
+def _checked_cap(s: int, x: int, t: int, y: int) -> int:
+    """Truncation height of a DP from (s, x) to (t, y): no path from x climbs
+    past it, so nothing is dropped. Refuses t <= s and negative heights."""
+    if t <= s:
+        raise ValueError("need t > s")
+    if x < 0 or y < 0:
+        raise ValueError("heights must be nonnegative")
+    return max(x, y) + (t - s)
 
 
 def _step(f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -127,48 +144,40 @@ def _step(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _factors(t_idx: int, cap: int, boundary, bulk) -> np.ndarray:
-    g = np.full(cap + 1, 0.5)
-    g[0] = 1.0 if boundary is None else boundary.values[t_idx]
-    if bulk is not None and bulk.beta != 0.0:
-        for w in range(1, cap + 1):
-            g[w] *= bulk.factor(t_idx, w)
+def _factor_rows(s: int, t: int, cap: int, boundary, bulk) -> np.ndarray:
+    """The DP factors g[r - s, w] over r in [s, t) and w = 0..cap: X(r), or
+    1 without boundary weights, at the origin; 0.5 * (1 + beta*omega(r, w)),
+    or 0.5 without a bulk field, above it."""
+    g = np.full((t - s, cap + 1), 0.5)
+    if bulk is not None:
+        g *= 1.0 + bulk.beta * bulk.window(s, t, cap)
+    g[:, 0] = 1.0 if boundary is None else boundary.window(s, t)
     return g
 
 
-def _run_dp(x0: int, s: int, t: int, boundary, bulk, cap: int) -> np.ndarray:
-    if x0 > cap:
-        raise ValueError("start height above truncation cap")
-    f = np.zeros(cap + 1)
+def _run_dp(x0: int, g: np.ndarray) -> np.ndarray:
+    """Mass over heights 0..cap after the rows of g, started at height x0."""
+    f = np.zeros(g.shape[1])
     f[x0] = 1.0
-    for r in range(s, t):
-        f = _step(f, _factors(r, cap, boundary, bulk))
+    for row in g:
+        f = _step(f, row)
     return f
+
+
+def _partition(boundary, bulk, s: int, x: int, t: int, y: int) -> float:
+    """Direct DP from (s, x) to (t, y); boundary or bulk may be None."""
+    g = _factor_rows(s, t, _checked_cap(s, x, t, y), boundary, bulk)
+    return float(_run_dp(x, g)[y]) if _parity_ok(s, x, t, y) else 0.0
 
 
 def reflected_kernel(s: int, x: int, t: int, y: int) -> float:
     """Transition probability of the reflected walk; 0 off-parity."""
-    if t <= s:
-        raise ValueError("need t > s")
-    if x < 0 or y < 0:
-        raise ValueError("heights must be nonnegative")
-    if not _parity_ok(s, x, t, y):
-        return 0.0
-    cap = x + (t - s)
-    f = _run_dp(x, s, t, None, None, cap)
-    return float(f[y]) if y <= cap else 0.0
+    return _partition(None, None, s, x, t, y)
 
 
 def boundary_kernel(weights: BoundaryWeights, s: int, x: int, t: int, y: int) -> float:
     """Reflected kernel with X(i) collected at origin visits, i in [s, t)."""
-    if t <= s:
-        raise ValueError("need t > s")
-    weights.require(s, t)
-    if not _parity_ok(s, x, t, y):
-        return 0.0
-    cap = x + (t - s)
-    f = _run_dp(x, s, t, weights, None, cap)
-    return float(f[y]) if y <= cap else 0.0
+    return _partition(weights, None, s, x, t, y)
 
 
 @dataclass
@@ -198,15 +207,13 @@ class KernelTable:
 def build_kernel_table(boundary: BoundaryWeights | None, s: int, t: int,
                        cap: int) -> KernelTable:
     """Forward DPs from every start time, giving all p_X time pairs."""
-    if boundary is not None:
-        boundary.require(s, t)
+    g = _factor_rows(s, t, cap, boundary, None)
     tables = {}
     for r1 in range(s, t + 1):
-        m = np.eye(cap + 1)
-        tables[(r1, r1)] = m
-        cur = m
+        cur = np.eye(cap + 1)
+        tables[(r1, r1)] = cur
         for r2 in range(r1, t):
-            cur = _step(cur, _factors(r2, cap, boundary, None))
+            cur = _step(cur, g[r2 - s])
             tables[(r1, r2 + 1)] = cur
     return KernelTable(s=s, t=t, cap=cap, tables=tables)
 
@@ -215,14 +222,7 @@ def modified_partition_direct(boundary: BoundaryWeights, bulk: BulkWeights,
                               s: int, x: int, t: int, y: int) -> float:
     """Partition function by direct DP: boundary-weighted walk measure with
     bulk factors 1 + beta*omega at every time in [s, t)."""
-    if t <= s:
-        raise ValueError("need t > s")
-    boundary.require(s, t)
-    if not _parity_ok(s, x, t, y):
-        return 0.0
-    cap = x + (t - s)
-    f = _run_dp(x, s, t, boundary, bulk, cap)
-    return float(f[y]) if y <= cap else 0.0
+    return _partition(boundary, bulk, s, x, t, y)
 
 
 def modified_partition_chaos(boundary: BoundaryWeights, bulk: BulkWeights,
@@ -234,20 +234,14 @@ def modified_partition_chaos(boundary: BoundaryWeights, bulk: BulkWeights,
     omega factors. The k = 0 term is p_X(s, x; t, y) itself. Exact (not
     truncated): the series terminates at k = t - s.
     """
-    if t <= s:
-        raise ValueError("need t > s")
+    cap = _checked_cap(s, x, t, y)
     if t - s > CHAOS_GUARD:
         raise ValueError(f"chaos series guarded to t - s <= {CHAOS_GUARD}")
-    boundary.require(s, t)
+    kt = build_kernel_table(boundary, s, t, cap)
+    omega = bulk.window(s, t, cap)
     if not _parity_ok(s, x, t, y):
         return 0.0
-    cap = max(x, y) + (t - s)
-    kt = build_kernel_table(boundary, s, t, cap)
     beta = bulk.beta
-    omega = np.zeros((t - s, cap + 1))
-    for w in range(1, cap + 1):
-        for r in range(s, t):
-            omega[r - s, w] = bulk.values.get((r, w), 0.0)
     total = kt.value(s, x, t, y)
     if beta == 0.0:
         return float(total)
@@ -275,19 +269,12 @@ def modified_partition_mild(boundary: BoundaryWeights, bulk: BulkWeights,
     z(s,x;t,y) = p_X(s,x;t,y) + sum_{r=s}^{t-1} sum_w p_X(r,w;t,y)
     beta omega(r,w) z(s,x;r,w), building z(s,x;r,.) for increasing r.
     """
-    if t <= s:
-        raise ValueError("need t > s")
-    boundary.require(s, t)
+    cap = _checked_cap(s, x, t, y)
+    kt = build_kernel_table(boundary, s, t, cap)
+    omega = bulk.window(s, t, cap)
     if not _parity_ok(s, x, t, y):
         return 0.0
-    cap = max(x, y) + (t - s)
-    kt = build_kernel_table(boundary, s, t, cap)
     beta = bulk.beta
-    omega = np.zeros((t - s, cap + 1))
-    if beta != 0.0:
-        for w in range(1, cap + 1):
-            for r in range(s, t):
-                omega[r - s, w] = bulk.values.get((r, w), 0.0)
     # z[r - s] holds z(s, x; r, .) as a vector over heights
     zvecs = [None] * (t - s + 1)
     z0 = np.zeros(cap + 1)
@@ -296,8 +283,8 @@ def modified_partition_mild(boundary: BoundaryWeights, bulk: BulkWeights,
     for r in range(s + 1, t + 1):
         vec = kt.matrix(s, r)[x, :].copy()
         for rp in range(s, r):
-            src = zvecs[rp - s] * omega[rp - s, :] if beta != 0.0 else None
-            if src is not None and np.any(src):
+            src = zvecs[rp - s] * omega[rp - s, :]
+            if beta != 0.0 and np.any(src):
                 vec += beta * (src @ kt.matrix(rp, r))
         zvecs[r - s] = vec
     return float(zvecs[t - s][y])
@@ -308,10 +295,11 @@ def composition_check(boundary: BoundaryWeights, bulk: BulkWeights,
     """Max absolute defect of z(s,x;t,y) = sum_w z(s,x;r,w) z(r,w;t,y)
     over interior cut times r."""
     whole = modified_partition_direct(boundary, bulk, s, x, t, y)
+    g = _factor_rows(s, t, x + (t - s), boundary, bulk)
     worst = 0.0
     for r in range(s + 1, t):
         cap = x + (r - s)
-        left = _run_dp(x, s, r, boundary, bulk, cap)
+        left = _run_dp(x, g[:r - s, :cap + 1])
         glued = 0.0
         for w in range(cap + 1):
             if left[w] == 0.0:
@@ -358,19 +346,20 @@ def partition_with_initial_data(kind: str, init: dict,
                 tau = max(t - (x0 if kind == "diagonal" else 0), 1)
                 tail += val * gaussian_envelope(float(tau), float(abs(x0 - y)))
     f = np.zeros(cap + 1)
+    g = _factor_rows(0, t, cap, boundary, bulk)
     if kind == "vertical":
         for x0, val in init.items():
             if x0 % 2:
                 raise ValueError("vertical initial data lives on even heights")
             if x0 <= x_truncation:
                 f[x0] = val
-        for r in range(0, t):
-            f = _step(f, _factors(r, cap, boundary, bulk))
+        for row in g:
+            f = _step(f, row)
     elif kind == "diagonal":
-        for r in range(0, t):
+        for r, row in enumerate(g):
             if r in init and r <= x_truncation:
                 f[r] += init[r]
-            f = _step(f, _factors(r, cap, boundary, bulk))
+            f = _step(f, row)
         if t in init and t <= x_truncation and y == t:
             # a term starting exactly at the endpoint contributes its bare value
             f[y] += init[t]
@@ -481,9 +470,8 @@ def scaled_sheet_table(params: ScalingParams, S: float, X: float, T_list, Y_list
         levels = np.broadcast_to(params.boundary_level, (n_rep, steps))
     elif boundary_mode == "random":
         u = params.mu + 0.5
-        drawn = [BoundaryWeights.sample_ig(params.alpha_n, u, s, t_max, one).values
-                 for one in rngs]
-        levels = np.array([[d[r] for r in range(s, t_max)] for d in drawn])
+        levels = np.array([BoundaryWeights.sample_ig(params.alpha_n, u, s, t_max,
+                                                     one).values for one in rngs])
     else:
         raise ValueError(f"unknown boundary mode {boundary_mode!r}")
     beta_eff = params.beta_n
@@ -632,11 +620,13 @@ def monotone_coupling_check(boundary_low: BoundaryWeights,
     bulk field. The inputs must already be pointwise ordered.
     """
     s, t, x_max = window["s"], window["t"], window["x_max"]
-    for i in range(s, t):
-        lo, mid, hi = (b.values[i] for b in (boundary_low, boundary_mid,
-                                             boundary_high))
-        if not (lo <= mid <= hi):
-            raise ValueError(f"boundaries not ordered at time {i}")
+    boundaries = (boundary_low, boundary_mid, boundary_high)
+    lo, mid, hi = (b.window(s, t) for b in boundaries)
+    unordered = np.flatnonzero(~((lo <= mid) & (mid <= hi)))
+    if unordered.size:
+        raise ValueError(f"boundaries not ordered at time {s + unordered[0]}")
+    # one factor array per boundary at the window's largest cap
+    gs = [_factor_rows(s, t, x_max + (t - s), b, bulk) for b in boundaries]
     checked = 0
     worst = 0.0
     ok = True
@@ -644,8 +634,7 @@ def monotone_coupling_check(boundary_low: BoundaryWeights,
         for t2 in range(s2 + 1, t + 1):
             cap = x_max + (t2 - s2)
             for x in range(0, x_max + 1):
-                rows = [_run_dp(x, s2, t2, b, bulk, cap)
-                        for b in (boundary_low, boundary_mid, boundary_high)]
+                rows = [_run_dp(x, g[s2 - s:t2 - s, :cap + 1]) for g in gs]
                 for y in range(cap + 1):
                     lo, mid, hi = rows[0][y], rows[1][y], rows[2][y]
                     checked += 1

@@ -131,13 +131,6 @@ def moment_compare(a: SampleSet, k: int, target: float) -> dict:
     }
 
 
-def empirical_cdf_dump(a: SampleSet):
-    """Sorted values with their empirical CDF levels, ready for CSV."""
-    x = np.sort(a.values)
-    levels = np.arange(1, x.size + 1) / x.size
-    return np.column_stack([x, levels])
-
-
 @dataclass
 class KsSuite:
     """Collects named KS checks and applies the multiplicity policy.

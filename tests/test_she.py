@@ -23,10 +23,11 @@ def _enumerate_partition(boundary, bulk, s, x, t, y):
                 total += acc
             return
         if h == 0:
-            f = boundary.values[r] if boundary is not None else 1.0
+            f = boundary.values[r - boundary.start] if boundary is not None else 1.0
             rec(r + 1, 1, acc * f)
         else:
-            f = 0.5 * (bulk.factor(r, h) if bulk is not None else 1.0)
+            om = bulk.values[r - bulk.start, h - 1] if bulk is not None else 0.0
+            f = 0.5 * (1.0 + (bulk.beta * om if bulk is not None else 0.0))
             rec(r + 1, h + 1, acc * f)
             rec(r + 1, h - 1, acc * f)
 
@@ -41,9 +42,7 @@ def _random_instance(rng, t_span):
     y = x + t_span - 2 * int(rng.gen.integers(0, t_span + 1))
     while y < 0:
         y += 2
-    boundary = she.BoundaryWeights(
-        values={i: float(np.exp(0.4 * rng.gen.standard_normal()))
-                for i in range(s, t)})
+    boundary = she.BoundaryWeights(s, np.exp(0.4 * rng.gen.standard_normal(t_span)))
     beta = float(rng.gen.uniform(0.05, 0.5))
     x_max = max(x, y) + t_span
     bulk = she.BulkWeights.sample(s, t, x_max, beta, rng)
@@ -94,7 +93,7 @@ def test_chaos_and_mild_equal_direct(case):
 def test_chaos_zero_coupling_is_boundary_kernel():
     rng = RngStream(5200)
     boundary, bulk, s, x, t, y = _random_instance(rng, 5)
-    free = she.BulkWeights(values=bulk.values, beta=0.0)
+    free = she.BulkWeights(bulk.start, bulk.values, beta=0.0)
     got = she.modified_partition_chaos(boundary, free, s, x, t, y)
     assert got == pytest.approx(she.boundary_kernel(boundary, s, x, t, y),
                                 rel=1e-14)
@@ -127,7 +126,7 @@ def test_kernel_table_entries():
 
 
 def test_boundary_kernel_collects_origin_factors():
-    boundary = she.BoundaryWeights(values={0: 1.7, 1: 0.4, 2: 2.2, 3: 0.9})
+    boundary = she.BoundaryWeights(0, [1.7, 0.4, 2.2, 0.9])
     got = she.boundary_kernel(boundary, 0, 0, 4, 0)
     assert got == pytest.approx(
         _enumerate_partition(boundary, None, 0, 0, 4, 0), rel=1e-14)
@@ -136,31 +135,39 @@ def test_boundary_kernel_collects_origin_factors():
 
 
 def test_weights_validation():
+    with pytest.raises(ValueError, match="at 3 is negative"):
+        she.BoundaryWeights(2, [0.5, -0.1])
     with pytest.raises(ValueError):
-        she.BoundaryWeights(values={0: -0.1})
-    with pytest.raises(ValueError):
-        she.BulkWeights(values={(0, 0): 0.3}, beta=0.1)
-    with pytest.raises(ValueError):
-        she.BulkWeights(values={(0, 1): -30.0}, beta=0.1)
-    b = she.BulkWeights(values={(0, 1): 0.5}, beta=0.2)
-    assert b.factor(0, 0) == 1.0
-    assert b.factor(0, 1) == pytest.approx(1.1)
+        she.BoundaryWeights(0, [np.nan])
+    with pytest.raises(ValueError, match=r"at \(1, 2\)"):
+        she.BulkWeights(0, [[0.0, 0.0], [0.0, -30.0]], beta=0.1)
+    b = she.BulkWeights(3, [[0.5, -0.5]], beta=0.2)
+    assert np.array_equal(b.window(3, 4, 2), [[0.0, 0.5, -0.5]])
+    assert np.array_equal(b.window(3, 4, 1), [[0.0, 0.5]])
+    for s, t, cap in [(3, 4, 3), (2, 4, 1), (3, 5, 1)]:
+        with pytest.raises(ValueError):
+            b.window(s, t, cap)
+    # the origin keeps its boundary factor; above it the bulk factor is halved
+    g = she._factor_rows(3, 4, 2, she.BoundaryWeights(3, [0.7]), b)
+    assert g[0] == pytest.approx([0.7, 0.55, 0.45], rel=1e-15)
     bw = she.BoundaryWeights.constant(0.8, 2, 5)
-    assert bw.covers(2, 5) and not bw.covers(2, 6)
-    with pytest.raises(ValueError):
-        bw.require(0, 5)
+    assert np.array_equal(bw.window(2, 5), [0.8, 0.8, 0.8])
+    assert np.array_equal(bw.window(3, 4), [0.8])
+    for s, t in [(2, 6), (0, 5)]:
+        with pytest.raises(ValueError):
+            bw.window(s, t)
 
 
 def test_bulk_sample_laws():
     rng = RngStream(5203)
     uni = she.BulkWeights.sample(0, 4, 3, 0.2, rng)
-    vals = np.array(list(uni.values.values()))
-    assert np.all(np.abs(vals) <= math.sqrt(3.0))
+    assert uni.values.shape == (4, 3)
+    assert np.all(np.abs(uni.values) <= math.sqrt(3.0))
     ig = she.BulkWeights.sample(0, 50, 40, 0.1, rng, law="ig")
-    assert abs(np.mean(list(ig.values.values()))) < 0.2
+    assert abs(np.mean(ig.values)) < 0.2
     custom = she.BulkWeights.sample(0, 2, 2, 0.2, rng,
                                     law=lambda r, size: np.zeros(size))
-    assert all(v == 0.0 for v in custom.values.values())
+    assert np.array_equal(custom.values, np.zeros((2, 2)))
     with pytest.raises(ValueError):
         she.BulkWeights.sample(0, 2, 2, 0.2, rng, law="bogus")
 
@@ -168,8 +175,7 @@ def test_bulk_sample_laws():
 def test_initial_data_vertical_is_linear():
     rng = RngStream(5204)
     boundary, bulk, _, _, t, _ = _random_instance(rng, 6)
-    boundary = she.BoundaryWeights(
-        values={i: boundary.values[min(boundary.values)] for i in range(0, 6)})
+    boundary = she.BoundaryWeights.constant(boundary.values[0], 0, 6)
     bulk = she.BulkWeights.sample(0, 6, 12, 0.3, rng)
     init = {0: 2.0, 2: 1.0, 4: 0.25}
     res = she.partition_with_initial_data("vertical", init, boundary, bulk,
@@ -197,9 +203,7 @@ def test_initial_data_vertical_truncation_reported():
 
 def test_initial_data_diagonal_is_linear():
     rng = RngStream(5206)
-    boundary = she.BoundaryWeights(
-        values={i: float(np.exp(0.3 * rng.gen.standard_normal()))
-                for i in range(0, 6)})
+    boundary = she.BoundaryWeights(0, np.exp(0.3 * rng.gen.standard_normal(6)))
     bulk = she.BulkWeights.sample(0, 6, 12, 0.3, rng)
     init = {0: 1.0, 2: 0.5}
     res = she.partition_with_initial_data("diagonal", init, boundary, bulk,
@@ -237,6 +241,39 @@ def test_monotone_coupling_in_boundary():
     with pytest.raises(ValueError):
         she.monotone_coupling_check(mid, lo, hi, bulk,
                                     {"s": 0, "t": 5, "x_max": 3})
+
+
+PARTITION_ROUTES = {
+    "direct": she.modified_partition_direct,
+    "chaos": she.modified_partition_chaos,
+    "mild": she.modified_partition_mild,
+}
+FIVE_ROUTES = {
+    "reflected": lambda boundary, bulk, *pt: she.reflected_kernel(*pt),
+    "boundary": lambda boundary, bulk, *pt: she.boundary_kernel(boundary, *pt),
+    **PARTITION_ROUTES,
+}
+
+
+@pytest.mark.parametrize("route", FIVE_ROUTES.values(), ids=FIVE_ROUTES.keys())
+def test_negative_heights_are_refused(route):
+    # a negative start height used to index the DP vector from its end
+    boundary = she.BoundaryWeights.constant(1.0, 0, 4)
+    bulk = she.BulkWeights.sample(0, 4, 8, 0.3, RngStream(5210))
+    for x, y in [(-1, 1), (1, -1)]:
+        with pytest.raises(ValueError, match="nonnegative"):
+            route(boundary, bulk, 0, x, 4, y)
+
+
+@pytest.mark.parametrize("route", PARTITION_ROUTES.values(),
+                         ids=PARTITION_ROUTES.keys())
+def test_under_covering_bulk_is_refused(route):
+    # the DP from height 0 over four steps reads heights 1..4, the field
+    # holds 1..2: every route refuses instead of reading the rest as 0
+    boundary = she.BoundaryWeights.constant(1.0, 0, 4)
+    bulk = she.BulkWeights.sample(0, 4, 2, 0.3, RngStream(5211))
+    with pytest.raises(ValueError, match="bulk weights must cover"):
+        route(boundary, bulk, 0, 0, 4, 0)
 
 
 def test_scaling_params():

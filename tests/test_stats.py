@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hspolymer.rng import RngStream
-from hspolymer.stats import (KsResult, KsSuite, SampleSet, empirical_cdf_dump,
-                             kolmogorov_sf, ks_critical_lambda, ks_one_sample,
-                             ks_threshold, ks_two_sample, moment_compare)
+from hspolymer.stats import (KsResult, KsSuite, SampleSet, kolmogorov_sf,
+                             ks_critical_lambda, ks_one_sample, ks_threshold,
+                             ks_two_sample, moment_compare)
 
 
 def test_two_sample_exact_d_hand_case():
@@ -99,12 +99,6 @@ def test_sample_set_rejects_nonfinite():
         SampleSet(np.array([1.0, np.inf]))
     with pytest.raises(ValueError):
         SampleSet(np.array([]))
-
-
-def test_empirical_cdf_dump():
-    out = empirical_cdf_dump(SampleSet(np.array([3.0, 1.0, 2.0])))
-    assert np.allclose(out[:, 0], [1.0, 2.0, 3.0])
-    assert np.allclose(out[:, 1], [1 / 3, 2 / 3, 1.0])
 
 
 def _fake(stat, thr=0.1):
