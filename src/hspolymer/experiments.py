@@ -642,8 +642,8 @@ def exp_sheet(params: dict, seeds: list, ctx: RunContext) -> dict:
     for mu in mus:
         sp = she.ScalingParams(n=n, mu=mu, beta=0.0)
         sup_diff, sup_ref = 0.0, 0.0
-        for X in Xs:
-            table = she.scaled_sheet_table(sp, 0.0, X, Ts, Ys, "deterministic")
+        tables = she.scaled_sheet_table(sp, 0.0, Xs, Ts, Ys, "deterministic")
+        for X, table in zip(Xs, tables):
             for a, T in enumerate(Ts):
                 for b, Y in enumerate(Ys):
                     got = table[a, b]

@@ -90,18 +90,9 @@ class BulkWeights:
         at shape 2 sqrt(n)+1 and needs beta = n^{-1/4}/sqrt(2); a callable
         law(rng, size) is used as-is.
         """
-        shape = (t - s, x_max)
-        if law == "uniform":
-            om = rng.gen.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=shape)
-        elif law == "ig":
-            g = 1.0 / beta ** 2  # 2 sqrt(n)
-            draws = g * sample_inverse_gamma(g + 1.0, rng, size=shape)
-            om = (draws - 1.0) / beta
-        elif callable(law):
-            om = law(rng, shape)
-        else:
-            raise ValueError(f"unknown bulk law {law!r}")
-        return cls(start=s, values=om, beta=beta)
+        om = np.empty((1, t - s, x_max))
+        _fill_bulk(om, [rng], law, 1.0 / beta ** 2 if law == "ig" else None, beta)
+        return cls(start=s, values=om[0], beta=beta)
 
     def window(self, s: int, t: int, cap: int) -> np.ndarray:
         """omega(r, w) as a (t - s, cap + 1) array over r in [s, t) and
@@ -196,6 +187,8 @@ class KernelTable:
     def value(self, r1: int, w1: int, r2: int, w2: int) -> float:
         if not (self.s <= r1 <= r2 <= self.t):
             raise ValueError("time pair outside table window")
+        if w1 < 0 or w2 < 0:
+            raise ValueError("heights must be nonnegative")
         if w1 > self.cap or w2 > self.cap:
             return 0.0
         return float(self.tables[(r1, r2)][w1, w2])
@@ -337,6 +330,8 @@ def partition_with_initial_data(kind: str, init: dict,
     """
     if t <= 0:
         raise ValueError("need t > 0")
+    if y < 0 or any(x0 < 0 for x0 in init):
+        raise ValueError("heights must be nonnegative")
     cap = max(x_truncation, y) + t
     truncated = any(x > x_truncation for x in init)
     tail = 0.0
@@ -436,32 +431,80 @@ def scaled_sheet(params: ScalingParams, S: float, X: float, T: float, Y: float,
     return float(table[0, 0])
 
 
-def scaled_sheet_table(params: ScalingParams, S: float, X: float, T_list, Y_list,
+def _fill_bulk(om: np.ndarray, rngs, law, two_rn: float, beta: float) -> None:
+    """Fill om[i], a block of bulk rows, with stream i's next draws, in place.
+
+    Each stream writes its raw variates into its own rows; one map then
+    turns the whole block into omega, with the operations of the per-stream
+    draws it replaces. "uniform": low + (high - low) * U with (low, high) =
+    (-sqrt3, sqrt3), as Generator.uniform computes it. "ig": (two_rn *
+    (1 / G) - 1) / beta with G ~ Gamma(two_rn + 1), the normalized
+    inverse-gamma matching draw at two_rn = 2 sqrt(n). A callable
+    law(rng, shape) fills its stream's rows as returned.
+    """
+    if not (law in ("uniform", "ig") or callable(law)):
+        raise ValueError(f"unknown bulk law {law!r}")
+    for i, one in enumerate(rngs):
+        if law == "uniform":
+            one.gen.random(out=om[i])
+        elif law == "ig":
+            one.gen.standard_gamma(two_rn + 1.0, out=om[i])
+        else:
+            om[i] = law(one, om[i].shape)
+    if law == "uniform":
+        low, high = -math.sqrt(3.0), math.sqrt(3.0)
+        om *= high - low
+        om += low
+    elif law == "ig":
+        np.divide(1.0, om, out=om)
+        om *= two_rn
+        om -= 1.0
+        om /= beta
+
+
+def scaled_sheet_table(params: ScalingParams, S: float, X: float | Sequence[float],
+                       T_list, Y_list,
                        boundary_mode: str = "deterministic",
                        rng: RngStream | Sequence[RngStream | None] | None = None,
                        bulk_law="uniform") -> np.ndarray:
     """scaled_sheet on a (T, Y) grid from a single forward DP sweep.
 
-    rng is one RngStream (or None when nothing is random), giving a
-    (len(T_list), len(Y_list)) table, or a sequence of streams, one per
-    replica, giving (R, len(T_list), len(Y_list)); replica i is exactly the
-    table a call with rng[i] alone gives. Each stream draws its boundary
-    weights first, then its bulk rows in blocks of consecutive rows, so a
-    callable bulk_law is called as law(rng, (rows, cap)) once per block.
+    X is one start height or a 1-D sequence of them. All starts ride the
+    same sweep in one environment: each stream's boundary and bulk weights
+    are shared by every start, which is the sheet's joint law in X. rng is
+    one RngStream (or None when nothing is random) or a sequence of
+    streams, one per replica; replica i is exactly the table a call with
+    rng[i] alone gives. The table has shape np.shape(X) + (len(T_list),
+    len(Y_list)), behind a leading replica axis when rng is a sequence.
+
+    The truncation height is cap = min(max(x, y) + ceil(8 sqrt(n (T - S))),
+    x + n (T - S)) with x the largest scaled start, y the largest scaled Y
+    and T the largest T, and the bulk field spans heights 1..cap. A start
+    sequence therefore gives each start's own table exactly when that start
+    alone gets the same cap, as it does when no start exceeds max(Y_list)
+    and the first term is the smaller.
+
+    Each stream draws its boundary weights first, then its bulk rows in
+    blocks of consecutive rows, so a callable bulk_law is called as
+    law(rng, (rows, cap)) once per block.
     """
     batched = rng is not None and not isinstance(rng, RngStream)
     rngs = list(rng) if batched else [rng]
     if not rngs:
         raise ValueError("need at least one rng stream")
+    if np.ndim(X) > 1 or np.size(X) == 0:
+        raise ValueError("X must be a start height or a nonempty 1-D sequence")
     rn = params.sqrt_n
-    pts = [_scaled_lattice_point(params, S, X, T, Y)
-           for T in T_list for Y in Y_list]
-    s, x = pts[0][0], pts[0][1]
+    pts = [_scaled_lattice_point(params, S, x0, T, Y)
+           for x0 in np.ravel(X) for T in T_list for Y in Y_list]
+    s = pts[0][0]
+    xs = [p[1] for p in pts[::len(T_list) * len(Y_list)]]
+    x_top = max(xs)
     t_max = max(p[2] for p in pts)
     y_max = max(p[3] for p in pts)
     t_span = max(T_list) - S
-    cap = int(max(x, y_max) + math.ceil(8.0 * math.sqrt(t_span) * rn))
-    cap = min(cap, x + (t_max - s))
+    cap = int(max(x_top, y_max) + math.ceil(8.0 * math.sqrt(t_span) * rn))
+    cap = min(cap, x_top + (t_max - s))
     random_parts = boundary_mode == "random" or params.beta != 0.0
     if random_parts and any(r is None for r in rngs):
         raise ValueError("random boundary or positive beta needs an rng")
@@ -475,57 +518,43 @@ def scaled_sheet_table(params: ScalingParams, S: float, X: float, T_list, Y_list
     else:
         raise ValueError(f"unknown boundary mode {boundary_mode!r}")
     beta_eff = params.beta_n
-    if params.beta != 0.0:
-        if bulk_law == "ig":
-            # the ig matching law fixes beta_n = n^{-1/4}/sqrt(2) internally
-            beta_eff = 1.0 / math.sqrt(2.0 * rn)
-
-            def draw(one, k):
-                draws = 2.0 * rn * sample_inverse_gamma(2.0 * rn + 1.0, one,
-                                                        size=(k, cap))
-                return (draws - 1.0) / beta_eff
-        elif bulk_law == "uniform":
-            def draw(one, k):
-                return one.gen.uniform(-math.sqrt(3.0), math.sqrt(3.0),
-                                       size=(k, cap))
-        elif callable(bulk_law):
-            def draw(one, k):
-                return np.asarray(bulk_law(one, (k, cap)))
-        else:
-            raise ValueError(f"unknown bulk law {bulk_law!r}")
+    if params.beta != 0.0 and bulk_law == "ig":
+        # the ig matching law fixes beta_n = n^{-1/4}/sqrt(2) internally
+        beta_eff = 1.0 / math.sqrt(2.0 * rn)
     # one block of bulk rows over all replicas holds at most a quarter of one
     # replica's field, so the batch needs less memory than one whole field
     rows = max(1, steps // (4 * n_rep))
     om = np.empty((n_rep, rows, cap)) if params.beta != 0.0 else None
-    out = np.zeros((n_rep, len(T_list), len(Y_list)))
+    out = np.zeros((n_rep, len(xs), len(T_list), len(Y_list)))
     want = {}
     for a, T in enumerate(T_list):
         t = int(round(params.n * T))
         want.setdefault(t, []).append(a)
-    f = np.zeros((n_rep, cap + 1))
-    f[:, x] = 1.0
-    g = np.full((n_rep, cap + 1), 0.5)
+    # f is [replica, start, height]; g broadcasts over the starts
+    f = np.zeros((n_rep, len(xs), cap + 1))
+    f[:, np.arange(len(xs)), xs] = 1.0
+    g = np.full((n_rep, 1, cap + 1), 0.5)
 
     def record(t):
         for a in want.get(t, ()):
             for b, Y in enumerate(Y_list):
                 yy = int(round(rn * Y))
-                val = f[:, yy] if yy <= cap else 0.0
-                out[:, a, b] = (rn / 2.0) * val * (2.0 if yy == 0 else 1.0)
+                val = f[..., yy] if yy <= cap else 0.0
+                out[..., a, b] = (rn / 2.0) * val * (2.0 if yy == 0 else 1.0)
 
     record(s)
     for r in range(s, t_max):
-        g[:, 0] = levels[:, r - s]
+        g[:, 0, 0] = levels[:, r - s]
         if params.beta != 0.0:
             k = (r - s) % rows
             if k == 0:
-                block = min(rows, t_max - r)
-                for i, one in enumerate(rngs):
-                    om[i, :block] = draw(one, block)
-            # the halved bulk factor; without bulk noise g[:, 1:] stays 0.5
-            np.multiply(1.0 + beta_eff * om[:, k], 0.5, out=g[:, 1:])
+                _fill_bulk(om[:, :min(rows, t_max - r)], rngs, bulk_law,
+                           2.0 * rn, beta_eff)
+            # the halved bulk factor; without bulk noise g[..., 1:] stays 0.5
+            np.multiply(1.0 + beta_eff * om[:, k], 0.5, out=g[:, 0, 1:])
         f = _step(f, g)
         record(r + 1)
+    out = out.reshape((n_rep,) + np.shape(X) + out.shape[2:])
     return out if batched else out[0]
 
 

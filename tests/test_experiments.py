@@ -220,3 +220,25 @@ def test_every_ks_check_retries_its_own_comparison(monkeypatch):
         run_experiment(name, params, [seed], RunContext())
     # each suite is named after its experiment
     assert set(checked) == set(KS_SMALL)
+
+
+def test_sheet_experiment_sweeps_once_per_environment(monkeypatch):
+    # every start point of one mu rides one sweep, and each variance-study
+    # n is one batched sweep, so per-start sweeps would show as more calls
+    from hspolymer import she
+
+    calls = []
+    sweep = she.scaled_sheet_table
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(she, "scaled_sheet_table", counted)
+    params = {"n": 256, "mus": [-0.5, 0.0, 1.0], "var_ns": [16, 64],
+              "var_replicas": 3}
+    rep = run_experiment("sheet-convergence", params, [5], RunContext())
+    assert len(calls) == len(params["mus"]) + len(params["var_ns"])
+    xs = experiments.EXPERIMENTS["sheet-convergence"].defaults["Xs"]
+    assert calls[:len(params["mus"])] == [xs] * len(params["mus"])
+    assert sorted(rep["variance_study"]) == params["var_ns"]

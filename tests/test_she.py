@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hspolymer import she
+from hspolymer.distributions import sample_inverse_gamma
 from hspolymer.rng import RngStream
 
 
@@ -124,6 +125,22 @@ def test_kernel_table_entries():
     with pytest.raises(ValueError):
         kt.value(3, 0, 1, 0)
 
+
+
+def test_initial_data_and_kernel_table_refuse_negative_heights():
+    # a negative height used to index the DP vector from its end: the
+    # vertical start -2 seeded height cap - 1, and w1 = -1 read height 8
+    boundary = she.BoundaryWeights.constant(1.0, 0, 4)
+    bulk = she.BulkWeights.sample(0, 4, 10, 0.2, RngStream(5212))
+    for kind in ("vertical", "diagonal"):
+        for init, y in [({-2: 1.0}, 4), ({0: 1.0}, -2)]:
+            with pytest.raises(ValueError, match="nonnegative"):
+                she.partition_with_initial_data(kind, init, boundary, bulk,
+                                                4, y, x_truncation=5)
+    kt = she.build_kernel_table(None, 0, 5, 8)
+    for w1, w2 in [(-1, 7), (1, -2)]:
+        with pytest.raises(ValueError, match="nonnegative"):
+            kt.value(0, w1, 3, w2)
 
 def test_boundary_kernel_collects_origin_factors():
     boundary = she.BoundaryWeights(0, [1.7, 0.4, 2.2, 0.9])
@@ -350,6 +367,81 @@ def test_batched_sheet_table_matches_single_streams(mode, beta, law, n_rep):
     if n_rep > 1:
         assert not np.array_equal(batched[0], batched[1])
 
+
+
+def _uniform_law(one, size):
+    return one.gen.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=size)
+
+
+@pytest.mark.parametrize("n_rep", [1, 3])
+@pytest.mark.parametrize("mode, beta, law", [
+    ("deterministic", 0.0, "uniform"),
+    ("random", 0.0, "uniform"),
+    ("deterministic", 1.0, "uniform"),
+    ("random", 1.0, "ig"),
+    ("deterministic", 1.0, _uniform_law),
+], ids=["det-beta0", "random-beta0", "det-uniform", "random-ig", "callable"])
+def test_start_axis_matches_per_start_calls(mode, beta, law, n_rep):
+    # starts <= max Y and a 256-step sweep: every start alone gets the
+    # joint cap, 8 + 128, so each start's table is the per-start call's
+    p = she.ScalingParams(256, 0.4, beta)
+    Xs, Ts, Ys = [0.5, 0.0, 0.25], [0.25, 1.0], [0.0, 0.25, 0.5]
+
+    def streams():
+        if mode == "deterministic" and beta == 0.0:
+            return [None] * n_rep
+        return [RngStream(8118, i) for i in range(n_rep)]
+
+    joint = she.scaled_sheet_table(p, 0.0, Xs, Ts, Ys, mode, streams(),
+                                   bulk_law=law)
+    assert joint.shape == (n_rep, len(Xs), len(Ts), len(Ys))
+    for j, X in enumerate(Xs):
+        alone = she.scaled_sheet_table(p, 0.0, X, Ts, Ys, mode, streams(),
+                                       bulk_law=law)
+        assert alone.shape == (n_rep, len(Ts), len(Ys))
+        assert np.array_equal(joint[:, j], alone)
+        assert np.array_equal(np.signbit(joint[:, j]), np.signbit(alone))
+    single = she.scaled_sheet_table(p, 0.0, Xs, Ts, Ys, mode, streams()[0],
+                                    bulk_law=law)
+    assert single.shape == (len(Xs), len(Ts), len(Ys))
+    assert np.array_equal(single, joint[0])
+
+
+def test_start_axis_validates_starts():
+    p = she.ScalingParams(64, 0.0, 0.0)
+    assert she.scaled_sheet_table(p, 0.0, 0.25, [0.25], [0.0, 0.25]).shape == (1, 2)
+    for bad in ([], [0.0, 0.3], [0.0, 0.125], [[0.0], [0.25]]):
+        # empty, sqrt(n) X not integral, off the even sublattice, not 1-D
+        with pytest.raises(ValueError):
+            she.scaled_sheet_table(p, 0.0, bad, [0.25], [0.0])
+
+
+@pytest.mark.parametrize("rows, block, cap", [(1, 1, 7), (2, 2, 5), (9, 4, 33)])
+def test_in_place_bulk_fills_match_per_stream_draws(rows, block, cap):
+    # the sweep fills om[:, :block] of an (R, rows, cap) buffer; each law's
+    # map must give the bits of the per-stream expression it replaces, so
+    # a numpy build that fused a multiply-add fails here
+    rn = 16.0
+    beta_eff = 1.0 / math.sqrt(2.0 * rn)
+    size = (block, cap)
+    laws = {
+        "uniform": lambda one: one.gen.uniform(-math.sqrt(3.0), math.sqrt(3.0),
+                                               size=size),
+        "ig": lambda one: (2.0 * rn * sample_inverse_gamma(2.0 * rn + 1.0, one,
+                                                           size=size)
+                           - 1.0) / beta_eff,
+    }
+    for seed in range(8):
+        for law, expr in laws.items():
+            om = np.full((3, rows, cap), np.nan)
+            she._fill_bulk(om[:, :block], [RngStream(seed, i) for i in range(3)],
+                           law, 2.0 * rn, beta_eff)
+            want = np.array([expr(RngStream(seed, i)) for i in range(3)])
+            got = om[:, :block]
+            assert np.array_equal(got, want) and np.array_equal(
+                np.signbit(got), np.signbit(want)), \
+                f"in-place {law} fill differs from the per-stream draw"
+            assert np.isnan(om[:, block:]).all()
 
 def test_batched_sheet_table_validates_streams():
     p = she.ScalingParams(64, 0.0, 1.0)
