@@ -16,7 +16,7 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -136,9 +136,38 @@ _DEFAULT_BATCH = 50_000
 
 @dataclass
 class RunContext:
+    """Where a run writes and how many processes draw its batches.
+
+    With workers > 1 the context owns one process pool for the whole run:
+    the first draw that needs it starts it, and leaving the context (as
+    `run_experiment` does) shuts it down. A context used again after that
+    starts a new pool when it next needs one."""
     out_dir: Path | None = None
     workers: int = 1
     emit_csv: bool = False
+    _pool: ProcessPoolExecutor | None = field(default=None, init=False,
+                                              repr=False, compare=False)
+
+    def __post_init__(self):
+        if (isinstance(self.workers, bool) or not isinstance(self.workers, int)
+                or self.workers < 1):
+            raise ValueError(f"workers must be an int of at least 1, "
+                             f"got {self.workers!r}")
+
+    def __enter__(self) -> RunContext:
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        # on an error, batches still queued are not started; running ones
+        # finish, so no child outlives the run
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(cancel_futures=exc_type is not None)
+
+    def _executor(self) -> ProcessPoolExecutor:
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        return self._pool
 
     def checkpoint_dir(self) -> Path | None:
         if self.out_dir is None:
@@ -185,7 +214,9 @@ def collect_samples(sampler: str, kwargs: dict, seed: int, n_total: int,
                     ctx: RunContext, tag: str | None = None,
                     batch: int = _DEFAULT_BATCH) -> np.ndarray:
     """Draw n_total samples in deterministic batches, optionally in parallel
-    and with per-batch checkpoints under the run's output directory."""
+    on the context's pool, and with per-batch checkpoints under the run's
+    output directory. Each batch is checkpointed as it lands, so a batch
+    that raises loses only itself and the batches not yet drawn."""
     tag = tag or sampler
     base = _stable_base(tag)
     n_batches = -(-n_total // batch)
@@ -206,19 +237,32 @@ def collect_samples(sampler: str, kwargs: dict, seed: int, n_total: int,
             except (OSError, ValueError, EOFError):
                 pass  # absent or unreadable (e.g. truncated): regenerate
         missing.append(i)
-    if missing:
-        if ctx.workers > 1 and len(missing) > 1:
-            with ProcessPoolExecutor(max_workers=ctx.workers) as pool:
-                futs = {i: pool.submit(_run_batch, sampler, kwargs, seed,
-                                       base + i, sizes[i]) for i in missing}
-                for i, fut in futs.items():
-                    parts[i] = fut.result()
-        else:
-            for i in missing:
-                parts[i] = _run_batch(sampler, kwargs, seed, base + i, sizes[i])
+
+    def land(i: int, part: np.ndarray):
+        parts[i] = part
         if ckpt is not None:
-            for i in missing:
-                _save_atomic(ckpt / f"{tag}_{dig}_{i:04d}.npy", parts[i])
+            _save_atomic(ckpt / f"{tag}_{dig}_{i:04d}.npy", part)
+
+    if ctx.workers > 1 and len(missing) > 1:
+        pool = ctx._executor()
+        futs = {pool.submit(_run_batch, sampler, kwargs, seed, base + i,
+                            sizes[i]): i for i in missing}
+        error = None
+        for fut in as_completed(futs):
+            if fut.cancelled():
+                continue
+            if fut.exception() is None:
+                land(futs[fut], fut.result())
+            elif error is None:
+                # start no queued batch; keep the ones already running
+                error = fut.exception()
+                for queued in futs:
+                    queued.cancel()
+        if error is not None:
+            raise error
+    else:
+        for i in missing:
+            land(i, _run_batch(sampler, kwargs, seed, base + i, sizes[i]))
     return np.concatenate(parts, axis=0)
 
 
@@ -940,5 +984,7 @@ def run_experiment(name: str, params: dict, seeds: list, ctx: RunContext) -> dic
         if k not in merged:
             raise ValueError(f"unknown parameter {k!r} for experiment {name}")
         merged[k] = v
+    with ctx:
+        result = exp.func(merged, seeds, ctx)
     return {"experiment": name, "verifies": exp.verifies, "params": merged,
-            "seeds": list(seeds), **exp.func(merged, seeds, ctx)}
+            "seeds": list(seeds), **result}

@@ -1,8 +1,10 @@
 import json
+import multiprocessing
 
 import pytest
 from click.testing import CliRunner
 
+from hspolymer import experiments
 from hspolymer.cli import main
 from hspolymer.experiments import EXPERIMENTS
 
@@ -104,3 +106,54 @@ def test_workers_below_one_exit_2(runner, tmp_path, workers):
 def test_missing_config_file(runner, tmp_path):
     res = runner.invoke(main, ["run", str(tmp_path / "absent.json")])
     assert res.exit_code == 2
+
+
+def _pooled_config(path):
+    # two draws of two batches each (50000 + 1 samples): both need the pool
+    return _write_config(path, params={"alpha_grid": [1.5],
+                                       "u_spec": [0.0, "half"],
+                                       "n_samples": 50001})
+
+
+def _polymer(*args):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", *args], prog_name="polymer")
+    return exc.value.code
+
+
+def test_run_starts_one_pool_and_a_warm_run_none(tmp_path, counted_pools):
+    cfg = _pooled_config(tmp_path / "c.json")
+    out = tmp_path / "out"
+    assert _polymer(cfg, "--workers", "2", "--out", str(out)) == 0
+    assert counted_pools.started == 1
+    assert multiprocessing.active_children() == []
+    cold = json.loads((out / "burke_report.json").read_text())
+    # every batch is checkpointed, so the rerun reads them and forks nothing
+    assert _polymer(cfg, "--workers", "2", "--out", str(out)) == 0
+    assert counted_pools.started == 1
+    assert multiprocessing.active_children() == []
+    warm = json.loads((out / "burke_report.json").read_text())
+    cold["wallclock_s"] = warm["wallclock_s"] = None
+    assert cold == warm
+
+
+_REAL_RUN_BATCH = experiments._run_batch
+
+
+def _fail_second_tail_batch(sampler, kwargs, seed, stream_id, size):
+    """Raises on the one-sample tail batch of the second draw (u = "half").
+    Module level, so that a pool child can unpickle it."""
+    if size == 1 and kwargs["u"] != 0.0:
+        raise RuntimeError("tail batch failed")
+    return _REAL_RUN_BATCH(sampler, kwargs, seed, stream_id, size)
+
+
+def test_error_in_a_pool_child_reaches_the_caller(tmp_path, monkeypatch,
+                                                  counted_pools):
+    monkeypatch.setattr(experiments, "_run_batch", _fail_second_tail_batch)
+    cfg = _pooled_config(tmp_path / "c.json")
+    with pytest.raises(RuntimeError, match="tail batch failed"):
+        main(["run", cfg, "--workers", "2", "--out", str(tmp_path / "out")],
+             prog_name="polymer")
+    assert counted_pools.started == 1
+    assert multiprocessing.active_children() == []
