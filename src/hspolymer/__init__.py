@@ -3,13 +3,15 @@
 Submodules
 ----------
 rng            Seeded, splittable random streams.
-special        Digamma and trigamma used by the log-weight moment formulas.
-distributions  Samplers and CDFs for the weight laws.
+special        Digamma and trigamma used by the inverse-gamma log-moments.
+distributions  Samplers and CDFs for the four weight laws.
 stats          KS tests, moment comparisons, suite evaluation with retries.
-lattice        Octant partition functions, stationary boundary grids.
+lattice        Octant weights, the partition row sweep and its oracles, and
+               the one- and two-row stationary specializations.
 stationary     Discrete and continuum stationary boundary processes.
 lpp            Zero-temperature (last passage) counterparts.
-she            Reflected-walk partition functions and the Robin heat kernel.
+she            Reflected-walk partition functions, the scaled sheet as a
+               (T, Y) table, and the Robin heat kernel.
 scaling        Intermediate-disorder scaling and the matching identity.
 experiments    Named, seeded experiment catalog behind the CLI.
 """

@@ -1,7 +1,7 @@
 """Samplers and exact moments for the weight distributions.
 
 Everything in the lattice models is built from four laws: gamma, inverse
-gamma, geometric, and exponential, plus the beta-prime ratio law. Samplers
+gamma, geometric, and exponential. Samplers
 take an RngStream and an optional size; moments are closed forms with the
 divergent cases rejected rather than returning inf.
 
@@ -34,13 +34,6 @@ def sample_inverse_gamma(theta, rng: RngStream, size=None):
     """Draw from Gamma^{-1}(theta) as the reciprocal of a gamma variate."""
     _check_positive("theta", theta)
     return 1.0 / rng.gen.standard_gamma(theta, size=size)
-
-
-def sample_beta_prime(a, b, rng: RngStream, size=None):
-    """Draw from Beta'(a, b), the law of G_a / G_b for independent gammas."""
-    _check_positive("a", a)
-    _check_positive("b", b)
-    return rng.gen.standard_gamma(a, size=size) / rng.gen.standard_gamma(b, size=size)
 
 
 def sample_geometric(q, rng: RngStream, size=None):
@@ -115,15 +108,6 @@ def exponential_cdf(x, a):
     _check_positive("rate", a)
     x = np.asarray(x, dtype=float)
     return np.where(x > 0, -np.expm1(-a * x), 0.0)
-
-
-def geometric_cdf(x, q):
-    """P(g <= x) for the geometric law on {0,1,2,...}; x may be non-integer."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"geometric parameter must lie in (0,1), got {q}")
-    x = np.asarray(x, dtype=float)
-    k = np.floor(x)
-    return np.where(x >= 0, 1.0 - q ** (k + 1.0), 0.0)
 
 
 def normal_cdf(x, mean=0.0, sd=1.0):

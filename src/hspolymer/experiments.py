@@ -694,8 +694,7 @@ def exp_sheet(params: dict, seeds: list, ctx: RunContext) -> dict:
                     ref = she.robin_heat_kernel(mu, 0.0, X, T, Y)
                     sup_diff = max(sup_diff, abs(got - ref))
                     sup_ref = max(sup_ref, abs(ref))
-                    env = ENVELOPE_C / math.sqrt(T) * math.exp(
-                        -(X - Y) ** 2 / (ENVELOPE_C * T))
+                    env = she.gaussian_envelope(T, X - Y, ENVELOPE_C)
                     env_worst = max(env_worst, got / env)
                     rows.append((0.0, X, T, Y, got))
         results.append(_result(f"kernel-vs-robin:mu={mu}", sup_diff / sup_ref,

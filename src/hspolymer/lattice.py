@@ -32,8 +32,8 @@ from .stats import SampleSet
 class OctantParams:
     """Inhomogeneity parameters (alpha_circ; alpha_1..alpha_N).
 
-    exemptions lists sites whose weight is pinned to 1 (log-weight 0); their
-    parameter sums are excluded from the positivity validation.
+    exemptions lists octant sites whose weight is pinned to 1 (log-weight 0);
+    their parameter sums are excluded from the positivity validation.
     """
 
     alpha_circ: float
@@ -62,6 +62,9 @@ class OctantParams:
     def validate(self):
         n = self.size
         a = self.alphas
+        for (i, j) in self.exemptions:
+            if not 1 <= j <= i <= n:
+                raise ValueError(f"exempt site ({i},{j}) outside the octant")
         for i in range(1, n + 1):
             if (i, i) not in self.exemptions and not self.alpha_circ + a[i - 1] > 0:
                 raise ValueError(
@@ -80,17 +83,10 @@ class WeightField:
     """Sampled log-weights on the octant, sites (i, j) with 1 <= j <= i <= N."""
 
     log_w: np.ndarray
-    params: OctantParams
-    exemptions: frozenset = frozenset()
 
     @property
     def size(self) -> int:
         return self.log_w.shape[0] - 1
-
-    def logw(self, i: int, j: int) -> float:
-        if not (1 <= j <= i <= self.size):
-            raise IndexError(f"site ({i},{j}) outside the octant")
-        return float(self.log_w[i, j])
 
 
 @dataclass
@@ -98,37 +94,6 @@ class PartitionGrid:
     """log z(n, m) on the octant; off-octant entries are -inf."""
 
     log_z: np.ndarray
-
-    @property
-    def max_n(self) -> int:
-        return self.log_z.shape[0] - 1
-
-    @property
-    def max_m(self) -> int:
-        return self.log_z.shape[1] - 1
-
-    def logz(self, n: int, m: int) -> float:
-        return float(self.log_z[n, m])
-
-
-@dataclass
-class DownRightPath:
-    """Octant points p_1..p_k moving east (1,0) or south (0,-1)."""
-
-    points: list
-
-    def __post_init__(self):
-        pts = [tuple(p) for p in self.points]
-        if not pts:
-            raise ValueError("empty path")
-        for (n0, m0), (n1, m1) in zip(pts, pts[1:]):
-            step = (n1 - n0, m1 - m0)
-            if step not in ((1, 0), (0, -1)):
-                raise ValueError(f"illegal down-right step {step}")
-        for n, m in pts:
-            if n < m:
-                raise ValueError(f"point ({n},{m}) above the diagonal")
-        self.points = pts
 
 
 def sample_weight_field(params: OctantParams, rng: RngStream) -> WeightField:
@@ -154,10 +119,8 @@ def sample_weight_field(params: OctantParams, rng: RngStream) -> WeightField:
         raise ValueError("nonpositive weight shape at a non-exempt site")
     log_w[mask] = -np.log(rng.gen.standard_gamma(theta[mask]))
     for (i, j) in params.exemptions:
-        if not (1 <= j <= i <= n):
-            raise ValueError(f"exempt site ({i},{j}) outside the octant")
         log_w[i, j] = 0.0
-    return WeightField(log_w=log_w, params=params, exemptions=params.exemptions)
+    return WeightField(log_w=log_w)
 
 
 # ---------------------------------------------------------------------------
@@ -347,21 +310,6 @@ def two_row_params(alpha: float, u: float, v: float, max_n: int) -> OctantParams
     return OctantParams(alpha_circ=u, alphas=alphas, exemptions=frozenset(exempt))
 
 
-def increments_along_path(grid: PartitionGrid, path: DownRightPath, origin) -> list:
-    """log z((m,m)+p_i) - log z((m,m)+p_1) along a down-right path."""
-    m0, m1 = origin
-    if m0 != m1:
-        raise ValueError("origin must sit on the diagonal")
-    out = []
-    for n, m in path.points:
-        nn, mm = n + m0, m + m0
-        if not (1 <= mm <= grid.max_m and mm <= nn <= grid.max_n):
-            raise IndexError(f"shifted point ({nn},{mm}) outside the grid")
-        out.append(grid.logz(nn, mm))
-    base = out[0]
-    return [x - base for x in out]
-
-
 def make_row_logw(params: OctantParams, max_m: int, n_replicas: int, rng: RngStream,
                   capture: dict | None = None):
     """Row-weight provider for replicated_rows from octant parameters.
@@ -396,14 +344,14 @@ def stationary_row_samples(kind: str, alpha: float, u: float, v: float | None,
                            m: int, offsets, n_replicas: int, rng: RngStream) -> np.ndarray:
     """Monte Carlo draws of log z_stat(m+k, m) - log z_stat(m, m).
 
-    kind selects the one-row or two-row specialization. offsets is a list of
-    k >= 0; column m is recorded at rows m+k and the base row m. Returns an
+    kind selects the one-row or two-row specialization. offsets is a
+    nonempty list of k >= 0; column m is recorded at rows m+k and the base row m. Returns an
     (n_replicas, len(offsets)) array of log-ratios, jointly sampled so the
     law across offsets is the process law.
     """
     offsets = sorted(set(int(k) for k in offsets))
-    if offsets[0] < 0:
-        raise ValueError("offsets must be nonnegative")
+    if not offsets or offsets[0] < 0:
+        raise ValueError("offsets must be a nonempty list of k >= 0")
     max_n = m + offsets[-1]
     if kind == "one_row":
         params = one_row_params(alpha, u, max_n)

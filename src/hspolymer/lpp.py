@@ -12,7 +12,7 @@ by the corner weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,21 +78,16 @@ class LppGrid:
     """Passage times G(n, m) over the octant, NaN off it."""
 
     times: np.ndarray
-    exemptions: frozenset = field(default_factory=frozenset)
 
 
-def sample_lpp_weights(params, max_n: int, rng: RngStream,
-                       exemptions=frozenset()) -> np.ndarray:
-    """Dense (max_n+1, max_n+1) weight array, NaN off the octant, exempted
-    sites set to 0."""
-    params.validate(max_n, exemptions)
+def sample_lpp_weights(params, max_n: int, rng: RngStream) -> np.ndarray:
+    """Dense (max_n+1, max_n+1) weight array, NaN off the octant."""
+    params.validate(max_n)
     w = np.full((max_n + 1, max_n + 1), np.nan)
     geom = isinstance(params, LppGeomParams)
     for i in range(1, max_n + 1):
         for j in range(1, i + 1):
-            if (i, j) in exemptions:
-                w[i, j] = 0.0
-            elif geom:
+            if geom:
                 w[i, j] = sample_geometric(params.q_prod(i, j), rng)
             else:
                 w[i, j] = sample_exponential(params.rate(i, j), rng)
@@ -159,37 +154,6 @@ def _stationary_setup(kind: str, bulk: float, p1: float, p2: float | None):
     return mk, exempt
 
 
-def _unpack_stationary(kind: str, params: dict):
-    if kind.startswith("geom"):
-        bulk, p1 = params["q"], params["r"]
-    else:
-        bulk, p1 = params["a"], params["u"]
-    if kind.endswith("two"):
-        p2 = params["s"] if kind.startswith("geom") else params["v"]
-    else:
-        p2 = None
-    return bulk, p1, p2
-
-
-def stationary_lpp_grid(kind: str, params: dict, rng: RngStream) -> LppGrid:
-    """Sample a stationary LPP grid of one of the four kinds.
-
-    params carries the model parameters by name ("q"/"r"/"s" for geometric,
-    "a"/"u"/"v" for exponential) plus "max_n" and optional "max_m". The
-    returned times are the recentred passage times: the subtracted corner
-    sites carry weight 0, so G here is already G - g(1,1) (one-row kinds)
-    or G - g(1,1) - g(2,1) (two-row kinds).
-    """
-    bulk, p1, p2 = _unpack_stationary(kind, params)
-    max_n = params["max_n"]
-    mk, exempt = _stationary_setup(kind, bulk, p1, p2)
-    model = mk(max_n)
-    w = sample_lpp_weights(model, max_n, rng, exemptions=exempt)
-    grid = lpp_recurrence(w, max_n, params.get("max_m"))
-    grid.exemptions = exempt
-    return grid
-
-
 def stationary_row_samples_lpp(kind: str, bulk: float, p1: float, m: int,
                                offsets, n_replicas: int, rng: RngStream,
                                p2: float | None = None) -> dict:
@@ -202,7 +166,7 @@ def stationary_row_samples_lpp(kind: str, bulk: float, p1: float, m: int,
     if m < min_m:
         raise ValueError(f"{kind} needs m >= {min_m}")
     offsets = sorted(set(int(k) for k in offsets))
-    if offsets[0] != 0:
+    if not offsets or offsets[0] != 0:
         raise ValueError("offsets must be nonnegative and include 0 to recentre")
     max_n = m + offsets[-1]
     mk, exempt = _stationary_setup(kind, bulk, p1, p2)

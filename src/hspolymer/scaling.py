@@ -21,60 +21,31 @@ from .lattice import (make_row_logw, partition_recurrence,
                       point_to_point_partition, replicated_rows,
                       sample_weight_field, two_row_params)
 from .rng import RngStream
-from .she import _step
+from .she import _lattice_index, _square_root, _step
 from .stationary import DiscreteStationaryParams, sample_zuv_path
 
 
 @dataclass(frozen=True)
 class KpzScalingConfig:
-    """Lattice level, drift parameters, and admissible grids of the scaled
-    process; T values need nT/2 integer, X values need sqrt(n) X a
-    nonnegative integer."""
+    """Lattice level and drift parameters of the scaled process; the T and X
+    it is read at need nT/2 and sqrt(n) X nonnegative integers."""
 
     n: int
     u: float
     v: float
-    t_grid: tuple = ()
-    x_grid: tuple = ()
 
     def __post_init__(self):
-        rn = int(round(math.sqrt(self.n)))
-        if self.n < 4 or rn * rn != self.n:
-            raise ValueError("n must be a perfect square >= 4")
+        _square_root(self.n, least=4)
         if not self.v <= min(0.0, self.u):
             raise ValueError("need v <= min(0, u)")
-        for T in self.t_grid:
-            _lattice_T(self, T)
-        for X in self.x_grid:
-            _lattice_X(self, X)
 
     @property
     def sqrt_n(self) -> int:
-        return int(round(math.sqrt(self.n)))
+        return _square_root(self.n)
 
     @property
     def alpha_n(self) -> float:
         return 0.5 + self.sqrt_n
-
-    @property
-    def mu(self) -> float:
-        return self.u - 0.5
-
-
-def _lattice_T(config: KpzScalingConfig, T: float) -> int:
-    h = config.n * T / 2.0
-    k = int(round(h))
-    if abs(h - k) > 1e-9 or k < 0:
-        raise ValueError(f"nT/2 = {h} is not a nonnegative integer")
-    return k
-
-
-def _lattice_X(config: KpzScalingConfig, X: float) -> int:
-    w = config.sqrt_n * X
-    k = int(round(w))
-    if abs(w - k) > 1e-9 or k < 0:
-        raise ValueError(f"sqrt(n) X = {w} is not a nonnegative integer")
-    return k
 
 
 def scaled_stationary_process(config: KpzScalingConfig, T: float, X_list,
@@ -89,8 +60,8 @@ def scaled_stationary_process(config: KpzScalingConfig, T: float, X_list,
     """
     if config.v == config.u:
         raise ValueError("two-row construction needs v < u")
-    half_t = _lattice_T(config, T)
-    ks = [_lattice_X(config, X) for X in X_list]
+    half_t = _lattice_index(config.n / 2.0, T, "nT/2")
+    ks = [_lattice_index(config.sqrt_n, X, "sqrt(n) X") for X in X_list]
     m = half_t + 2
     max_n = m + max(ks)
     params = two_row_params(config.alpha_n, config.u, config.v, max_n)
@@ -163,13 +134,6 @@ def normalized_tilde_z(alpha: float, u: float, v: float, t: int, y: int,
                         terms=len(parts))
 
 
-def _even_root(n: int) -> int:
-    rn = int(round(math.sqrt(n)))
-    if rn * rn != n:
-        raise ValueError("n must be a perfect square")
-    return rn
-
-
 def bulk_weight_matching_moments(n: int, max_order: int = 8) -> dict:
     """Exact moments of the centered bulk weight at lattice level n.
 
@@ -180,9 +144,7 @@ def bulk_weight_matching_moments(n: int, max_order: int = 8) -> dict:
     even moments approach the Gaussian values (N-1)!! at rate O(n^{-1/2}),
     odd ones approach 0.
     """
-    if n < 4:
-        raise ValueError("need n >= 4")
-    g = 2 * _even_root(n)
+    g = 2 * _square_root(n, least=4)
     if max_order >= g:
         raise ValueError("moment order must be below 2 sqrt(n)")
 
@@ -224,7 +186,7 @@ def bulk_weight_matching_moments(n: int, max_order: int = 8) -> dict:
 def bulk_weight_mc_moment(n: int, order: int, n_draws: int, rng: RngStream,
                           batch: int = 10 ** 6) -> float:
     """Monte Carlo estimate of E[omega^order] for the matching bulk law."""
-    g = 2.0 * _even_root(n)
+    g = 2.0 * _square_root(n)
     beta = n ** -0.25 / math.sqrt(2.0)
     total = 0.0
     left = n_draws
@@ -262,8 +224,7 @@ def boundary_weight_matching_moments(n: int, u: float) -> dict:
 
 
 def matching_identity_check(alpha: float, u: float, v: float, t: int, y: int,
-                            n_samples: int, rng: RngStream,
-                            batch: int = 20000) -> dict:
+                            n_samples: int, rng: RngStream) -> dict:
     """Sample both sides of the octant-to-framework identity in law.
 
     Left side: log z-tilde(t, y) from the two-row octant at bulk parameter
@@ -283,25 +244,17 @@ def matching_identity_check(alpha: float, u: float, v: float, t: int, y: int,
     log_scale = math.log((2.0 * alpha - 1.0) / 2.0)
     big_n, big_m = t + y + 2, t + 2
     params = two_row_params(alpha, u, v, big_n)
-    lhs = np.empty(n_samples)
-    rhs = np.empty(n_samples)
     zp = DiscreteStationaryParams(alpha=alpha, u=u, v=v)
-    done = 0
-    lhs_stream = rng.substream(1)
-    rhs_stream = rng.substream(2)
-    while done < n_samples:
-        R = min(batch, n_samples - done)
-        # left side: octant replicas
-        capture = {(1, 1): None, (2, 2): None}
-        provider = make_row_logw(params, big_m, R, lhs_stream, capture=capture)
-        got = replicated_rows(provider, big_n, big_m, R, {big_n: [big_m]})
-        corner = capture[(1, 1)] + capture[(2, 2)]
-        lhs[done:done + R] = ((2 * t + y) * log_scale
-                              + got[(big_n, big_m)] - corner)
-        # right side: framework replicas
-        rhs[done:done + R] = _matching_rhs(alpha, u, zp, t, y, s_end,
-                                           log_scale, R, rhs_stream)
-        done += R
+    # left side: octant replicas
+    capture = {(1, 1): None, (2, 2): None}
+    provider = make_row_logw(params, big_m, n_samples, rng.substream(1),
+                             capture=capture)
+    got = replicated_rows(provider, big_n, big_m, n_samples, {big_n: [big_m]})
+    corner = capture[(1, 1)] + capture[(2, 2)]
+    lhs = (2 * t + y) * log_scale + got[(big_n, big_m)] - corner
+    # right side: framework replicas
+    rhs = _matching_rhs(alpha, u, zp, t, y, s_end, log_scale, n_samples,
+                        rng.substream(2))
     return {"alpha": alpha, "u": u, "v": v, "t": t, "y": y,
             "s_end": s_end, "lhs_log": lhs, "rhs_log": rhs}
 

@@ -364,6 +364,23 @@ def partition_with_initial_data(kind: str, init: dict,
     return InitialDataResult(value=value, tail_bound=tail, truncated=truncated)
 
 
+def _square_root(n: int, least: int = 1) -> int:
+    """sqrt(n) as an int; ValueError unless n is a perfect square >= least."""
+    if n < least or int(round(math.sqrt(n))) ** 2 != n:
+        raise ValueError(f"n must be a perfect square >= {least}, got {n}")
+    return int(round(math.sqrt(n)))
+
+
+def _lattice_index(scale: float, value: float, name: str) -> int:
+    """scale * value as an int; ValueError unless it is a nonnegative integer
+    to within 1e-9. name labels the product in the message."""
+    w = scale * value
+    k = int(round(w))
+    if abs(w - k) > 1e-9 or k < 0:
+        raise ValueError(f"{name} = {w} is not a nonnegative integer")
+    return k
+
+
 @dataclass(frozen=True)
 class ScalingParams:
     """Lattice size and the two scaled parameters of the sheet."""
@@ -373,12 +390,11 @@ class ScalingParams:
     beta: float
 
     def __post_init__(self):
-        if self.n < 4 or int(round(math.sqrt(self.n))) ** 2 != self.n:
-            raise ValueError("n must be a perfect square >= 4")
+        _square_root(self.n, least=4)
 
     @property
     def sqrt_n(self) -> float:
-        return float(int(round(math.sqrt(self.n))))
+        return float(_square_root(self.n))
 
     @property
     def beta_n(self) -> float:
@@ -393,42 +409,20 @@ class ScalingParams:
         return 0.5 + self.sqrt_n
 
 
-def _scaled_lattice_point(params: ScalingParams, S, X, T, Y):
+def _scaled_lattice_points(params: ScalingParams, S, X, T_list, Y_list):
+    """The lattice points behind a sheet table: s = nS, the starts
+    sqrt(n) X, the ends nT and the end heights sqrt(n) Y, each a nonnegative
+    integer, every end after s and every point on the even sublattice."""
     n, rn = params.n, params.sqrt_n
-    pts = []
-    for val, scale, name in ((S, n, "nS"), (X, rn, "sqrt(n)X"),
-                             (T, n, "nT"), (Y, rn, "sqrt(n)Y")):
-        w = scale * val
-        k = int(round(w))
-        if abs(w - k) > 1e-9:
-            raise ValueError(f"{name} = {w} is not an integer")
-        pts.append(k)
-    s, x, t, y = pts
-    if x < 0 or y < 0:
-        raise ValueError("scaled heights must be nonnegative")
-    if t <= s:
+    s = _lattice_index(n, S, "nS")
+    xs = [_lattice_index(rn, x, "sqrt(n)X") for x in np.ravel(X)]
+    ts = [_lattice_index(n, T, "nT") for T in T_list]
+    ys = [_lattice_index(rn, Y, "sqrt(n)Y") for Y in Y_list]
+    if min(ts) <= s:
         raise ValueError("need T > S")
-    if (s + x) % 2 or (t + y) % 2:
+    if any((s + x) % 2 for x in xs) or any((t + y) % 2 for t in ts for y in ys):
         raise ValueError("scaled points must sit on the even sublattice")
-    return s, x, t, y
-
-
-def scaled_sheet(params: ScalingParams, S: float, X: float, T: float, Y: float,
-                 boundary_mode: str = "deterministic",
-                 rng: RngStream | None = None, bulk_law="uniform") -> float:
-    """One evaluation of the scaled sheet (sqrt(n)/2) z(nS, sqrt(n)X; nT,
-    sqrt(n)Y) 2^{1{Y=0}}.
-
-    boundary_mode "deterministic" uses the constant level 1 - mu/sqrt(n);
-    "random" draws i.i.d. normalized inverse-gamma boundary weights with
-    matching mean. beta = 0 with deterministic boundary is fully
-    deterministic; otherwise rng is required.
-    """
-    if rng is not None and not isinstance(rng, RngStream):
-        raise ValueError("scaled_sheet takes a single rng stream")
-    table = scaled_sheet_table(params, S, X, [T], [Y], boundary_mode, rng,
-                               bulk_law=bulk_law)
-    return float(table[0, 0])
+    return s, xs, ts, ys
 
 
 def _fill_bulk(om: np.ndarray, rngs, law, two_rn: float, beta: float) -> None:
@@ -467,7 +461,13 @@ def scaled_sheet_table(params: ScalingParams, S: float, X: float | Sequence[floa
                        boundary_mode: str = "deterministic",
                        rng: RngStream | Sequence[RngStream | None] | None = None,
                        bulk_law="uniform") -> np.ndarray:
-    """scaled_sheet on a (T, Y) grid from a single forward DP sweep.
+    """The scaled sheet (sqrt(n)/2) z(nS, sqrt(n)X; nT, sqrt(n)Y) 2^{1{Y=0}}
+    on a (T, Y) grid from a single forward DP sweep.
+
+    boundary_mode "deterministic" uses the constant level 1 - mu/sqrt(n);
+    "random" draws i.i.d. normalized inverse-gamma boundary weights with
+    matching mean. beta = 0 with deterministic boundary is fully
+    deterministic; otherwise rng is required.
 
     X is one start height or a 1-D sequence of them. All starts ride the
     same sweep in one environment: each stream's boundary and bulk weights
@@ -495,13 +495,8 @@ def scaled_sheet_table(params: ScalingParams, S: float, X: float | Sequence[floa
     if np.ndim(X) > 1 or np.size(X) == 0:
         raise ValueError("X must be a start height or a nonempty 1-D sequence")
     rn = params.sqrt_n
-    pts = [_scaled_lattice_point(params, S, x0, T, Y)
-           for x0 in np.ravel(X) for T in T_list for Y in Y_list]
-    s = pts[0][0]
-    xs = [p[1] for p in pts[::len(T_list) * len(Y_list)]]
-    x_top = max(xs)
-    t_max = max(p[2] for p in pts)
-    y_max = max(p[3] for p in pts)
+    s, xs, ts, ys = _scaled_lattice_points(params, S, X, T_list, Y_list)
+    x_top, t_max, y_max = max(xs), max(ts), max(ys)
     t_span = max(T_list) - S
     cap = int(max(x_top, y_max) + math.ceil(8.0 * math.sqrt(t_span) * rn))
     cap = min(cap, x_top + (t_max - s))
@@ -527,8 +522,7 @@ def scaled_sheet_table(params: ScalingParams, S: float, X: float | Sequence[floa
     om = np.empty((n_rep, rows, cap)) if params.beta != 0.0 else None
     out = np.zeros((n_rep, len(xs), len(T_list), len(Y_list)))
     want = {}
-    for a, T in enumerate(T_list):
-        t = int(round(params.n * T))
+    for a, t in enumerate(ts):
         want.setdefault(t, []).append(a)
     # f is [replica, start, height]; g broadcasts over the starts
     f = np.zeros((n_rep, len(xs), cap + 1))
@@ -537,8 +531,7 @@ def scaled_sheet_table(params: ScalingParams, S: float, X: float | Sequence[floa
 
     def record(t):
         for a in want.get(t, ()):
-            for b, Y in enumerate(Y_list):
-                yy = int(round(rn * Y))
+            for b, yy in enumerate(ys):
                 val = f[..., yy] if yy <= cap else 0.0
                 out[..., a, b] = (rn / 2.0) * val * (2.0 if yy == 0 else 1.0)
 

@@ -10,8 +10,6 @@ Bernoulli-number coefficients. At x >= 10 the first omitted term is below
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # Bernoulli numbers B_2, B_4, ..., B_14
@@ -77,16 +75,3 @@ def trigamma(x):
     out = acc + inv + 0.5 * inv2 + series
     return float(out[0]) if scalar else out
 
-
-def euler_gamma() -> float:
-    """Euler-Mascheroni constant, as -psi(1)."""
-    return -digamma(1.0)
-
-
-def log_gamma(x):
-    """log Gamma(x); delegated to math/numpy lgamma (used only for CDF scaling)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return math.lgamma(float(x))
-    vec = np.vectorize(math.lgamma)
-    return vec(x)

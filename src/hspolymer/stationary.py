@@ -22,6 +22,7 @@ import numpy as np
 
 from .distributions import inverse_gamma_moment
 from .rng import RngStream
+from .she import _lattice_index
 
 
 @dataclass(frozen=True)
@@ -311,13 +312,7 @@ def scaled_initial_data(n: int, u: float, v: float, x_grid, rng: RngStream,
     sample_zuv_path. Requires sqrt(n) X integer on the grid.
     """
     sqrt_n = np.sqrt(n)
-    ks = []
-    for x in x_grid:
-        kf = sqrt_n * x
-        k = int(round(kf))
-        if abs(kf - k) > 1e-9 or k < 0:
-            raise ValueError(f"sqrt(n) X must be a nonnegative integer, got {kf}")
-        ks.append(k)
+    ks = [_lattice_index(sqrt_n, x, "sqrt(n) X") for x in x_grid]
     params = DiscreteStationaryParams(alpha=0.5 + sqrt_n, u=u, v=v)
     log_z = sample_zuv_path(params, max(ks), rng, n_replicas)
     return np.array(ks) * (0.5 * np.log(n)) + log_z[:, ks]
@@ -334,10 +329,7 @@ def second_moment_analytic(n: int, u: float, v: float, x: float) -> float:
     """
     sqrt_n = np.sqrt(n)
     alpha_n = 0.5 + sqrt_n
-    kf = sqrt_n * x
-    k = int(round(kf))
-    if abs(kf - k) > 1e-9 or k < 0:
-        raise ValueError(f"sqrt(n) X must be a nonnegative integer, got {kf}")
+    k = _lattice_index(sqrt_n, x, "sqrt(n) X")
     if not alpha_n - abs(v) > 2:
         raise ValueError("second moments need alpha_n +- v > 2")
     m2m = inverse_gamma_moment(alpha_n - v, 2)   # M_2(-v)

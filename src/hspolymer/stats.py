@@ -20,11 +20,10 @@ from .rng import RngStream
 
 @dataclass
 class SampleSet:
-    """Tagged i.i.d. scalar draws with seed provenance."""
+    """Tagged i.i.d. scalar draws."""
 
     values: np.ndarray
     label: str = ""
-    seed_info: str = ""
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float).ravel()

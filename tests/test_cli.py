@@ -103,6 +103,17 @@ def test_workers_below_one_exit_2(runner, tmp_path, workers):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment", ["one-row-stationarity",
+                                        "two-row-stationarity"])
+def test_empty_offsets_exit_2(runner, tmp_path, experiment):
+    # an empty offset list used to end in an IndexError, exit 1 ("failed")
+    cfg = _write_config(tmp_path / "c.json", experiment=experiment,
+                        params={"offsets": [], "n_samples": 2000})
+    res = runner.invoke(main, ["run", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "offsets" in res.output
+
+
 def test_missing_config_file(runner, tmp_path):
     res = runner.invoke(main, ["run", str(tmp_path / "absent.json")])
     assert res.exit_code == 2

@@ -104,6 +104,20 @@ def test_one_row_params_pins_corner():
         lattice.one_row_params(1.5, -1.5, 5)
 
 
+@pytest.mark.parametrize("site", [(3, 1), (1, 2), (0, 0), (2, 3)])
+def test_exemption_outside_the_octant_is_refused(site):
+    # (3, 1) on N = 2 used to pass construction and fail sampling with an
+    # IndexError
+    with pytest.raises(ValueError, match="outside the octant"):
+        lattice.OctantParams(0.5, [1.0, 1.0], exemptions={site})
+
+
+@pytest.mark.parametrize("kind,v", [("one_row", None), ("two_row", -0.4)])
+def test_row_samples_refuse_empty_offsets(kind, v):
+    with pytest.raises(ValueError, match="nonempty"):
+        lattice.stationary_row_samples(kind, 1.5, 0.6, v, 3, [], 10, RngStream(0))
+
+
 def test_two_row_params_pinning_rules():
     # u + v > 0: only (2,1) pinned, (1,1) carries a sampled weight
     p = lattice.two_row_params(1.5, 0.6, -0.4, 5)
@@ -237,18 +251,6 @@ def test_two_row_ratio_base_invariance():
     res = ks_two_sample(SampleSet(a[:, 0], label="m=2"),
                         SampleSet(b[:, 0], label="m=4"))
     assert res.passed, (res.statistic, res.threshold)
-
-
-def test_increments_along_path():
-    rng = RngStream(2011)
-    params = _random_params(rng, 5)
-    field = lattice.sample_weight_field(params, rng)
-    grid = lattice.partition_recurrence(field, 5, 5)
-    path = lattice.DownRightPath([(0, 0), (1, 0), (2, 0), (2, -1)])
-    inc = lattice.increments_along_path(grid, path, (3, 3))
-    assert inc[0] == 0.0
-    assert inc[1] == pytest.approx(grid.log_z[4, 3] - grid.log_z[3, 3], rel=1e-12)
-    assert inc[3] == pytest.approx(grid.log_z[5, 2] - grid.log_z[3, 3], rel=1e-12)
 
 
 def test_permutation_experiment_reproducible_and_checked():

@@ -91,14 +91,20 @@ def test_stationary_setup_rejects_invalid(kind, bulk, p1, p2):
         lpp._stationary_setup(kind, bulk, p1, p2)
 
 
-def test_stationary_grid_pins_subtracted_corners():
-    grid = lpp.stationary_lpp_grid(
-        "exp_two", {"a": 1.0, "u": 0.6, "v": -0.3, "max_n": 5},
-        RngStream(4003))
-    assert grid.exemptions == frozenset({(1, 1), (2, 1)})
-    assert grid.times[1, 1] == 0.0
-    assert grid.times[2, 1] == 0.0
-    assert grid.times[3, 1] > 0.0
+def test_stationary_setup_pins_subtracted_corners():
+    # the one-row kinds pin (1,1), the two-row kinds (1,1) and (2,1); the
+    # divergent corner weight is among them, so only the pinned rows validate
+    for kind, p1, p2, pinned in [
+            ("geom_one", 0.8, None, {(1, 1)}),
+            ("geom_two", 0.6, 0.9, {(1, 1), (2, 1)}),
+            ("exp_one", 0.3, None, {(1, 1)}),
+            ("exp_two", 0.6, -0.3, {(1, 1), (2, 1)})]:
+        bulk = 0.5 if kind.startswith("geom") else 1.0
+        mk, exempt = lpp._stationary_setup(kind, bulk, p1, p2)
+        assert exempt == frozenset(pinned)
+        mk(5).validate(5, exempt)
+        with pytest.raises(ValueError):
+            mk(5).validate(5)
 
 
 def test_row_streamer_needs_base_offset_and_min_row():
@@ -110,6 +116,9 @@ def test_row_streamer_needs_base_offset_and_min_row():
                                        RngStream(0), p2=-0.3)
     with pytest.raises(ValueError):
         lpp.stationary_row_samples_lpp("exp_one", 1.0, 0.3, 0, [0, 1], 10,
+                                       RngStream(0))
+    with pytest.raises(ValueError):
+        lpp.stationary_row_samples_lpp("exp_one", 1.0, 0.3, 2, [], 10,
                                        RngStream(0))
 
 

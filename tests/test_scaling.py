@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hspolymer import scaling
+from hspolymer import scaling, she
 from hspolymer.rng import RngStream
-from hspolymer.stationary import scaled_initial_data
+from hspolymer.stationary import scaled_initial_data, second_moment_analytic
 from hspolymer.stats import SampleSet, ks_two_sample
 
 
@@ -16,15 +16,9 @@ def test_config_validation():
         scaling.KpzScalingConfig(16, 0.6, 0.2)   # v > 0
     with pytest.raises(ValueError):
         scaling.KpzScalingConfig(16, -0.3, -0.2)  # v > u
-    with pytest.raises(ValueError):
-        scaling.KpzScalingConfig(16, 0.6, -0.2, t_grid=(0.3,))
-    with pytest.raises(ValueError):
-        scaling.KpzScalingConfig(16, 0.6, -0.2, x_grid=(0.3,))
-    cfg = scaling.KpzScalingConfig(16, 0.6, -0.2, t_grid=(0.0, 0.5),
-                                   x_grid=(0.25, 1.0))
+    cfg = scaling.KpzScalingConfig(16, 0.6, -0.2)
     assert cfg.sqrt_n == 4
     assert cfg.alpha_n == pytest.approx(4.5)
-    assert cfg.mu == pytest.approx(0.1)
 
 
 def test_process_needs_two_distinct_rows():
@@ -159,3 +153,56 @@ def test_matching_identity_reproducible():
                                         RngStream(6104))
     assert np.array_equal(a["lhs_log"], b["lhs_log"])
     assert np.array_equal(a["rhs_log"], b["rhs_log"])
+
+
+_SHEET16 = she.ScalingParams(16, 0.0, 0.0)
+_KPZ16 = scaling.KpzScalingConfig(16, 0.6, -0.2)
+
+# every refusal of a scaled coordinate or lattice level reached through a
+# public caller, at n = 16 (sqrt(n) = 4)
+SCALED_REFUSALS = {
+    "sheet-X-not-integral": lambda: she.scaled_sheet_table(
+        _SHEET16, 0.0, 0.3, [0.5], [0.25]),
+    "sheet-Y-not-integral": lambda: she.scaled_sheet_table(
+        _SHEET16, 0.0, 0.0, [0.5], [0.3]),
+    "sheet-T-not-integral": lambda: she.scaled_sheet_table(
+        _SHEET16, 0.0, 0.0, [0.51], [0.0]),
+    "sheet-S-not-integral": lambda: she.scaled_sheet_table(
+        _SHEET16, 0.01, 0.0, [0.5], [0.0]),
+    "sheet-X-negative": lambda: she.scaled_sheet_table(
+        _SHEET16, 0.0, -0.5, [0.5], [0.0]),
+    "sheet-Y-negative": lambda: she.scaled_sheet_table(
+        _SHEET16, 0.0, 0.0, [0.5], [-0.5]),
+    "sheet-T-not-after-S": lambda: she.scaled_sheet_table(
+        _SHEET16, 0.5, 0.0, [0.5], [0.0]),
+    "sheet-start-off-sublattice": lambda: she.scaled_sheet_table(
+        _SHEET16, 0.0, 0.25, [0.5], [0.0]),
+    "sheet-end-off-sublattice": lambda: she.scaled_sheet_table(
+        _SHEET16, 0.0, 0.0, [0.5], [0.25]),
+    "sheet-one-start-off-sublattice": lambda: she.scaled_sheet_table(
+        _SHEET16, 0.0, [0.0, 0.25], [0.5], [0.0]),
+    "sheet-n-not-square": lambda: she.ScalingParams(10, 0.0, 0.0),
+    "sheet-n-below-4": lambda: she.ScalingParams(1, 0.0, 0.0),
+    "kpz-n-not-square": lambda: scaling.KpzScalingConfig(10, 0.6, -0.2),
+    "kpz-n-below-4": lambda: scaling.KpzScalingConfig(1, 0.6, -0.2),
+    "kpz-T-not-integral": lambda: scaling.scaled_stationary_process(
+        _KPZ16, 0.3, [0.0], RngStream(0)),
+    "kpz-T-negative": lambda: scaling.scaled_stationary_process(
+        _KPZ16, -0.25, [0.0], RngStream(0)),
+    "kpz-X-not-integral": lambda: scaling.scaled_stationary_process(
+        _KPZ16, 0.0, [0.0, 0.3], RngStream(0)),
+    "kpz-X-negative": lambda: scaling.scaled_stationary_process(
+        _KPZ16, 0.0, [-0.25], RngStream(0)),
+    "init-X-not-integral": lambda: scaled_initial_data(
+        16, 0.6, 0.2, [0.0, 0.3], RngStream(0)),
+    "init-X-negative": lambda: scaled_initial_data(
+        16, 0.6, 0.2, [-0.25], RngStream(0)),
+    "moment-X-not-integral": lambda: second_moment_analytic(100, 0.5, 0.2, 0.123),
+    "moment-X-negative": lambda: second_moment_analytic(100, 0.5, 0.2, -0.1),
+}
+
+
+@pytest.mark.parametrize("call", SCALED_REFUSALS.values(), ids=SCALED_REFUSALS.keys())
+def test_scaled_coordinates_are_refused(call):
+    with pytest.raises(ValueError):
+        call()

@@ -308,20 +308,23 @@ def test_scaling_params():
 def test_scaled_lattice_point_rejects_bad_grids():
     p = she.ScalingParams(16, 0.0, 0.0)
     with pytest.raises(ValueError):
-        she.scaled_sheet(p, 0.0, 0.3, 0.5, 0.25)   # sqrt(n) X not integral
+        she.scaled_sheet_table(p, 0.0, 0.3, [0.5], [0.25])  # sqrt(n) X not integral
     with pytest.raises(ValueError):
-        she.scaled_sheet(p, 0.5, 0.0, 0.5, 0.0)    # T = S
+        she.scaled_sheet_table(p, 0.5, 0.0, [0.5], [0.0])   # T = S
     with pytest.raises(ValueError):
-        she.scaled_sheet(p, 0.0, 0.25, 0.5, 0.0)   # off the even sublattice
+        she.scaled_sheet_table(p, 0.0, 0.25, [0.5], [0.0])  # off the even sublattice
+    # a negative S is refused like the other coordinates
+    with pytest.raises(ValueError, match="nS"):
+        she.scaled_sheet_table(p, -0.5, 0.0, [0.5], [0.0])
 
 
 def test_scaled_sheet_needs_rng_for_randomness():
     p = she.ScalingParams(64, 0.0, 1.0)
     with pytest.raises(ValueError):
-        she.scaled_sheet(p, 0.0, 0.0, 0.25, 0.0)
+        she.scaled_sheet_table(p, 0.0, 0.0, [0.25], [0.0])
     with pytest.raises(ValueError):
-        she.scaled_sheet(she.ScalingParams(64, 0.0, 0.0), 0.0, 0.0, 0.25, 0.0,
-                         boundary_mode="random")
+        she.scaled_sheet_table(she.ScalingParams(64, 0.0, 0.0), 0.0, 0.0, [0.25],
+                               [0.0], boundary_mode="random")
 
 
 def test_scaled_sheet_table_matches_single_points():
@@ -329,16 +332,16 @@ def test_scaled_sheet_table_matches_single_points():
     tab = she.scaled_sheet_table(p, 0.0, 0.25, [0.25, 0.5], [0.25, 0.75])
     for a, T in enumerate([0.25, 0.5]):
         for b, Y in enumerate([0.25, 0.75]):
-            assert tab[a, b] == pytest.approx(
-                she.scaled_sheet(p, 0.0, 0.25, T, Y), rel=1e-12)
+            one = she.scaled_sheet_table(p, 0.0, 0.25, [T], [Y])
+            assert one.shape == (1, 1)
+            assert tab[a, b] == pytest.approx(one[0, 0], rel=1e-12)
 
 
 def test_scaled_sheet_random_modes_reproducible():
     p = she.ScalingParams(64, 0.4, 1.0)
-    a = she.scaled_sheet(p, 0.0, 0.0, 0.25, 0.25, boundary_mode="random",
-                         rng=RngStream(5209), bulk_law="ig")
-    b = she.scaled_sheet(p, 0.0, 0.0, 0.25, 0.25, boundary_mode="random",
-                         rng=RngStream(5209), bulk_law="ig")
+    a, b = (she.scaled_sheet_table(p, 0.0, 0.0, [0.25], [0.25],
+                                   boundary_mode="random", rng=RngStream(5209),
+                                   bulk_law="ig")[0, 0] for _ in range(2))
     assert a == b and np.isfinite(a) and a > 0.0
 
 
@@ -450,8 +453,6 @@ def test_batched_sheet_table_validates_streams():
     with pytest.raises(ValueError):
         she.scaled_sheet_table(p, 0.0, 0.0, [0.25], [0.0],
                                rng=[RngStream(1), None])
-    with pytest.raises(ValueError):
-        she.scaled_sheet(p, 0.0, 0.0, 0.25, 0.0, rng=[RngStream(1)])
     # nothing random: a sequence of None gives identical replicas
     q = she.ScalingParams(64, 0.0, 0.0)
     tab = she.scaled_sheet_table(q, 0.0, 0.0, [0.25], [0.0], rng=[None, None])
@@ -507,6 +508,6 @@ def test_neumann_kernel_normalized():
 def test_scaled_sheet_converges_to_robin_kernel():
     for mu, tol in [(0.0, 2e-3), (0.7, 5e-2)]:
         p = she.ScalingParams(1024, mu, 0.0)
-        got = she.scaled_sheet(p, 0.0, 0.0, 0.5, 0.5)
+        got = she.scaled_sheet_table(p, 0.0, 0.0, [0.5], [0.5])[0, 0]
         want = she.robin_heat_kernel(mu, 0.0, 0.0, 0.5, 0.5)
         assert got == pytest.approx(want, rel=tol)
