@@ -6,10 +6,11 @@ rng            Seeded, splittable random streams.
 special        Digamma and trigamma used by the inverse-gamma log-moments.
 distributions  Samplers and CDFs for the four weight laws.
 stats          KS tests, moment comparisons, suite evaluation with retries.
-lattice        Octant weights, the partition row sweep and its oracles, and
-               the one- and two-row stationary specializations.
+lattice        The octant model for every weight law: parameter layout,
+               weights, the row sweep and its oracles, and the one- and
+               two-row stationary increments.
 stationary     Discrete and continuum stationary boundary processes.
-lpp            Zero-temperature (last passage) counterparts.
+lpp            Zero-temperature (last passage) laws on that model.
 she            Reflected-walk partition functions, the scaled sheet as a
                (T, Y) table, and the Robin heat kernel.
 scaling        Intermediate-disorder scaling and the matching identity.

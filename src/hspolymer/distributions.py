@@ -41,10 +41,11 @@ def sample_geometric(q, rng: RngStream, size=None):
 
     Sampled by inversion: P(g >= j) = q^j, so g = floor(log U / log q).
     U = 0 (probability 2**-53) is read as the smallest positive double, so
-    the draw stays a finite count; every draw with U > 0 is unchanged.
+    the draw stays a finite count; every draw with U > 0 is unchanged. q may
+    be an array broadcast against size.
     """
-    q = float(q)
-    if not 0.0 < q < 1.0:
+    q = np.asarray(q, dtype=float)
+    if not np.all((0.0 < q) & (q < 1.0)):
         raise ValueError(f"geometric parameter must lie in (0,1), got {q}")
     u = np.maximum(rng.gen.random(size=size), np.finfo(float).smallest_subnormal)
     return np.floor(np.log(u) / np.log(q)).astype(np.int64)

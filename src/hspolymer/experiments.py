@@ -95,9 +95,8 @@ def _s_scaled_proc(rng, n_samp, n, u, v, T, xs):
 
 
 def _s_lpp_rows(rng, n, kind, bulk, p1, m, offsets, p2=None):
-    got = lpp.stationary_row_samples_lpp(kind, bulk, p1, m, [0] + list(offsets),
-                                         n, rng, p2=p2)
-    return np.stack([got[k] for k in offsets], axis=1)
+    return lpp.stationary_row_samples_lpp(kind, bulk, p1, m, offsets, n, rng,
+                                          p2=p2)
 
 
 def _s_matching(rng, n, alpha, u, v, t, y):
@@ -107,11 +106,9 @@ def _s_matching(rng, n, alpha, u, v, t, y):
 
 def _s_perm(rng, n, alpha_circ, alphas, sigma, m, offsets):
     """[original columns | permuted columns], one column per offset."""
-    octant = lattice.OctantParams(alpha_circ, np.array(alphas, dtype=float))
-    orig, perm = lattice.permutation_symmetry_experiment(octant, sigma, m,
-                                                         offsets, n, rng)
-    return np.stack([orig[k].values for k in offsets]
-                    + [perm[k].values for k in offsets], axis=1)
+    octant = lattice.OctantParams(alpha_circ, alphas)
+    return np.concatenate(lattice.permutation_symmetry_experiment(
+        octant, sigma, m, offsets, n, rng), axis=1)
 
 
 SAMPLERS = {
@@ -331,6 +328,8 @@ def _suite(name: str, checks, seed: int, ctx: RunContext, keep=()):
     collected once and released after the last check that reads it, unless
     it is in keep. Returns the report fields and a draw function that
     serves the kept draws and collects any other."""
+    if not checks:
+        raise ValueError(f"{name}: no checks to run")
     arrays = {}
 
     def draw(d: _Draw) -> np.ndarray:
@@ -409,6 +408,10 @@ def exp_burke(params: dict, seeds: list, ctx: RunContext) -> dict:
 
 def _pairwise_m(sampler: str, base_kw: dict, m_list, offsets, n: int, tag: str):
     """One draw per base point m, and a check per offset and pair of m."""
+    if len(m_list) < 2:
+        raise ValueError(f"{tag}: need at least two base points m, got {m_list}")
+    if not offsets:
+        raise ValueError(f"{tag}: offsets must be nonempty")
     draws = {m: _Draw(sampler, dict(base_kw, m=m, offsets=list(offsets)),
                       f"{tag}_m{m}", n) for m in m_list}
     checks = [(f"{tag}:k={k}:m{m1}-vs-m{m2}", (draws[m1], ci), (draws[m2], ci))
@@ -738,6 +741,8 @@ def exp_kpz(params: dict, seeds: list, ctx: RunContext) -> dict:
     u, v = params["u"], params["v"]
     Ts = params["Ts"]
     Xs = list(params["Xs"])
+    if not Ts or not Xs:
+        raise ValueError("kpz-scaling needs nonempty Ts and Xs")
     nsamp = int(params["n_samples"])
     xs_full = [0.0] + Xs
     procs = {T: _Draw("scaled_proc", {"n": n, "u": u, "v": v, "T": T, "xs": xs_full},

@@ -1,23 +1,27 @@
-"""Half-space polymer on the octant: weights, partition recurrence, oracles.
+"""The octant model, once for every weight law: parameter layout, weights,
+the row sweep and its oracles, and the stationary increments.
 
-The model lives on lattice sites (i, j) with i >= j >= 1. Site weights are
-inverse-gamma with shape alpha_i + alpha_j off the diagonal and
-alpha_circ + alpha_i on it. The partition function z(n, m) sums, over up-right
-paths from (1,1) to (n,m) that stay inside the octant, the product of the
-weights along the path. All partition arithmetic is done in log domain; z
-grows or decays geometrically in n+m and would leave double range within a
-few hundred steps otherwise. The recurrence lives in one row sweep,
-replicated_rows, whose semiring sum is logaddexp here; lpp runs the same
-sweep with np.maximum for last passage, the zero-temperature limit.
+Sites (i, j) with i >= j >= 1 carry parameters theta(i, j) built from
+(circ; a_1..a_N): a rule of a_i and a_j off the diagonal and of circ and
+a_i on it. A weight law supplies that site rule, the open interval its
+parameters must lie in, its per-site draw and its semiring sum.
+OctantParams is the log-gamma polymer: log inverse-gamma weights, whose
+partition function z(n, m) sums, over up-right paths from (1,1) to (n,m)
+inside the octant, the product of the weights along the path. Partition
+arithmetic is in log domain, since z grows or decays geometrically in n+m
+and would leave double range within a few hundred steps. The recurrence is
+one row sweep, replicated_rows, with logaddexp as its sum; lpp's
+exponential and geometric laws run the same sweep with np.maximum for last
+passage, the zero-temperature limit.
 
-Divergent boundary weights (parameter sum zero) are represented by pinning
-the site's log-weight to 0 and exempting it from validation. The stationary
-objects are defined as ratios in which those weights cancel, so pinning is
-exactly the removal the definitions perform.
+Divergent boundary weights (parameter sum zero) are pinned to the unit of
+the path product (log-weight 0, passage-time weight 0) and exempt from
+validation. The stationary objects are ratios in which those weights
+cancel, so pinning is exactly the removal the definitions perform.
 """
-
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -25,57 +29,69 @@ from math import comb
 import numpy as np
 
 from .rng import RngStream
-from .stats import SampleSet
 
 
-@dataclass
+@dataclass(frozen=True)
 class OctantParams:
-    """Inhomogeneity parameters (alpha_circ; alpha_1..alpha_N).
+    """Parameters (alpha_circ; alpha_1..alpha_N) on the octant, under the
+    log-gamma law: inverse-gamma weights of shape alpha_i + alpha_j off the
+    diagonal and alpha_circ + alpha_i on it.
 
-    exemptions lists octant sites whose weight is pinned to 1 (log-weight 0);
-    their parameter sums are excluded from the positivity validation.
+    exemptions lists the pinned sites, which are neither validated nor
+    drawn. theta holds the site parameters as an (N+1, N+1) array, NaN off
+    the octant and at pinned sites; construction refuses a drawn site whose
+    parameter lies outside the law's interval. A subclass changes the law
+    through the class attributes: the site rule combine, the open interval
+    bounds, the per-site draw (parameter, stream, size) and the semiring
+    sum plus.
     """
 
     alpha_circ: float
     alphas: np.ndarray
     exemptions: frozenset = frozenset()
+    theta: np.ndarray = dataclasses.field(init=False, repr=False,
+                                          compare=False)
+
+    combine = np.add
+    bounds = (0.0, np.inf)
+    plus = np.logaddexp
+
+    @staticmethod
+    def draw(theta, rng: RngStream, size):
+        """Log-weights at site parameter theta."""
+        return -np.log(rng.gen.standard_gamma(theta, size=size))
 
     def __post_init__(self):
-        self.alphas = np.asarray(self.alphas, dtype=float)
-        if self.alphas.ndim != 1 or self.alphas.size < 1:
+        a = np.asarray(self.alphas, dtype=float)
+        if a.ndim != 1 or a.size < 1:
             raise ValueError("alphas must be a non-empty 1-d array")
-        self.validate()
+        n = a.size
+        pinned = frozenset(self.exemptions)
+        for (i, j) in pinned:
+            if not 1 <= j <= i <= n:
+                raise ValueError(f"exempt site ({i},{j}) outside the octant")
+        # rows and columns indexed from 1, as the sites are
+        a1 = np.concatenate(([np.nan], a))
+        site = self.combine(a1[:, None], a1[None, :])
+        diag = np.arange(1, n + 1)
+        site[diag, diag] = self.combine(self.alpha_circ, a)
+        drawn = np.zeros((n + 1, n + 1), dtype=bool)
+        drawn[1:, 1:] = np.tri(n, dtype=bool)
+        for ij in pinned:
+            drawn[ij] = False
+        lo, hi = self.bounds
+        bad = drawn & ~((lo < site) & (site < hi))
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(f"site parameter at ({i},{j}) is {site[i, j]}, "
+                             f"outside ({lo}, {hi})")
+        object.__setattr__(self, "alphas", a)
+        object.__setattr__(self, "exemptions", pinned)
+        object.__setattr__(self, "theta", np.where(drawn, site, np.nan))
 
     @property
     def size(self) -> int:
         return self.alphas.size
-
-    def alpha(self, i: int) -> float:
-        return float(self.alphas[i - 1])
-
-    def theta(self, i: int, j: int) -> float:
-        """Weight shape at octant site (i, j)."""
-        if i == j:
-            return self.alpha_circ + self.alpha(i)
-        return self.alpha(i) + self.alpha(j)
-
-    def validate(self):
-        n = self.size
-        a = self.alphas
-        for (i, j) in self.exemptions:
-            if not 1 <= j <= i <= n:
-                raise ValueError(f"exempt site ({i},{j}) outside the octant")
-        for i in range(1, n + 1):
-            if (i, i) not in self.exemptions and not self.alpha_circ + a[i - 1] > 0:
-                raise ValueError(
-                    f"alpha_circ + alpha_{i} = {self.alpha_circ + a[i-1]} <= 0"
-                )
-        # pairwise sums; vectorized, then exemptions removed
-        s = a[:, None] + a[None, :]
-        bad_i, bad_j = np.nonzero(s <= 0)
-        for bi, bj in zip(bad_i + 1, bad_j + 1):
-            if bi > bj and (bi, bj) not in self.exemptions:
-                raise ValueError(f"alpha_{bi} + alpha_{bj} = {s[bi-1, bj-1]} <= 0")
 
 
 @dataclass
@@ -97,30 +113,25 @@ class PartitionGrid:
 
 
 def sample_weight_field(params: OctantParams, rng: RngStream) -> WeightField:
-    """Draw all octant weights for the given parameters.
+    """Draw all octant weights for the given parameters."""
+    return WeightField(log_w=_draw_sites(params, params.size, rng))
 
-    Off-diagonal site (i,j), i>j, gets log of an inverse-gamma variate with
-    shape alpha_i + alpha_j; the diagonal uses alpha_circ + alpha_i.
-    Exempted sites are pinned to log-weight 0 and never sampled.
-    """
-    n = params.size
-    a = params.alphas
-    theta = np.full((n + 1, n + 1), np.nan)
-    ii, jj = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1), indexing="ij")
-    octant = ii >= jj
-    theta[1:, 1:][octant] = (a[ii - 1] + a[jj - 1])[octant]
-    diag = np.arange(1, n + 1)
-    theta[diag, diag] = params.alpha_circ + a
+
+def _draw_sites(params: OctantParams, max_n: int, rng: RngStream) -> np.ndarray:
+    """Dense (max_n+1, max_n+1) weights on rows 1..max_n, NaN off the
+    octant: one draw of the law over the drawn sites in row-major order
+    (row by row, each in column order), and 0.0 at the pinned sites."""
+    if not 1 <= max_n <= params.size:
+        raise ValueError(f"need 1 <= max_n <= {params.size}, got {max_n}")
+    theta = params.theta[: max_n + 1, : max_n + 1]
+    w = np.full(theta.shape, np.nan)
+    drawn = ~np.isnan(theta)
+    th = theta[drawn]
+    w[drawn] = params.draw(th, rng, th.shape)
     for (i, j) in params.exemptions:
-        theta[i, j] = np.nan
-    log_w = np.full((n + 1, n + 1), np.nan)
-    mask = np.isfinite(theta)
-    if np.any(theta[mask] <= 0):
-        raise ValueError("nonpositive weight shape at a non-exempt site")
-    log_w[mask] = -np.log(rng.gen.standard_gamma(theta[mask]))
-    for (i, j) in params.exemptions:
-        log_w[i, j] = 0.0
-    return WeightField(log_w=log_w)
+        if i <= max_n:
+            w[i, j] = 0.0
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +323,14 @@ def two_row_params(alpha: float, u: float, v: float, max_n: int) -> OctantParams
 
 def make_row_logw(params: OctantParams, max_m: int, n_replicas: int, rng: RngStream,
                   capture: dict | None = None):
-    """Row-weight provider for replicated_rows from octant parameters.
+    """Row-weight provider for replicated_rows from octant parameters of any
+    law: each row's sites are drawn in column order, n_replicas at a time,
+    and pinned sites get weight 0.
 
-    capture, if given, receives log-weights of single sites as {(i, j): (R,)
+    capture, if given, receives weights of single sites as {(i, j): (R,)
     array} as the sweep passes them (used to divide out boundary weights).
     """
-    gen = rng.gen
+    theta = params.theta
 
     def row(n: int) -> np.ndarray:
         m_hi = min(n, max_m)
@@ -328,9 +341,7 @@ def make_row_logw(params: OctantParams, max_m: int, n_replicas: int, rng: RngStr
             if (n, m) in params.exemptions:
                 buf[m] = 0.0
             else:
-                np.log(gen.standard_gamma(params.theta(n, m), size=n_replicas),
-                       out=buf[m])
-                np.negative(buf[m], out=buf[m])
+                buf[m] = params.draw(theta[n, m], rng, n_replicas)
         if capture is not None:
             for (i, j) in list(capture):
                 if i == n and j <= m_hi and capture[(i, j)] is None:
@@ -340,44 +351,53 @@ def make_row_logw(params: OctantParams, max_m: int, n_replicas: int, rng: RngStr
     return row
 
 
-def stationary_row_samples(kind: str, alpha: float, u: float, v: float | None,
-                           m: int, offsets, n_replicas: int, rng: RngStream) -> np.ndarray:
-    """Monte Carlo draws of log z_stat(m+k, m) - log z_stat(m, m).
+def stationary_increments(params_for, defect_rows: int, m: int, offsets,
+                          n_replicas: int, rng: RngStream) -> np.ndarray:
+    """Monte Carlo draws of Z(m+k, m) - Z(m, m) for k in offsets, where Z is
+    log z for the polymer and the passage time for last passage.
 
-    kind selects the one-row or two-row specialization. offsets is a
-    nonempty list of k >= 0; column m is recorded at rows m+k and the base row m. Returns an
-    (n_replicas, len(offsets)) array of log-ratios, jointly sampled so the
-    law across offsets is the process law.
+    params_for(size) gives the stationary parameters on rows 1..size, whose
+    first defect_rows rows carry the defect parameters; the base row m must
+    lie at or past them. offsets is a nonempty list of k >= 0. Returns an
+    (n_replicas, len(offsets)) array, column c for offsets[c], jointly
+    sampled so the law across offsets is the process law.
     """
-    offsets = sorted(set(int(k) for k in offsets))
-    if not offsets or offsets[0] < 0:
+    offsets = [int(k) for k in offsets]
+    if not offsets or min(offsets) < 0:
         raise ValueError("offsets must be a nonempty list of k >= 0")
-    max_n = m + offsets[-1]
-    if kind == "one_row":
-        params = one_row_params(alpha, u, max_n)
-        if m < 1:
-            raise ValueError("one-row base needs m >= 1")
-    elif kind == "two_row":
-        params = two_row_params(alpha, u, v, max_n)
-        if m < 2:
-            raise ValueError("two-row stationarity holds from m >= 2")
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    record = {m + k: [m] for k in offsets}
-    if m not in record:
-        record[m] = [m]
+    if m < defect_rows:
+        raise ValueError(f"stationarity holds from m >= {defect_rows}, got m={m}")
+    max_n = m + max(offsets)
+    params = params_for(max_n)
+    record = {m + k: [m] for k in [0] + offsets}
     rows = replicated_rows(make_row_logw(params, m, n_replicas, rng),
-                           max_n, m, n_replicas, record)
+                           max_n, m, n_replicas, record, params.plus)
     base = rows[(m, m)]
     return np.stack([rows[(m + k, m)] - base for k in offsets], axis=1)
 
 
+def stationary_row_samples(kind: str, alpha: float, u: float, v: float | None,
+                           m: int, offsets, n_replicas: int, rng: RngStream) -> np.ndarray:
+    """Draws of log z_stat(m+k, m) - log z_stat(m, m) for the one-row
+    (kind "one_row", m >= 1) or two-row ("two_row", m >= 2) specialization;
+    see stationary_increments."""
+    if kind == "one_row":
+        return stationary_increments(lambda size: one_row_params(alpha, u, size),
+                                     1, m, offsets, n_replicas, rng)
+    if kind == "two_row":
+        return stationary_increments(lambda size: two_row_params(alpha, u, v, size),
+                                     2, m, offsets, n_replicas, rng)
+    raise ValueError(f"unknown kind {kind!r}")
+
+
 def permutation_symmetry_experiment(params: OctantParams, permutation, row_m: int,
                                     offsets, n_samples: int, rng: RngStream):
-    """Paired samples of (log z(m+k, m))_k under original and permuted alphas.
+    """Paired samples of (Z(m+k, m))_k under original and permuted row
+    parameters, as two (n_samples, len(offsets)) arrays, column c for
+    offsets[c].
 
     permutation is a sequence sigma with sigma[i-1] = image of index i; it
-    must fix every index above row_m. The two sample sets come from distinct
+    must fix every index above row_m. The two arrays come from distinct
     substreams, so they are independent and the downstream two-sample KS
     comparison is clean; rerunning with the same stream reproduces both.
     """
@@ -388,19 +408,15 @@ def permutation_symmetry_experiment(params: OctantParams, permutation, row_m: in
     for i in range(row_m + 1, n + 1):
         if sigma[i - 1] != i:
             raise ValueError(f"permutation moves index {i} > m={row_m}")
-    permuted_alphas = params.alphas[np.array(sigma) - 1]
-    params_perm = OctantParams(params.alpha_circ, permuted_alphas, params.exemptions)
-
-    offsets = sorted(set(int(k) for k in offsets))
-    max_n = row_m + offsets[-1]
+    permuted = type(params)(params.alpha_circ, params.alphas[np.array(sigma) - 1],
+                            params.exemptions)
+    offsets = [int(k) for k in offsets]
+    max_n = row_m + max(offsets)
     record = {row_m + k: [row_m] for k in offsets}
 
-    def run(p: OctantParams, stream: RngStream) -> dict:
+    def run(p: OctantParams, stream: RngStream) -> np.ndarray:
         rows = replicated_rows(make_row_logw(p, row_m, n_samples, stream),
-                               max_n, row_m, n_samples, record)
-        return {k: SampleSet(rows[(row_m + k, row_m)], label=f"k={k}")
-                for k in offsets}
+                               max_n, row_m, n_samples, record, p.plus)
+        return np.stack([rows[(row_m + k, row_m)] for k in offsets], axis=1)
 
-    original = run(params, rng.substream(0))
-    permuted = run(params_perm, rng.substream(1))
-    return original, permuted
+    return run(params, rng.substream(0)), run(permuted, rng.substream(1))

@@ -114,6 +114,26 @@ def test_empty_offsets_exit_2(runner, tmp_path, experiment):
     assert "offsets" in res.output
 
 
+@pytest.mark.parametrize("experiment,params", [
+    ("one-row-stationarity", {"m_list": []}),
+    ("one-row-stationarity", {"m_list": [2]}),
+    ("matching-identity", {"points": []}),
+    ("burke", {"alpha_grid": []}),
+    ("permutation-symmetry", {"perms": []}),
+    ("lpp-stationarity", {"offsets": []}),
+    ("kpz-scaling", {"Ts": []}),
+    ("kpz-scaling", {"Xs": []}),
+], ids=lambda v: v if isinstance(v, str) else next(iter(v)))
+def test_empty_axis_exit_2(runner, tmp_path, experiment, params):
+    # each of these used to pass with no check run (exit 0), drop every
+    # pairwise check, or end in an IndexError (exit 1, "failed")
+    cfg = _write_config(tmp_path / "c.json", experiment=experiment,
+                        params=dict(params, n_samples=2000))
+    res = runner.invoke(main, ["run", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert not (tmp_path / "o" / f"{experiment}_report.json").exists()
+
+
 def test_missing_config_file(runner, tmp_path):
     res = runner.invoke(main, ["run", str(tmp_path / "absent.json")])
     assert res.exit_code == 2

@@ -17,7 +17,6 @@ def _random_params(rng, size):
 def test_recurrence_matches_bruteforce(n, m):
     rng = RngStream(1000 + 10 * n + m)
     params = _random_params(rng, n)
-    params.validate()
     field = lattice.sample_weight_field(params, rng)
     grid = lattice.partition_recurrence(field, n, n)
     bf = lattice.partition_bruteforce(field, n, m)
@@ -61,12 +60,23 @@ def test_point_to_point_matches_full_grid_from_corner():
 
 
 def test_octant_params_validation():
-    with pytest.raises(ValueError):
-        lattice.OctantParams(-2.0, np.array([1.0, 1.5])).validate()
-    with pytest.raises(ValueError):
+    # construction validates every drawn site
+    with pytest.raises(ValueError, match=r"\(1,1\)"):
+        lattice.OctantParams(-2.0, np.array([1.0, 1.5]))
+    with pytest.raises(ValueError, match=r"\(2,1\)"):
         # pair sum alpha_1 + alpha_2 <= 0
-        lattice.OctantParams(1.0, np.array([0.5, -0.5])).validate()
-    lattice.OctantParams(0.3, np.array([0.8, 1.1])).validate()
+        lattice.OctantParams(1.0, np.array([0.5, -0.5]))
+    with pytest.raises(ValueError):
+        lattice.OctantParams(1.0, np.array([0.5, np.nan]))
+    p = lattice.OctantParams(0.3, np.array([0.8, 1.1]))
+    # theta: sums on the octant, NaN off it
+    want = np.array([[np.nan] * 3, [np.nan, 0.3 + 0.8, np.nan],
+                     [np.nan, 1.1 + 0.8, 0.3 + 1.1]])
+    assert np.array_equal(p.theta, want, equal_nan=True)
+    # a pinned site is neither validated nor drawn
+    q = lattice.OctantParams(1.0, np.array([0.5, -0.5]), frozenset({(2, 1)}))
+    assert np.isnan(q.theta[2, 1])
+    assert lattice.sample_weight_field(q, RngStream(1)).log_w[2, 1] == 0.0
 
 
 def test_burke_step_deterministic_identities():
@@ -262,9 +272,8 @@ def test_permutation_experiment_reproducible_and_checked():
     b_o, b_p = lattice.permutation_symmetry_experiment(params, sigma, 3,
                                                        [0, 1], 400,
                                                        RngStream(2012))
-    for k in (0, 1):
-        assert np.array_equal(a_o[k].values, b_o[k].values)
-        assert np.array_equal(a_p[k].values, b_p[k].values)
+    assert a_o.shape == a_p.shape == (400, 2)
+    assert np.array_equal(a_o, b_o) and np.array_equal(a_p, b_p)
     with pytest.raises(ValueError):
         # permutation moves an index beyond the base row
         lattice.permutation_symmetry_experiment(params, [1, 2, 4, 3, 5], 3,
@@ -276,5 +285,5 @@ def test_permutation_invariance_in_law():
     orig, perm = lattice.permutation_symmetry_experiment(
         params, [2, 3, 1, 4], 3, [0, 1], 30000, RngStream(2013))
     for k in (0, 1):
-        res = ks_two_sample(orig[k], perm[k])
+        res = ks_two_sample(SampleSet(orig[:, k]), SampleSet(perm[:, k]))
         assert res.passed, (k, res.statistic, res.threshold)

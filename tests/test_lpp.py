@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from hspolymer import lpp
-from hspolymer.distributions import exponential_cdf, gamma_cdf
-from hspolymer.lattice import replicated_rows
+from hspolymer.distributions import (exponential_cdf, gamma_cdf,
+                                     sample_exponential, sample_geometric)
+from hspolymer.lattice import make_row_logw, replicated_rows
 from hspolymer.rng import RngStream
 from hspolymer.stats import SampleSet, ks_one_sample
 
@@ -61,7 +62,7 @@ def test_passage_time_monotone_in_weights():
     w_lo = np.full((7, 7), np.nan)
     for i in range(1, 7):
         for j in range(1, i + 1):
-            r = params.rate(i, j)
+            r = params.theta[i, j]
             w_lo[i, j] = -np.log(u[i, j]) / (2.0 * r)
             w_hi[i, j] = -np.log(u[i, j]) / r
     g_lo = lpp.lpp_recurrence(w_lo, 6).times
@@ -71,12 +72,19 @@ def test_passage_time_monotone_in_weights():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        lpp.LppExpParams(0.5, (0.3, -0.4)).validate(2)
-    with pytest.raises(ValueError):
-        lpp.LppGeomParams(0.5, (0.9, 2.5)).validate(2)
+    # construction validates every drawn site: rate a_2 + a_1 < 0, and the
+    # geometric parameter q_2 q_1 > 1
+    with pytest.raises(ValueError, match=r"\(2,1\)"):
+        lpp.LppExpParams(0.5, (0.3, -0.4))
+    with pytest.raises(ValueError, match=r"\(2,1\)"):
+        lpp.LppGeomParams(0.5, (0.9, 2.5))
+    with pytest.raises(ValueError, match=r"\(1,1\)"):
+        lpp.LppGeomParams(2.0, (0.5, 0.5))  # q_circ q_1 = 1
     # an invalid site is fine when exempted
-    lpp.LppExpParams(0.5, (-0.5, 1.0)).validate(2, frozenset({(1, 1)}))
+    p = lpp.LppExpParams(0.5, (-0.5, 1.0), frozenset({(1, 1)}))
+    assert np.isnan(p.theta[1, 1]) and p.theta[2, 1] == 0.5
+    with pytest.raises(ValueError, match="max_n"):
+        lpp.sample_lpp_weights(p, 3, RngStream(0))  # beyond the parameter rows
 
 
 @pytest.mark.parametrize("kind,bulk,p1,p2", [
@@ -88,7 +96,7 @@ def test_params_validation():
 ])
 def test_stationary_setup_rejects_invalid(kind, bulk, p1, p2):
     with pytest.raises(ValueError):
-        lpp._stationary_setup(kind, bulk, p1, p2)
+        lpp.stationary_params(kind, bulk, p1, p2, 5)
 
 
 def test_stationary_setup_pins_subtracted_corners():
@@ -100,16 +108,19 @@ def test_stationary_setup_pins_subtracted_corners():
             ("exp_one", 0.3, None, {(1, 1)}),
             ("exp_two", 0.6, -0.3, {(1, 1), (2, 1)})]:
         bulk = 0.5 if kind.startswith("geom") else 1.0
-        mk, exempt = lpp._stationary_setup(kind, bulk, p1, p2)
-        assert exempt == frozenset(pinned)
-        mk(5).validate(5, exempt)
+        params = lpp.stationary_params(kind, bulk, p1, p2, 5)
+        assert params.exemptions == frozenset(pinned)
         with pytest.raises(ValueError):
-            mk(5).validate(5)
+            type(params)(params.alpha_circ, params.alphas)
 
 
-def test_row_streamer_needs_base_offset_and_min_row():
+def test_row_streamer_needs_offsets_and_min_row():
+    # the base row is recorded whether or not offsets holds 0
+    got = lpp.stationary_row_samples_lpp("exp_one", 1.0, 0.3, 2, [2, 1], 10,
+                                         RngStream(0))
+    assert got.shape == (10, 2) and np.all(got[:, 0] >= got[:, 1])
     with pytest.raises(ValueError):
-        lpp.stationary_row_samples_lpp("exp_one", 1.0, 0.3, 2, [1, 2], 10,
+        lpp.stationary_row_samples_lpp("exp_one", 1.0, 0.3, 2, [-1, 2], 10,
                                        RngStream(0))
     with pytest.raises(ValueError):
         lpp.stationary_row_samples_lpp("exp_two", 1.0, 0.6, 1, [0, 1], 10,
@@ -127,20 +138,64 @@ def test_row_streamer_deterministic():
                                        RngStream(4004))
     b = lpp.stationary_row_samples_lpp("geom_one", 0.5, 0.8, 2, [0, 2], 300,
                                        RngStream(4004))
-    for k in (0, 2):
-        assert np.array_equal(a[k], b[k])
-    assert np.all(a[0] == 0.0)
+    assert a.shape == (300, 2) and np.array_equal(a, b)
+    assert np.all(a[:, 0] == 0.0)
 
 
 def test_exp_one_row_increments_are_exponential():
     a, u = 1.0, 0.3
     got = lpp.stationary_row_samples_lpp("exp_one", a, u, 2, [0, 1, 4], 30000,
                                          RngStream(4005))
-    res = ks_one_sample(SampleSet(got[1]), lambda x: exponential_cdf(x, a - u))
+    res = ks_one_sample(SampleSet(got[:, 1]), lambda x: exponential_cdf(x, a - u))
     assert res.passed, (res.statistic, res.threshold)
     # k steps along the row accumulate k independent such increments
-    res4 = ks_one_sample(SampleSet(got[4]), lambda x: gamma_cdf((a - u) * x, 4))
+    res4 = ks_one_sample(SampleSet(got[:, 2]), lambda x: gamma_cdf((a - u) * x, 4))
     assert res4.passed, (res4.statistic, res4.threshold)
+
+
+# (circ, row parameters, pinned sites, site rule, draw) of each stationary
+# kind at size 6, spelled out independently of lpp.stationary_params
+_KINDS = {
+    "exp_one": (0.4, [-0.4] + [1.5] * 5, {(1, 1)}, float.__add__,
+                sample_exponential),
+    "exp_two": (0.7, [-0.3, 0.3] + [1.5] * 4, {(1, 1), (2, 1)}, float.__add__,
+                sample_exponential),
+    "geom_one": (0.8, [1 / 0.8] + [0.5] * 5, {(1, 1)}, float.__mul__,
+                 sample_geometric),
+    "geom_two": (0.8, [0.9, 1 / 0.9] + [0.5] * 4, {(1, 1), (2, 1)},
+                 float.__mul__, sample_geometric),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_row_provider_pins_the_lpp_draw_order(kind):
+    circ, rows, pinned, rule, draw = _KINDS[kind]
+    bulk = 1.5 if kind.startswith("exp") else 0.5
+    p2 = {"exp_two": -0.3, "geom_two": 0.9}.get(kind)
+    params = lpp.stationary_params(kind, bulk, circ, p2, 6)
+    max_m, R = 4, 5
+    row = make_row_logw(params, max_m, R, RngStream(4007))
+    oracle = RngStream(4007)
+    for n in range(1, 7):
+        want = np.full((R, min(n, max_m) + 1), np.nan)
+        for m in range(1, min(n, max_m) + 1):
+            theta = rule(circ if m == n else rows[m - 1], rows[n - 1])
+            want[:, m] = 0.0 if (n, m) in pinned else draw(theta, oracle, size=R)
+        assert np.array_equal(row(n), want, equal_nan=True), n
+
+
+@pytest.mark.parametrize("family", ["exp", "geom"])
+def test_sample_lpp_weights_is_the_scalar_site_loop(family):
+    rng = RngStream(4008)
+    params = _exp_params(rng, 6) if family == "exp" else _geom_params(rng, 6)
+    draw = sample_exponential if family == "exp" else sample_geometric
+    got = lpp.sample_lpp_weights(params, 5, RngStream(4009))
+    oracle = RngStream(4009)
+    want = np.full((6, 6), np.nan)
+    for i in range(1, 6):
+        for j in range(1, i + 1):
+            want[i, j] = draw(params.theta[i, j], oracle)
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_limit_check_rejects_nondecreasing_grid():
