@@ -3,7 +3,7 @@
 Submodules
 ----------
 rng            Seeded, splittable random streams.
-special        Digamma and trigamma used by the inverse-gamma log-moments.
+special        The Kolmogorov law (scipy) behind the KS thresholds.
 distributions  Samplers and CDFs for the four weight laws.
 stats          KS tests, moment comparisons, suite evaluation with retries.
 lattice        The octant model for every weight law: parameter layout,

@@ -15,7 +15,6 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .rng import RngStream
-from .special import digamma, trigamma
 
 
 def _check_positive(name, value):
@@ -73,12 +72,6 @@ def inverse_gamma_moment(theta, k: int):
     for j in range(1, k + 1):
         denom *= theta - j
     return 1.0 / denom
-
-
-def inverse_gamma_log_moments(theta):
-    """(E[log X], Var[log X]) = (-psi(theta), psi'(theta)) for X ~ IG(theta)."""
-    _check_positive("theta", theta)
-    return -digamma(theta), trigamma(theta)
 
 
 def inverse_gamma_cdf(x, theta):

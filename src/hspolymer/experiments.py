@@ -229,8 +229,12 @@ def collect_samples(sampler: str, kwargs: dict, seed: int, n_total: int,
         if ckpt is not None:
             path = ckpt / f"{tag}_{dig}_{i:04d}.npy"
             try:
-                parts[i] = np.load(path)
-                continue
+                part = np.load(path)
+                # the digest omits n_total, so the tail batch of another
+                # n_total has this name; its rows tell it apart
+                if part.shape[0] == size:
+                    parts[i] = part
+                    continue
             except (OSError, ValueError, EOFError):
                 pass  # absent or unreadable (e.g. truncated): regenerate
         missing.append(i)
@@ -351,9 +355,11 @@ def _suite(name: str, checks, seed: int, ctx: RunContext, keep=()):
     return {k: rep[k] for k in ("results", "pass", "retried")}, draw
 
 
-def _extend(rep: dict, results: list) -> dict:
+def _extend(rep: dict | None, results: list) -> dict:
     """A suite report with unretried results appended; only the gated ones
-    count toward its verdict."""
+    count toward its verdict. rep None builds the report of an experiment
+    with no suite from the results alone."""
+    rep = rep or {"results": [], "pass": True, "retried": []}
     ok = rep["pass"] and all(r["pass"] for r in results if r.get("gated", True))
     return {**rep, "results": rep["results"] + results, "pass": ok}
 
@@ -672,8 +678,7 @@ def exp_she(params: dict, seeds: list, ctx: RunContext) -> dict:
                                        {"s": s, "t": t, "x_max": x_max})
     results.append(_result("boundary-monotonicity", mono["max_violation"], 0.0,
                            extra={"checked": mono["checked"]}))
-    ok = all(r["pass"] for r in results)
-    return {"results": results, "pass": ok, "retried": []}
+    return _extend(None, results)
 
 
 ENVELOPE_C = 4.0
@@ -723,12 +728,10 @@ def exp_sheet(params: dict, seeds: list, ctx: RunContext) -> dict:
                                       0.0, 0.0, [1.0], [0.0], "deterministic",
                                       rngs)[:, 0, 0]
         var_study[nn] = float(np.var(vals))
-    ok = all(r["pass"] for r in results)
     _write_csv(ctx, "sheet_kernels.csv", ["s", "x", "t", "y", "value"],
                ([S, repr(X), repr(T), repr(Y), repr(got)]
                 for (S, X, T, Y, got) in rows))
-    return {"results": results, "pass": ok, "retried": [],
-            "variance_study": var_study}
+    return {**_extend(None, results), "variance_study": var_study}
 
 
 def _increment(c):
@@ -852,8 +855,7 @@ def exp_moments(params: dict, seeds: list, ctx: RunContext) -> dict:
                            extra={"estimate": est, "exact": exact8,
                                   "gaussian_limit": 105.0,
                                   "drift_to_limit": abs(est - 105.0) / 105.0}))
-    ok = all(r["pass"] for r in results)
-    return {"results": results, "pass": ok, "retried": []}
+    return _extend(None, results)
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,8 @@ def one_row_params(alpha: float, u: float, max_n: int) -> OctantParams:
         raise ValueError("alpha must be positive")
     if not -alpha < u < alpha:
         raise ValueError(f"need u in (-alpha, alpha), got u={u}, alpha={alpha}")
+    if max_n < 1:
+        raise ValueError("one-row specialization needs max_n >= 1")
     alphas = np.full(max_n, alpha)
     alphas[0] = -u
     return OctantParams(alpha_circ=u, alphas=alphas, exemptions=frozenset({(1, 1)}))

@@ -2,20 +2,22 @@
 
 The models under test satisfy exact equalities in distribution, so the tests
 are Kolmogorov-Smirnov comparisons with an asymptotic p-value; a failure at
-the 0.1% level over 1e5+ samples points at a bug, not at noise. A suite
-helper implements the shared multiplicity policy: every statistic must clear
-the critical value, except that one marginal excursion below 1.2x the
-threshold is retried once with a fresh substream.
+the 0.1% level over 1e5+ samples points at a bug, not at noise. The limiting
+Kolmogorov law Q and its inverse, which give the p-values and critical
+values, are scipy's `kolmogorov` and `kolmogi`. A suite helper implements
+the shared multiplicity policy: every statistic must clear the critical
+value, except that one marginal excursion below 1.2x the threshold is
+retried once with a fresh substream.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .rng import RngStream
+from .special import kolmogi, kolmogorov
 
 
 @dataclass
@@ -49,31 +51,10 @@ class KsResult:
         return self.statistic <= self.threshold
 
 
-def kolmogorov_sf(lam: float, terms: int = 100) -> float:
-    """Q(lambda) = 2 sum_{j>=1} (-1)^{j-1} exp(-2 j^2 lambda^2)."""
-    if lam <= 0:
-        return 1.0
-    j = np.arange(1, terms + 1)
-    s = 2.0 * np.sum((-1.0) ** (j - 1) * np.exp(-2.0 * j**2 * lam**2))
-    return float(min(max(s, 0.0), 1.0))
-
-
-@functools.lru_cache(maxsize=None)
-def ks_critical_lambda(alpha: float = 1e-3) -> float:
-    """Solve Q(lambda) = alpha by bisection, once per alpha and process."""
-    lo, hi = 1e-6, 10.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if kolmogorov_sf(mid) > alpha:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def ks_threshold(n_eff: float, alpha: float = 1e-3) -> float:
-    """Critical D at level alpha for effective sample size n_eff."""
-    return ks_critical_lambda(alpha) / np.sqrt(n_eff)
+    """Critical D at level alpha for effective sample size n_eff: the root
+    of Q(lambda) = alpha, scaled by 1/sqrt(n_eff)."""
+    return kolmogi(alpha) / np.sqrt(n_eff)
 
 
 def ks_two_sample(a: SampleSet, b: SampleSet, alpha: float = 1e-3) -> KsResult:
@@ -87,7 +68,7 @@ def ks_two_sample(a: SampleSet, b: SampleSet, alpha: float = 1e-3) -> KsResult:
     d = float(np.max(np.abs(cdf_a - cdf_b)))
     n_eff = na * nb / (na + nb)
     lam = np.sqrt(n_eff) * d
-    return KsResult(d, n_eff, kolmogorov_sf(lam), ks_threshold(n_eff, alpha))
+    return KsResult(d, n_eff, kolmogorov(lam), ks_threshold(n_eff, alpha))
 
 
 def ks_one_sample(a: SampleSet, cdf, alpha: float = 1e-3) -> KsResult:
@@ -102,7 +83,7 @@ def ks_one_sample(a: SampleSet, cdf, alpha: float = 1e-3) -> KsResult:
     d_minus = np.max(f - grid / n)
     d = float(max(d_plus, d_minus))
     lam = np.sqrt(n) * d
-    return KsResult(d, float(n), kolmogorov_sf(lam), ks_threshold(n, alpha))
+    return KsResult(d, float(n), kolmogorov(lam), ks_threshold(n, alpha))
 
 
 def moment_compare(a: SampleSet, k: int, target: float) -> dict:

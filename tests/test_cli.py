@@ -168,6 +168,26 @@ def test_run_starts_one_pool_and_a_warm_run_none(tmp_path, counted_pools):
     assert cold == warm
 
 
+def test_a_larger_rerun_into_one_out_redraws_the_tail_batch(tmp_path):
+    # 70000 = 50000 + 20000 samples and 100000 = 50000 + 50000: batch 1 has
+    # one checkpoint name in both runs
+    def config(name, n):
+        return _write_config(tmp_path / name, seeds=[7], params={
+            "alpha_grid": [1.5], "u_spec": [0.3], "n_samples": n})
+
+    out = tmp_path / "out"
+    assert _polymer(config("small.json", 70000), "--out", str(out)) == 0
+    big = config("big.json", 100000)
+    assert _polymer(big, "--out", str(out)) == 0
+    assert _polymer(big, "--out", str(tmp_path / "fresh")) == 0
+    grown, fresh = (json.loads((d / "burke_report.json").read_text())
+                    for d in (out, tmp_path / "fresh"))
+    assert [r["threshold"] for r in grown["results"]] == \
+        [pytest.approx(0.006165, abs=1e-6)] * 3
+    grown["wallclock_s"] = fresh["wallclock_s"] = None
+    assert grown == fresh
+
+
 _REAL_RUN_BATCH = experiments._run_batch
 
 

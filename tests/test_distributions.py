@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from hspolymer import distributions as d
 from hspolymer.rng import RngStream
-from hspolymer.special import digamma, trigamma
 from hspolymer.stats import SampleSet, ks_one_sample
 
 N = 10 ** 5
@@ -85,15 +84,6 @@ def test_inverse_gamma_moment_vs_mc():
     est = np.mean(x)
     se = np.std(x) / np.sqrt(N)
     assert abs(est - d.inverse_gamma_moment(4.0, 1)) < 4 * se
-
-
-def test_log_moments_match_psi():
-    mean, var = d.inverse_gamma_log_moments(2.7)
-    assert mean == pytest.approx(-digamma(2.7), rel=1e-14)
-    assert var == pytest.approx(trigamma(2.7), rel=1e-14)
-    rng = RngStream(107)
-    logs = -np.log(d.sample_gamma(2.7, rng, size=N))
-    assert np.mean(logs) == pytest.approx(mean, abs=4 * np.sqrt(var / N))
 
 
 def test_normal_cdf():

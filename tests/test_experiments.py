@@ -70,6 +70,24 @@ def test_checkpoints_from_other_code_are_regenerated(tmp_path, monkeypatch):
         collect_samples("burke", BURKE_KW, 7, 500, ctx, batch=200), fresh)
 
 
+def test_checkpoints_of_a_smaller_run_are_not_read_back(tmp_path):
+    # 70 = 50 + 20 rows, 100 = 50 + 50: part 1 has one name in both runs
+    ctx = RunContext(out_dir=tmp_path)
+    collect_samples("burke", BURKE_KW, 7, 70, ctx, batch=50)
+    grown = collect_samples("burke", BURKE_KW, 7, 100, ctx, batch=50)
+    assert np.array_equal(
+        grown, collect_samples("burke", BURKE_KW, 7, 100, RunContext(), batch=50))
+
+
+def test_checkpoints_of_a_larger_run_are_not_read_back(tmp_path):
+    ctx = RunContext(out_dir=tmp_path)
+    collect_samples("burke", BURKE_KW, 7, 100, ctx, batch=50)
+    shrunk = collect_samples("burke", BURKE_KW, 7, 70, ctx, batch=50)
+    assert shrunk.shape[0] == 70
+    assert np.array_equal(
+        shrunk, collect_samples("burke", BURKE_KW, 7, 70, RunContext(), batch=50))
+
+
 def test_collect_refuses_more_batches_than_streams():
     with pytest.raises(ValueError):
         collect_samples("burke", BURKE_KW, 7, 1001, RunContext(), batch=1)

@@ -112,6 +112,8 @@ def test_one_row_params_pins_corner():
         lattice.one_row_params(1.5, 1.5, 5)  # u must lie inside (-alpha, alpha)
     with pytest.raises(ValueError):
         lattice.one_row_params(1.5, -1.5, 5)
+    with pytest.raises(ValueError, match="max_n >= 1"):
+        lattice.one_row_params(1.5, 0.3, 0)
 
 
 @pytest.mark.parametrize("site", [(3, 1), (1, 2), (0, 0), (2, 3)])

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hspolymer.rng import RngStream
-from hspolymer.stats import (KsResult, KsSuite, SampleSet, kolmogorov_sf,
-                             ks_critical_lambda, ks_one_sample, ks_threshold,
-                             ks_two_sample, moment_compare)
+from hspolymer.stats import (KsResult, KsSuite, SampleSet, ks_one_sample,
+                             ks_threshold, ks_two_sample, moment_compare)
 
 
 def test_two_sample_exact_d_hand_case():
@@ -36,23 +35,25 @@ def test_one_sample_rejects_nonmonotone_cdf():
         ks_one_sample(SampleSet(np.array([0.1, 0.9])), lambda x: -x)
 
 
+def _p_at(lam):
+    """p-value of a KS test whose statistic is lam at n = 1: one point at
+    1 - lam against F(x) = x."""
+    return ks_one_sample(SampleSet([1.0 - lam]), lambda x: x).p_approx
+
+
 def test_kolmogorov_sf_reference_values():
-    # classical table values of the limiting distribution
-    assert kolmogorov_sf(1.3581) == pytest.approx(0.05, abs=2e-4)
-    assert kolmogorov_sf(1.6276) == pytest.approx(0.01, abs=1e-4)
-    assert kolmogorov_sf(0.0) == 1.0
-    assert ks_critical_lambda(1e-3) == pytest.approx(1.9495, abs=2e-4)
-
-
-def test_critical_lambda_cache_matches_fresh_bisection():
-    for alpha in (1e-3, 0.05):
-        cached = ks_critical_lambda(alpha)
-        assert ks_critical_lambda(alpha) == cached
-        assert cached == ks_critical_lambda.__wrapped__(alpha)
+    # classical table values of the limiting distribution, through the
+    # p-value and the critical value the KS tests report
+    assert _p_at(1.3581) == pytest.approx(0.05, abs=2e-4)
+    assert _p_at(1.6276) == pytest.approx(0.01, abs=1e-4)
+    assert ks_two_sample(SampleSet([1.0]), SampleSet([1.0])).p_approx == 1.0
+    # lambda at alpha = 1e-3 (table value 1.9495), exactly: every catalog
+    # threshold, and so every report fingerprint, rests on these bits
+    assert ks_threshold(1.0) == 1.9494746035043753
 
 
 def test_threshold_scaling():
-    assert ks_threshold(400.0) == pytest.approx(ks_critical_lambda(1e-3) / 20.0)
+    assert ks_threshold(400.0) == pytest.approx(ks_threshold(1.0) / 20.0)
     assert ks_threshold(100.0) > ks_threshold(10000.0)
 
 
