@@ -397,7 +397,7 @@ def _emit_samples_csv(ctx: RunContext, name: str, arrays: dict, seed: int):
 # ---------------------------------------------------------------------------
 # experiments
 
-def exp_burke(params: dict, seeds: list, ctx: RunContext) -> dict:
+def exp_burke(params: dict, seed: int, ctx: RunContext) -> dict:
     n = int(params["n_samples"])
     checks = []
     for alpha in params["alpha_grid"]:
@@ -409,7 +409,7 @@ def exp_burke(params: dict, seeds: list, ctx: RunContext) -> dict:
                      ("wprime", 2.0 * alpha)]):
                 checks.append((f"alpha={alpha},u={u}:{label}", (d, col),
                                functools.partial(inverse_gamma_cdf, theta=theta)))
-    return _suite("burke", checks, seeds[0], ctx)[0]
+    return _suite("burke", checks, seed, ctx)[0]
 
 
 def _pairwise_m(sampler: str, base_kw: dict, m_list, offsets, n: int, tag: str):
@@ -426,7 +426,7 @@ def _pairwise_m(sampler: str, base_kw: dict, m_list, offsets, n: int, tag: str):
     return draws, checks
 
 
-def exp_one_row(params: dict, seeds: list, ctx: RunContext) -> dict:
+def exp_one_row(params: dict, seed: int, ctx: RunContext) -> dict:
     alpha, u = params["alpha"], params["u"]
     n = int(params["n_samples"])
     m_list = params["m_list"]
@@ -439,18 +439,17 @@ def exp_one_row(params: dict, seeds: list, ctx: RunContext) -> dict:
         inc = _Draw("one_row", dict(base, m=m, offsets=[1]), f"onerow_inc_m{m}", n)
         checks.append((f"onerow:increment-ig:m={m}",
                        (inc, lambda a: np.exp(a[:, 0])), cdf))
-    rep, draw = _suite("one-row-stationarity", checks, seeds[0], ctx,
+    rep, draw = _suite("one-row-stationarity", checks, seed, ctx,
                        keep=draws.values())
     _emit_samples_csv(ctx, "one_row", {f"m{m}": draw(d) for m, d in draws.items()},
-                      seeds[0])
+                      seed)
     return rep
 
 
-def exp_two_row(params: dict, seeds: list, ctx: RunContext) -> dict:
+def exp_two_row(params: dict, seed: int, ctx: RunContext) -> dict:
     alpha, u, v = params["alpha"], params["u"], params["v"]
     n = int(params["n_samples"])
     m_list, offsets = params["m_list"], params["offsets"]
-    seed = seeds[0]
     draws, checks = _pairwise_m("two_row", {"alpha": alpha, "u": u, "v": v},
                                 m_list, offsets, n, "tworow")
     # base row m=2 against the direct z_{u,v} sampler, marginally per offset
@@ -475,7 +474,7 @@ def exp_two_row(params: dict, seeds: list, ctx: RunContext) -> dict:
     return rep
 
 
-def exp_permutation(params: dict, seeds: list, ctx: RunContext) -> dict:
+def exp_permutation(params: dict, seed: int, ctx: RunContext) -> dict:
     alphas = list(params["alphas"]) + [params["bulk_alpha"]] * max(params["offsets"])
     n, m, offsets = int(params["n_samples"]), int(params["m"]), params["offsets"]
     checks = []
@@ -487,7 +486,7 @@ def exp_permutation(params: dict, seeds: list, ctx: RunContext) -> dict:
         d = _Draw("perm", kw, f"perm{pi}", n, batch=max(n, 1))
         checks += [(f"perm{pi}:k={k}", (d, ci), (d, len(offsets) + ci))
                    for ci, k in enumerate(offsets)]
-    return _suite("permutation-symmetry", checks, seeds[0], ctx)[0]
+    return _suite("permutation-symmetry", checks, seed, ctx)[0]
 
 
 # frozen finite-size tolerance multipliers for the two asymptotic-law checks
@@ -497,7 +496,7 @@ TAIL_TOL_MULT = 1.5
 ALIMIT_TOL_MULT = 1.5
 
 
-def exp_zuv(params: dict, seeds: list, ctx: RunContext) -> dict:
+def exp_zuv(params: dict, seed: int, ctx: RunContext) -> dict:
     alpha = params["alpha"]
     n = int(params["n_samples"])
 
@@ -521,7 +520,7 @@ def exp_zuv(params: dict, seeds: list, ctx: RunContext) -> dict:
     zpra = zuv("zuv_pra", u2, v2, [1, 4], sampler="zuv_pra")
     checks += [(f"pra-route:k={k}", (zd, ci), (zpra, ci))
                for ci, k in enumerate([1, 4])]
-    rep, draw = _suite("zuv-properties", checks, seeds[0], ctx)
+    rep, draw = _suite("zuv-properties", checks, seed, ctx)
     # tail ratio law at large k, with a documented finite-k tolerance
     k_tail = int(params["k_tail"])
     tail = zuv("zuv_tail", u2, v2, [k_tail, k_tail + 1])
@@ -541,7 +540,7 @@ def exp_zuv(params: dict, seeds: list, ctx: RunContext) -> dict:
     return _extend(rep, extra)
 
 
-def exp_huv(params: dict, seeds: list, ctx: RunContext) -> dict:
+def exp_huv(params: dict, seed: int, ctx: RunContext) -> dict:
     n = int(params["n_samples"])
     delta = float(params["delta"])
     xs = list(params["xs"])
@@ -568,7 +567,7 @@ def exp_huv(params: dict, seeds: list, ctx: RunContext) -> dict:
     hpit = huv("huv_pitman", us, -vs, route="pitman")
     checks += [(f"pitman-route:X={X}", (hm, ci), (hpit, ci))
                for ci, X in enumerate(xs[-2:], start=len(xs) - 2)]
-    rep, draw = _suite("huv-properties", checks, seeds[0], ctx, keep=[hb])
+    rep, draw = _suite("huv-properties", checks, seed, ctx, keep=[hb])
     # resolution stability: halve delta, KS shift must sit inside MC noise
     X_ref = xs[min(1, len(xs) - 1)]
     half = huv("huv_haldelta", ub, -ub, delta=delta / 2.0, xs=[X_ref])
@@ -584,9 +583,8 @@ def exp_huv(params: dict, seeds: list, ctx: RunContext) -> dict:
 EPS_LIMIT_TOL = 0.05
 
 
-def exp_lpp(params: dict, seeds: list, ctx: RunContext) -> dict:
+def exp_lpp(params: dict, seed: int, ctx: RunContext) -> dict:
     n = int(params["n_samples"])
-    seed = seeds[0]
     offsets = params["offsets"]
     kinds = {
         "exp_one": ({"kind": "exp_one", "bulk": params["a"], "p1": params["exp_u"]},
@@ -639,9 +637,10 @@ def _random_instance(rng: RngStream, t_span: int, min_height: int = 0):
     return boundary, bulk, s, x, t, y
 
 
-def exp_she(params: dict, seeds: list, ctx: RunContext) -> dict:
+def exp_she(params: dict, seed: int, ctx: RunContext) -> dict:
     instances = int(params["instances"])
-    seed = seeds[0]
+    if instances < 1:
+        raise ValueError(f"she-identities needs instances >= 1, got {instances}")
     tol = 1e-12
     worst = {"chaos": 0.0, "mild": 0.0, "composition": 0.0, "normalization": 0.0}
     for i in range(instances):
@@ -684,9 +683,11 @@ def exp_she(params: dict, seeds: list, ctx: RunContext) -> dict:
 ENVELOPE_C = 4.0
 
 
-def exp_sheet(params: dict, seeds: list, ctx: RunContext) -> dict:
+def exp_sheet(params: dict, seed: int, ctx: RunContext) -> dict:
     n = int(params["n"])
     mus = params["mus"]
+    if not mus:
+        raise ValueError("sheet-convergence needs nonempty mus")
     Ts, Xs, Ys = params["Ts"], params["Xs"], params["Ys"]
     results = []
     rows = []
@@ -694,7 +695,7 @@ def exp_sheet(params: dict, seeds: list, ctx: RunContext) -> dict:
     for mu in mus:
         sp = she.ScalingParams(n=n, mu=mu, beta=0.0)
         sup_diff, sup_ref = 0.0, 0.0
-        tables = she.scaled_sheet_table(sp, 0.0, Xs, Ts, Ys, "deterministic")
+        tables = she.scaled_sheet_table(sp, 0.0, Xs, Ts, Ys)
         for X, table in zip(Xs, tables):
             for a, T in enumerate(Ts):
                 for b, Y in enumerate(Ys):
@@ -718,15 +719,13 @@ def exp_sheet(params: dict, seeds: list, ctx: RunContext) -> dict:
     results.append(_result("robin-neumann-normalization",
                            she.neumann_normalization_defect(), 1e-8))
     # resolution study: variance of the random sheet across n (reported)
-    seed = seeds[0]
     var_study = {}
     for nn in params["var_ns"]:
         reps = int(params["var_replicas"])
         rngs = [RngStream(seed, _stable_base(f"sheet_var{nn}") + i)
                 for i in range(reps)]
         vals = she.scaled_sheet_table(she.ScalingParams(n=nn, mu=0.0, beta=1.0),
-                                      0.0, 0.0, [1.0], [0.0], "deterministic",
-                                      rngs)[:, 0, 0]
+                                      0.0, 0.0, [1.0], [0.0], rngs)[:, 0, 0]
         var_study[nn] = float(np.var(vals))
     _write_csv(ctx, "sheet_kernels.csv", ["s", "x", "t", "y", "value"],
                ([S, repr(X), repr(T), repr(Y), repr(got)]
@@ -739,7 +738,7 @@ def _increment(c):
     return lambda a: a[:, c + 1] - a[:, 0]
 
 
-def exp_kpz(params: dict, seeds: list, ctx: RunContext) -> dict:
+def exp_kpz(params: dict, seed: int, ctx: RunContext) -> dict:
     n = int(params["n"])
     u, v = params["u"], params["v"]
     Ts = params["Ts"]
@@ -759,7 +758,7 @@ def exp_kpz(params: dict, seeds: list, ctx: RunContext) -> dict:
                  "kpz_init", nsamp, batch=20000)
     checks += [(f"T0-vs-initial-data:X={X}", (procs[T0], _increment(ci)),
                 (init, _increment(ci))) for ci, X in enumerate(Xs)]
-    rep, draw = _suite("kpz-scaling", checks, seeds[0], ctx)
+    rep, draw = _suite("kpz-scaling", checks, seed, ctx)
     if not params["resolution_check"]:
         return rep
     # resolution report: distance between levels n and 4n (not gated)
@@ -772,7 +771,7 @@ def exp_kpz(params: dict, seeds: list, ctx: RunContext) -> dict:
                                  extra={"gated": False})])
 
 
-def exp_matching(params: dict, seeds: list, ctx: RunContext) -> dict:
+def exp_matching(params: dict, seed: int, ctx: RunContext) -> dict:
     kw = {"alpha": params["alpha"], "u": params["u"], "v": params["v"]}
     n = int(params["n_samples"])
     checks = []
@@ -780,7 +779,7 @@ def exp_matching(params: dict, seeds: list, ctx: RunContext) -> dict:
         # both sides come from one draw, so a retry redraws it once
         d = _Draw("matching", dict(kw, t=t, y=y), f"match_t{t}y{y}", n, batch=20000)
         checks.append((f"matching:t={t},y={y}", (d, 0), (d, 1)))
-    return _suite("matching-identity", checks, seeds[0], ctx)[0]
+    return _suite("matching-identity", checks, seed, ctx)[0]
 
 
 # frozen bounds on the scaled moment gaps of the matching bulk law; the even
@@ -791,8 +790,9 @@ BULK_GAP_BOUNDS = {1: 1e-12, 2: 0.7, 3: 4.3, 4: 31.0, 5: 71.0, 6: 940.0,
 BOUNDARY_VAR_BOUND = 1.3
 
 
-def exp_moments(params: dict, seeds: list, ctx: RunContext) -> dict:
-    seed = seeds[0]
+def exp_moments(params: dict, seed: int, ctx: RunContext) -> dict:
+    if not params["moment_ns"]:
+        raise ValueError("moments needs nonempty moment_ns")
     results = []
     # analytic second moment of the scaled initial data vs Monte Carlo
     nsamp = int(params["mc_samples"])
@@ -991,6 +991,6 @@ def run_experiment(name: str, params: dict, seeds: list, ctx: RunContext) -> dic
             raise ValueError(f"unknown parameter {k!r} for experiment {name}")
         merged[k] = v
     with ctx:
-        result = exp.func(merged, seeds, ctx)
+        result = exp.func(merged, seeds[0], ctx)
     return {"experiment": name, "verifies": exp.verifies, "params": merged,
             "seeds": list(seeds), **result}

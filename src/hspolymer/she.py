@@ -23,7 +23,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .distributions import sample_inverse_gamma
 from .rng import RngStream
 
 CHAOS_GUARD = 12
@@ -47,14 +46,6 @@ class BoundaryWeights:
     @classmethod
     def constant(cls, gamma: float, s: int, t: int) -> "BoundaryWeights":
         return cls(start=s, values=np.full(t - s, float(gamma)))
-
-    @classmethod
-    def sample_ig(cls, alpha: float, u: float, s: int, t: int,
-                  rng: RngStream) -> "BoundaryWeights":
-        """X(i) ~ ((2 alpha - 1)/2) * InvGamma(alpha + u), i.i.d."""
-        scale = (2.0 * alpha - 1.0) / 2.0
-        return cls(start=s,
-                   values=scale * sample_inverse_gamma(alpha + u, rng, size=t - s))
 
     def window(self, s: int, t: int) -> np.ndarray:
         """X(i) for i in [s, t); ValueError unless the weights cover it."""
@@ -81,17 +72,12 @@ class BulkWeights:
                 f"1 + beta*omega < 0 at {(self.start + int(a), int(b) + 1)}")
 
     @classmethod
-    def sample(cls, s: int, t: int, x_max: int, beta: float, rng: RngStream,
-               law="uniform") -> "BulkWeights":
-        """Fill the rectangle [s,t) x [1,x_max] with i.i.d. centered draws.
-
-        law "uniform" is Uniform(-sqrt3, sqrt3) (unit variance, bounded);
-        law "ig" uses the normalized inverse-gamma matching construction
-        at shape 2 sqrt(n)+1 and needs beta = n^{-1/4}/sqrt(2); a callable
-        law(rng, size) is used as-is.
-        """
+    def sample(cls, s: int, t: int, x_max: int, beta: float,
+               rng: RngStream) -> "BulkWeights":
+        """Fill the rectangle [s,t) x [1,x_max] with i.i.d. Uniform(-sqrt3,
+        sqrt3) draws (centered, unit variance, bounded)."""
         om = np.empty((1, t - s, x_max))
-        _fill_bulk(om, [rng], law, 1.0 / beta ** 2 if law == "ig" else None, beta)
+        _fill_bulk(om, [rng])
         return cls(start=s, values=om[0], beta=beta)
 
     def window(self, s: int, t: int, cap: int) -> np.ndarray:
@@ -404,10 +390,6 @@ class ScalingParams:
     def boundary_level(self) -> float:
         return 1.0 - self.mu / self.sqrt_n
 
-    @property
-    def alpha_n(self) -> float:
-        return 0.5 + self.sqrt_n
-
 
 def _scaled_lattice_points(params: ScalingParams, S, X, T_list, Y_list):
     """The lattice points behind a sheet table: s = nS, the starts
@@ -425,57 +407,40 @@ def _scaled_lattice_points(params: ScalingParams, S, X, T_list, Y_list):
     return s, xs, ts, ys
 
 
-def _fill_bulk(om: np.ndarray, rngs, law, two_rn: float, beta: float) -> None:
-    """Fill om[i], a block of bulk rows, with stream i's next draws, in place.
+def _fill_bulk(om: np.ndarray, rngs) -> None:
+    """Fill om[i], a block of bulk rows, with stream i's next Uniform(-sqrt3,
+    sqrt3) draws, in place.
 
-    Each stream writes its raw variates into its own rows; one map then
-    turns the whole block into omega, with the operations of the per-stream
-    draws it replaces. "uniform": low + (high - low) * U with (low, high) =
-    (-sqrt3, sqrt3), as Generator.uniform computes it. "ig": (two_rn *
-    (1 / G) - 1) / beta with G ~ Gamma(two_rn + 1), the normalized
-    inverse-gamma matching draw at two_rn = 2 sqrt(n). A callable
-    law(rng, shape) fills its stream's rows as returned.
+    Each stream writes its raw variates U into its own rows; one map then
+    turns the whole block into low + (high - low) * U with (low, high) =
+    (-sqrt3, sqrt3), the operations Generator.uniform applies per stream.
     """
-    if not (law in ("uniform", "ig") or callable(law)):
-        raise ValueError(f"unknown bulk law {law!r}")
     for i, one in enumerate(rngs):
-        if law == "uniform":
-            one.gen.random(out=om[i])
-        elif law == "ig":
-            one.gen.standard_gamma(two_rn + 1.0, out=om[i])
-        else:
-            om[i] = law(one, om[i].shape)
-    if law == "uniform":
-        low, high = -math.sqrt(3.0), math.sqrt(3.0)
-        om *= high - low
-        om += low
-    elif law == "ig":
-        np.divide(1.0, om, out=om)
-        om *= two_rn
-        om -= 1.0
-        om /= beta
+        one.gen.random(out=om[i])
+    low, high = -math.sqrt(3.0), math.sqrt(3.0)
+    om *= high - low
+    om += low
 
 
 def scaled_sheet_table(params: ScalingParams, S: float, X: float | Sequence[float],
                        T_list, Y_list,
-                       boundary_mode: str = "deterministic",
-                       rng: RngStream | Sequence[RngStream | None] | None = None,
-                       bulk_law="uniform") -> np.ndarray:
+                       rng: RngStream | Sequence[RngStream | None] | None = None
+                       ) -> np.ndarray:
     """The scaled sheet (sqrt(n)/2) z(nS, sqrt(n)X; nT, sqrt(n)Y) 2^{1{Y=0}}
     on a (T, Y) grid from a single forward DP sweep.
 
-    boundary_mode "deterministic" uses the constant level 1 - mu/sqrt(n);
-    "random" draws i.i.d. normalized inverse-gamma boundary weights with
-    matching mean. beta = 0 with deterministic boundary is fully
-    deterministic; otherwise rng is required.
+    The sheet has one environment: the constant boundary level 1 - mu/sqrt(n)
+    and i.i.d. Uniform(-sqrt3, sqrt3) bulk noise at beta_n. The matching
+    inverse-gamma laws are drawn and checked in scaling, not here. beta = 0
+    is fully deterministic; otherwise rng is required.
 
     X is one start height or a 1-D sequence of them. All starts ride the
-    same sweep in one environment: each stream's boundary and bulk weights
-    are shared by every start, which is the sheet's joint law in X. rng is
-    one RngStream (or None when nothing is random) or a sequence of
-    streams, one per replica; replica i is exactly the table a call with
-    rng[i] alone gives. The table has shape np.shape(X) + (len(T_list),
-    len(Y_list)), behind a leading replica axis when rng is a sequence.
+    same sweep in one environment: each stream's bulk weights are shared by
+    every start, which is the sheet's joint law in X. rng is one RngStream
+    (or None when nothing is random) or a sequence of streams, one per
+    replica; replica i is exactly the table a call with rng[i] alone gives.
+    The table has shape np.shape(X) + (len(T_list), len(Y_list)), behind a
+    leading replica axis when rng is a sequence.
 
     The truncation height is cap = min(max(x, y) + ceil(8 sqrt(n (T - S))),
     x + n (T - S)) with x the largest scaled start, y the largest scaled Y
@@ -484,9 +449,7 @@ def scaled_sheet_table(params: ScalingParams, S: float, X: float | Sequence[floa
     alone gets the same cap, as it does when no start exceeds max(Y_list)
     and the first term is the smaller.
 
-    Each stream draws its boundary weights first, then its bulk rows in
-    blocks of consecutive rows, so a callable bulk_law is called as
-    law(rng, (rows, cap)) once per block.
+    Each stream draws its bulk rows in blocks of consecutive rows.
     """
     batched = rng is not None and not isinstance(rng, RngStream)
     rngs = list(rng) if batched else [rng]
@@ -500,22 +463,10 @@ def scaled_sheet_table(params: ScalingParams, S: float, X: float | Sequence[floa
     t_span = max(T_list) - S
     cap = int(max(x_top, y_max) + math.ceil(8.0 * math.sqrt(t_span) * rn))
     cap = min(cap, x_top + (t_max - s))
-    random_parts = boundary_mode == "random" or params.beta != 0.0
-    if random_parts and any(r is None for r in rngs):
-        raise ValueError("random boundary or positive beta needs an rng")
+    if params.beta != 0.0 and any(r is None for r in rngs):
+        raise ValueError("positive beta needs an rng")
     n_rep, steps = len(rngs), t_max - s
-    if boundary_mode == "deterministic":
-        levels = np.broadcast_to(params.boundary_level, (n_rep, steps))
-    elif boundary_mode == "random":
-        u = params.mu + 0.5
-        levels = np.array([BoundaryWeights.sample_ig(params.alpha_n, u, s, t_max,
-                                                     one).values for one in rngs])
-    else:
-        raise ValueError(f"unknown boundary mode {boundary_mode!r}")
-    beta_eff = params.beta_n
-    if params.beta != 0.0 and bulk_law == "ig":
-        # the ig matching law fixes beta_n = n^{-1/4}/sqrt(2) internally
-        beta_eff = 1.0 / math.sqrt(2.0 * rn)
+    beta_n = params.beta_n
     # one block of bulk rows over all replicas holds at most a quarter of one
     # replica's field, so the batch needs less memory than one whole field
     rows = max(1, steps // (4 * n_rep))
@@ -528,6 +479,7 @@ def scaled_sheet_table(params: ScalingParams, S: float, X: float | Sequence[floa
     f = np.zeros((n_rep, len(xs), cap + 1))
     f[:, np.arange(len(xs)), xs] = 1.0
     g = np.full((n_rep, 1, cap + 1), 0.5)
+    g[:, 0, 0] = params.boundary_level
 
     def record(t):
         for a in want.get(t, ()):
@@ -537,14 +489,12 @@ def scaled_sheet_table(params: ScalingParams, S: float, X: float | Sequence[floa
 
     record(s)
     for r in range(s, t_max):
-        g[:, 0, 0] = levels[:, r - s]
         if params.beta != 0.0:
             k = (r - s) % rows
             if k == 0:
-                _fill_bulk(om[:, :min(rows, t_max - r)], rngs, bulk_law,
-                           2.0 * rn, beta_eff)
+                _fill_bulk(om[:, :min(rows, t_max - r)], rngs)
             # the halved bulk factor; without bulk noise g[..., 1:] stays 0.5
-            np.multiply(1.0 + beta_eff * om[:, k], 0.5, out=g[:, 0, 1:])
+            np.multiply(1.0 + beta_n * om[:, k], 0.5, out=g[:, 0, 1:])
         f = _step(f, g)
         record(r + 1)
     out = out.reshape((n_rep,) + np.shape(X) + out.shape[2:])

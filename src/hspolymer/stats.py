@@ -117,7 +117,7 @@ class KsSuite:
 
     No statistic may exceed its threshold; at most one marginal excursion
     under 1.2x the threshold is allowed, and that single check is
-    rerun once via the provided resample callback with a fresh stream. The
+    rerun once via the provided resample callback on retry_stream. The
     retry must then clear the threshold outright.
     """
 
@@ -127,7 +127,7 @@ class KsSuite:
     def add(self, label: str, result: KsResult, resample=None):
         self.checks.append({"label": label, "result": result, "resample": resample})
 
-    def evaluate(self, retry_stream: RngStream | None = None) -> dict:
+    def evaluate(self, retry_stream: RngStream) -> dict:
         hard, marginal = [], []
         for c in self.checks:
             r = c["result"]
@@ -138,8 +138,7 @@ class KsSuite:
         retried = []
         if not hard and len(marginal) == 1 and marginal[0]["resample"] is not None:
             c = marginal[0]
-            stream = retry_stream if retry_stream is not None else RngStream(0xF5EE, 0)
-            r2 = c["resample"](stream)
+            r2 = c["resample"](retry_stream)
             retried.append({"label": c["label"], "statistic": r2.statistic,
                             "threshold": r2.threshold})
             if r2.passed:

@@ -134,6 +134,20 @@ def test_empty_axis_exit_2(runner, tmp_path, experiment, params):
     assert not (tmp_path / "o" / f"{experiment}_report.json").exists()
 
 
+@pytest.mark.parametrize("experiment,params", [
+    ("moments", {"moment_ns": [], "mc_samples": 2000}),
+    ("sheet-convergence", {"mus": [], "var_ns": [16], "var_replicas": 2}),
+    ("she-identities", {"instances": 0}),
+], ids=["moment_ns", "mus", "instances"])
+def test_empty_sheet_and_moment_axes_exit_2(runner, tmp_path, experiment, params):
+    # empty moment_ns used to end in an IndexError (exit 1, "failed"); empty
+    # mus and zero instances used to pass with no check of theirs run
+    cfg = _write_config(tmp_path / "c.json", experiment=experiment, params=params)
+    res = runner.invoke(main, ["run", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert not (tmp_path / "o" / f"{experiment}_report.json").exists()
+
+
 def test_missing_config_file(runner, tmp_path):
     res = runner.invoke(main, ["run", str(tmp_path / "absent.json")])
     assert res.exit_code == 2

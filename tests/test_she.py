@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hspolymer import she
-from hspolymer.distributions import sample_inverse_gamma
 from hspolymer.rng import RngStream
 
 
@@ -180,13 +179,6 @@ def test_bulk_sample_laws():
     uni = she.BulkWeights.sample(0, 4, 3, 0.2, rng)
     assert uni.values.shape == (4, 3)
     assert np.all(np.abs(uni.values) <= math.sqrt(3.0))
-    ig = she.BulkWeights.sample(0, 50, 40, 0.1, rng, law="ig")
-    assert abs(np.mean(ig.values)) < 0.2
-    custom = she.BulkWeights.sample(0, 2, 2, 0.2, rng,
-                                    law=lambda r, size: np.zeros(size))
-    assert np.array_equal(custom.values, np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        she.BulkWeights.sample(0, 2, 2, 0.2, rng, law="bogus")
 
 
 def test_initial_data_vertical_is_linear():
@@ -302,7 +294,6 @@ def test_scaling_params():
     assert p.sqrt_n == 4.0
     assert p.beta_n == pytest.approx(16 ** -0.25 / math.sqrt(2.0))
     assert p.boundary_level == pytest.approx(1.0 - 0.5 / 4.0)
-    assert p.alpha_n == pytest.approx(4.5)
 
 
 def test_scaled_lattice_point_rejects_bad_grids():
@@ -322,9 +313,6 @@ def test_scaled_sheet_needs_rng_for_randomness():
     p = she.ScalingParams(64, 0.0, 1.0)
     with pytest.raises(ValueError):
         she.scaled_sheet_table(p, 0.0, 0.0, [0.25], [0.0])
-    with pytest.raises(ValueError):
-        she.scaled_sheet_table(she.ScalingParams(64, 0.0, 0.0), 0.0, 0.0, [0.25],
-                               [0.0], boundary_mode="random")
 
 
 def test_scaled_sheet_table_matches_single_points():
@@ -337,21 +325,9 @@ def test_scaled_sheet_table_matches_single_points():
             assert tab[a, b] == pytest.approx(one[0, 0], rel=1e-12)
 
 
-def test_scaled_sheet_random_modes_reproducible():
-    p = she.ScalingParams(64, 0.4, 1.0)
-    a, b = (she.scaled_sheet_table(p, 0.0, 0.0, [0.25], [0.25],
-                                   boundary_mode="random", rng=RngStream(5209),
-                                   bulk_law="ig")[0, 0] for _ in range(2))
-    assert a == b and np.isfinite(a) and a > 0.0
-
-
 @pytest.mark.parametrize("n_rep", [1, 3])
-@pytest.mark.parametrize("mode, beta, law", [
-    ("deterministic", 1.0, "uniform"),
-    ("random", 1.0, "ig"),
-    ("random", 0.0, "uniform"),
-], ids=["det-uniform", "random-ig", "random-beta0"])
-def test_batched_sheet_table_matches_single_streams(mode, beta, law, n_rep):
+@pytest.mark.parametrize("beta", [1.0], ids=["det-uniform"])
+def test_batched_sheet_table_matches_single_streams(beta, n_rep):
     # 38 steps: three replicas draw bulk rows in blocks of 3, one replica in
     # blocks of 9; neither divides 38, so every sweep ends on a short block
     p = she.ScalingParams(64, 0.4, beta)
@@ -360,52 +336,36 @@ def test_batched_sheet_table_matches_single_streams(mode, beta, law, n_rep):
     def streams():
         return [RngStream(8117, i) for i in range(n_rep)]
 
-    batched = she.scaled_sheet_table(p, 0.0, 0.0, Ts, Ys, mode, streams(),
-                                     bulk_law=law)
+    batched = she.scaled_sheet_table(p, 0.0, 0.0, Ts, Ys, streams())
     assert batched.shape == (n_rep, len(Ts), len(Ys))
     for i, one in enumerate(streams()):
-        single = she.scaled_sheet_table(p, 0.0, 0.0, Ts, Ys, mode, one,
-                                        bulk_law=law)
+        single = she.scaled_sheet_table(p, 0.0, 0.0, Ts, Ys, one)
         assert np.array_equal(batched[i], single)
     if n_rep > 1:
         assert not np.array_equal(batched[0], batched[1])
 
 
-
-def _uniform_law(one, size):
-    return one.gen.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=size)
-
-
 @pytest.mark.parametrize("n_rep", [1, 3])
-@pytest.mark.parametrize("mode, beta, law", [
-    ("deterministic", 0.0, "uniform"),
-    ("random", 0.0, "uniform"),
-    ("deterministic", 1.0, "uniform"),
-    ("random", 1.0, "ig"),
-    ("deterministic", 1.0, _uniform_law),
-], ids=["det-beta0", "random-beta0", "det-uniform", "random-ig", "callable"])
-def test_start_axis_matches_per_start_calls(mode, beta, law, n_rep):
+@pytest.mark.parametrize("beta", [0.0, 1.0], ids=["det-beta0", "det-uniform"])
+def test_start_axis_matches_per_start_calls(beta, n_rep):
     # starts <= max Y and a 256-step sweep: every start alone gets the
     # joint cap, 8 + 128, so each start's table is the per-start call's
     p = she.ScalingParams(256, 0.4, beta)
     Xs, Ts, Ys = [0.5, 0.0, 0.25], [0.25, 1.0], [0.0, 0.25, 0.5]
 
     def streams():
-        if mode == "deterministic" and beta == 0.0:
+        if beta == 0.0:
             return [None] * n_rep
         return [RngStream(8118, i) for i in range(n_rep)]
 
-    joint = she.scaled_sheet_table(p, 0.0, Xs, Ts, Ys, mode, streams(),
-                                   bulk_law=law)
+    joint = she.scaled_sheet_table(p, 0.0, Xs, Ts, Ys, streams())
     assert joint.shape == (n_rep, len(Xs), len(Ts), len(Ys))
     for j, X in enumerate(Xs):
-        alone = she.scaled_sheet_table(p, 0.0, X, Ts, Ys, mode, streams(),
-                                       bulk_law=law)
+        alone = she.scaled_sheet_table(p, 0.0, X, Ts, Ys, streams())
         assert alone.shape == (n_rep, len(Ts), len(Ys))
         assert np.array_equal(joint[:, j], alone)
         assert np.array_equal(np.signbit(joint[:, j]), np.signbit(alone))
-    single = she.scaled_sheet_table(p, 0.0, Xs, Ts, Ys, mode, streams()[0],
-                                    bulk_law=law)
+    single = she.scaled_sheet_table(p, 0.0, Xs, Ts, Ys, streams()[0])
     assert single.shape == (len(Xs), len(Ts), len(Ys))
     assert np.array_equal(single, joint[0])
 
@@ -421,30 +381,19 @@ def test_start_axis_validates_starts():
 
 @pytest.mark.parametrize("rows, block, cap", [(1, 1, 7), (2, 2, 5), (9, 4, 33)])
 def test_in_place_bulk_fills_match_per_stream_draws(rows, block, cap):
-    # the sweep fills om[:, :block] of an (R, rows, cap) buffer; each law's
-    # map must give the bits of the per-stream expression it replaces, so
-    # a numpy build that fused a multiply-add fails here
-    rn = 16.0
-    beta_eff = 1.0 / math.sqrt(2.0 * rn)
-    size = (block, cap)
-    laws = {
-        "uniform": lambda one: one.gen.uniform(-math.sqrt(3.0), math.sqrt(3.0),
-                                               size=size),
-        "ig": lambda one: (2.0 * rn * sample_inverse_gamma(2.0 * rn + 1.0, one,
-                                                           size=size)
-                           - 1.0) / beta_eff,
-    }
+    # the sweep fills om[:, :block] of an (R, rows, cap) buffer; the map
+    # must give the bits of the per-stream uniform draw it replaces, so a
+    # numpy build that fused a multiply-add fails here
     for seed in range(8):
-        for law, expr in laws.items():
-            om = np.full((3, rows, cap), np.nan)
-            she._fill_bulk(om[:, :block], [RngStream(seed, i) for i in range(3)],
-                           law, 2.0 * rn, beta_eff)
-            want = np.array([expr(RngStream(seed, i)) for i in range(3)])
-            got = om[:, :block]
-            assert np.array_equal(got, want) and np.array_equal(
-                np.signbit(got), np.signbit(want)), \
-                f"in-place {law} fill differs from the per-stream draw"
-            assert np.isnan(om[:, block:]).all()
+        om = np.full((3, rows, cap), np.nan)
+        she._fill_bulk(om[:, :block], [RngStream(seed, i) for i in range(3)])
+        want = np.array([RngStream(seed, i).gen.uniform(
+            -math.sqrt(3.0), math.sqrt(3.0), size=(block, cap)) for i in range(3)])
+        got = om[:, :block]
+        assert np.array_equal(got, want) and np.array_equal(
+            np.signbit(got), np.signbit(want)), \
+            "in-place uniform fill differs from the per-stream draw"
+        assert np.isnan(om[:, block:]).all()
 
 def test_batched_sheet_table_validates_streams():
     p = she.ScalingParams(64, 0.0, 1.0)

@@ -112,7 +112,7 @@ def test_suite_all_pass():
     s.add("b", _fake(0.08))
     # a statistic equal to its threshold passes, as in experiments._result
     s.add("c", _fake(0.1), resample=lambda stream: _fake(0.5))
-    rep = s.evaluate()
+    rep = s.evaluate(RngStream(1))
     assert rep["pass"] and rep["retried"] == [] and rep["n_checks"] == 3
     assert rep["results"][2]["pass"]
 
@@ -120,7 +120,7 @@ def test_suite_all_pass():
 def test_suite_hard_failure_not_retried():
     s = KsSuite(name="t")
     s.add("a", _fake(0.13), resample=lambda stream: _fake(0.01))
-    rep = s.evaluate()
+    rep = s.evaluate(RngStream(1))
     assert not rep["pass"] and rep["retried"] == []
 
 
