@@ -42,13 +42,14 @@ def _s_burke(rng, n, alpha, u):
 
 
 def _s_one_row(rng, n, alpha, u, m, offsets):
-    return lattice.stationary_row_samples("one_row", alpha, u, None, m,
-                                          offsets, n, rng)
+    return lattice.stationary_increments(
+        lambda size: lattice.one_row_params(alpha, u, size), 1, m, offsets, n, rng)
 
 
 def _s_two_row(rng, n, alpha, u, v, m, offsets):
-    return lattice.stationary_row_samples("two_row", alpha, u, v, m,
-                                          offsets, n, rng)
+    return lattice.stationary_increments(
+        lambda size: lattice.two_row_params(alpha, u, v, size), 2, m, offsets, n,
+        rng)
 
 
 def _s_zuv(rng, n, alpha, u, v, ks):
@@ -89,9 +90,7 @@ def _s_scaled_init(rng, n_samp, n, u, v, xs):
 
 
 def _s_scaled_proc(rng, n_samp, n, u, v, T, xs):
-    config = scaling.KpzScalingConfig(n=n, u=u, v=v)
-    return scaling.scaled_stationary_process(config, T, xs, rng,
-                                             n_replicas=n_samp)
+    return scaling.scaled_stationary_process(n, u, v, T, xs, rng, n_replicas=n_samp)
 
 
 def _s_lpp_rows(rng, n, kind, bulk, p1, m, offsets, p2=None):
@@ -332,8 +331,6 @@ def _suite(name: str, checks, seed: int, ctx: RunContext, keep=()):
     collected once and released after the last check that reads it, unless
     it is in keep. Returns the report fields and a draw function that
     serves the kept draws and collects any other."""
-    if not checks:
-        raise ValueError(f"{name}: no checks to run")
     arrays = {}
 
     def draw(d: _Draw) -> np.ndarray:
@@ -412,12 +409,14 @@ def exp_burke(params: dict, seed: int, ctx: RunContext) -> dict:
     return _suite("burke", checks, seed, ctx)[0]
 
 
-def _pairwise_m(sampler: str, base_kw: dict, m_list, offsets, n: int, tag: str):
-    """One draw per base point m, and a check per offset and pair of m."""
+def _pairwise_m(sampler: str, base_kw: dict, params: dict, m_key: str, n: int,
+                tag: str):
+    """One draw per base point m in params[m_key], and a check per offset
+    and pair of m."""
+    m_list, offsets = params[m_key], params["offsets"]
     if len(m_list) < 2:
-        raise ValueError(f"{tag}: need at least two base points m, got {m_list}")
-    if not offsets:
-        raise ValueError(f"{tag}: offsets must be nonempty")
+        raise ValueError(f"{tag}: parameter {m_key!r} needs at least two base "
+                         f"points m, got {m_list}")
     draws = {m: _Draw(sampler, dict(base_kw, m=m, offsets=list(offsets)),
                       f"{tag}_m{m}", n) for m in m_list}
     checks = [(f"{tag}:k={k}:m{m1}-vs-m{m2}", (draws[m1], ci), (draws[m2], ci))
@@ -429,13 +428,11 @@ def _pairwise_m(sampler: str, base_kw: dict, m_list, offsets, n: int, tag: str):
 def exp_one_row(params: dict, seed: int, ctx: RunContext) -> dict:
     alpha, u = params["alpha"], params["u"]
     n = int(params["n_samples"])
-    m_list = params["m_list"]
     base = {"alpha": alpha, "u": u}
-    draws, checks = _pairwise_m("one_row", base, m_list, params["offsets"], n,
-                                "onerow")
+    draws, checks = _pairwise_m("one_row", base, params, "m_list", n, "onerow")
     # increment law: the first off-diagonal ratio is inverse-gamma(alpha - u)
     cdf = functools.partial(inverse_gamma_cdf, theta=alpha - u)
-    for m in m_list:
+    for m in params["m_list"]:
         inc = _Draw("one_row", dict(base, m=m, offsets=[1]), f"onerow_inc_m{m}", n)
         checks.append((f"onerow:increment-ig:m={m}",
                        (inc, lambda a: np.exp(a[:, 0])), cdf))
@@ -449,13 +446,13 @@ def exp_one_row(params: dict, seed: int, ctx: RunContext) -> dict:
 def exp_two_row(params: dict, seed: int, ctx: RunContext) -> dict:
     alpha, u, v = params["alpha"], params["u"], params["v"]
     n = int(params["n_samples"])
-    m_list, offsets = params["m_list"], params["offsets"]
+    offsets = params["offsets"]
     draws, checks = _pairwise_m("two_row", {"alpha": alpha, "u": u, "v": v},
-                                m_list, offsets, n, "tworow")
+                                params, "m_list", n, "tworow")
     # base row m=2 against the direct z_{u,v} sampler, marginally per offset
     direct = _Draw("zuv", {"alpha": alpha, "u": u, "v": v, "ks": list(offsets)},
                    "tworow_direct", n)
-    m0 = m_list[0]
+    m0 = params["m_list"][0]
     checks += [(f"tworow:k={k}:m{m0}-vs-direct", (draws[m0], ci), (direct, ci))
                for ci, k in enumerate(offsets)]
     rep, draw = _suite("two-row-stationarity", checks, seed, ctx,
@@ -585,20 +582,19 @@ EPS_LIMIT_TOL = 0.05
 
 def exp_lpp(params: dict, seed: int, ctx: RunContext) -> dict:
     n = int(params["n_samples"])
-    offsets = params["offsets"]
     kinds = {
         "exp_one": ({"kind": "exp_one", "bulk": params["a"], "p1": params["exp_u"]},
-                    params["m_one"]),
+                    "m_one"),
         "exp_two": ({"kind": "exp_two", "bulk": params["a"], "p1": params["exp2_u"],
-                     "p2": params["exp2_v"]}, params["m_two"]),
+                     "p2": params["exp2_v"]}, "m_two"),
         "geom_one": ({"kind": "geom_one", "bulk": params["q"], "p1": params["geom_r"]},
-                     params["m_one"]),
+                     "m_one"),
         "geom_two": ({"kind": "geom_two", "bulk": params["q"], "p1": params["geom_r"],
-                      "p2": params["geom_s"]}, params["m_two"]),
+                      "p2": params["geom_s"]}, "m_two"),
     }
     checks = []
-    for name, (base, m_list) in kinds.items():
-        checks += _pairwise_m("lpp_rows", base, m_list, offsets, n, f"lpp_{name}")[1]
+    for name, (base, m_key) in kinds.items():
+        checks += _pairwise_m("lpp_rows", base, params, m_key, n, f"lpp_{name}")[1]
     # exponential increments of the one-row specialization
     a, eu = params["a"], params["exp_u"]
     inc = _Draw("lpp_rows", {"kind": "exp_one", "bulk": a, "p1": eu, "m": 2,
@@ -686,8 +682,6 @@ ENVELOPE_C = 4.0
 def exp_sheet(params: dict, seed: int, ctx: RunContext) -> dict:
     n = int(params["n"])
     mus = params["mus"]
-    if not mus:
-        raise ValueError("sheet-convergence needs nonempty mus")
     Ts, Xs, Ys = params["Ts"], params["Xs"], params["Ys"]
     results = []
     rows = []
@@ -743,8 +737,13 @@ def exp_kpz(params: dict, seed: int, ctx: RunContext) -> dict:
     u, v = params["u"], params["v"]
     Ts = params["Ts"]
     Xs = list(params["Xs"])
-    if not Ts or not Xs:
-        raise ValueError("kpz-scaling needs nonempty Ts and Xs")
+    if params["resolution_check"]:
+        # the report also builds level n // 4 at Xs[0]; refuse before any draw
+        r = math.isqrt(n)
+        if r * r != n or r % 2 or r < 4:
+            raise ValueError(f"kpz-scaling resolution_check builds level n/4, so it "
+                             f"needs sqrt(n) even and at least 4, got n = {n}")
+        she._lattice_index(r // 2, Xs[0], "resolution_check: sqrt(n/4) Xs[0]")
     nsamp = int(params["n_samples"])
     xs_full = [0.0] + Xs
     procs = {T: _Draw("scaled_proc", {"n": n, "u": u, "v": v, "T": T, "xs": xs_full},
@@ -791,8 +790,6 @@ BOUNDARY_VAR_BOUND = 1.3
 
 
 def exp_moments(params: dict, seed: int, ctx: RunContext) -> dict:
-    if not params["moment_ns"]:
-        raise ValueError("moments needs nonempty moment_ns")
     results = []
     # analytic second moment of the scaled initial data vs Monte Carlo
     nsamp = int(params["mc_samples"])
@@ -989,6 +986,9 @@ def run_experiment(name: str, params: dict, seeds: list, ctx: RunContext) -> dic
     for k, v in (params or {}).items():
         if k not in merged:
             raise ValueError(f"unknown parameter {k!r} for experiment {name}")
+        # an empty axis would drop every check along it, or fail mid-run
+        if isinstance(merged[k], list) and isinstance(v, (list, tuple)) and not v:
+            raise ValueError(f"{name}: parameter {k!r} must be a nonempty list")
         merged[k] = v
     with ctx:
         result = exp.func(merged, seeds[0], ctx)

@@ -181,20 +181,15 @@ def replicated_rows(row_logw, max_n: int, max_m: int, n_replicas: int, record,
     return out
 
 
-def _sweep_dense(w: np.ndarray, max_n: int, max_m: int, record,
-                 plus=np.logaddexp) -> dict:
-    """replicated_rows over a dense weight array indexed [row, replica, column]."""
-    return replicated_rows(lambda n: w[n, :, : min(n, max_m) + 1],
-                           max_n, max_m, w.shape[1], record, plus)
-
-
 def _sweep_grid(w: np.ndarray, max_n: int, max_m: int, plus=np.logaddexp,
                 off=-np.inf) -> np.ndarray:
     """Every octant value up to (max_n, max_m) of the sweep over one dense
     (N+1, N+1) weight array; entries off the octant are set to off."""
     every = {n: range(1, min(n, max_m) + 1) for n in range(1, max_n + 1)}
     grid = np.full((max_n + 1, max_m + 1), off)
-    for (n, m), v in _sweep_dense(w[:, None, :], max_n, max_m, every, plus).items():
+    rows = replicated_rows(lambda n: w[None, n, : min(n, max_m) + 1],
+                           max_n, max_m, 1, every, plus)
+    for (n, m), v in rows.items():
         grid[n, m] = v[0]
     return grid
 
@@ -376,20 +371,6 @@ def stationary_increments(params_for, defect_rows: int, m: int, offsets,
                            max_n, m, n_replicas, record, params.plus)
     base = rows[(m, m)]
     return np.stack([rows[(m + k, m)] - base for k in offsets], axis=1)
-
-
-def stationary_row_samples(kind: str, alpha: float, u: float, v: float | None,
-                           m: int, offsets, n_replicas: int, rng: RngStream) -> np.ndarray:
-    """Draws of log z_stat(m+k, m) - log z_stat(m, m) for the one-row
-    (kind "one_row", m >= 1) or two-row ("two_row", m >= 2) specialization;
-    see stationary_increments."""
-    if kind == "one_row":
-        return stationary_increments(lambda size: one_row_params(alpha, u, size),
-                                     1, m, offsets, n_replicas, rng)
-    if kind == "two_row":
-        return stationary_increments(lambda size: two_row_params(alpha, u, v, size),
-                                     2, m, offsets, n_replicas, rng)
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 def permutation_symmetry_experiment(params: OctantParams, permutation, row_m: int,

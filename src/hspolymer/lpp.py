@@ -10,18 +10,20 @@ lattice's. Weights are geometric (parametrized by q_i q_j) or exponential
 The circ and row parameters are stored as alpha_circ and alphas, as in
 OctantParams. Four stationary constructions mirror the polymer ones: defect
 parameters on the first one or two rows, with the corner weights pinned
-to 0.
+to 0. The zero-temperature limit check draws its polymer side through a
+third such class, the log-gamma law at shapes eps times the exponential
+site parameters, so both of its sides ride the same provider and sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distributions import sample_exponential, sample_geometric
-from .lattice import (OctantParams, _draw_sites, _path_sums, _sweep_dense,
-                      _sweep_grid, stationary_increments)
+from .lattice import (OctantParams, _draw_sites, _path_sums, _sweep_grid,
+                      make_row_logw, replicated_rows, stationary_increments)
 from .rng import RngStream
 
 
@@ -41,6 +43,25 @@ class LppExpParams(OctantParams):
 
     plus = np.maximum
     draw = staticmethod(sample_exponential)
+
+
+@dataclass(frozen=True)
+class _SmallShapeParams(OctantParams):
+    """The log-gamma polymer at shapes eps * (a_i + a_j) off the diagonal
+    and eps * (a_circ + a_i) on it: the exponential law's site parameter,
+    scaled by eps, for the zero-temperature limit."""
+
+    eps: float = field(kw_only=True)
+
+    def combine(self, a, b):
+        return self.eps * (a + b)
+
+    @staticmethod
+    def draw(theta, rng: RngStream, size):
+        # G_th = G_{th+1} U^{1/th} in law; sampling the log this way avoids
+        # the underflow of tiny-shape gamma draws
+        boost = np.log(rng.gen.standard_gamma(theta + 1.0, size=size))
+        return -(boost + np.log(rng.gen.random(size=size)) / theta)
 
 
 @dataclass
@@ -133,27 +154,17 @@ def loggamma_to_exp_limit_check(a_circ: float, a_s, epsilon_list, rng: RngStream
     eps_sorted = list(epsilon_list)
     if any(b >= a for a, b in zip(eps_sorted, eps_sorted[1:])):
         raise ValueError("epsilon grid must be decreasing")
-    exp_params = LppExpParams(a_circ, a_s)
-    theta = exp_params.theta
     R = n_replicas
-    sites = [(i, j) for i in range(1, n + 1) for j in range(1, i + 1)]
-    # dense weight cubes indexed [row, replica, column], swept in one call
-    w_exp = np.full((n + 1, R, n + 1), np.nan)
-    for (i, j) in sites:
-        w_exp[i, :, j] = exp_params.draw(theta[i, j], rng, R)
-    g = _sweep_dense(w_exp, n, m, {n: [m]}, exp_params.plus)[(n, m)]
-    ref = SampleSet(g, label=f"exp_G({n},{m})")
+
+    def corner(params: OctantParams) -> np.ndarray:
+        # max_m = n draws every site of rows 1..n, row by row in column order
+        rows = make_row_logw(params, n, R, rng)
+        return replicated_rows(rows, n, n, R, {n: [m]}, params.plus)[(n, m)]
+
+    ref = SampleSet(corner(LppExpParams(a_circ, a_s)), label=f"exp_G({n},{m})")
     out = {"n": n, "m": m, "n_replicas": R, "ks": {}}
     for eps in eps_sorted:
-        logw = np.full((n + 1, R, n + 1), np.nan)
-        for (i, j) in sites:
-            th = eps * theta[i, j]
-            # G_th = G_{th+1} U^{1/th} in law; sampling the log this way
-            # avoids the underflow of tiny-shape gamma draws
-            boost = np.log(rng.gen.standard_gamma(th + 1.0, size=R))
-            logw[i, :, j] = -(boost + np.log(rng.gen.random(size=R)) / th)
-        z = eps * _sweep_dense(logw, n, m, {n: [m]})[(n, m)]
+        z = eps * corner(_SmallShapeParams(a_circ, a_s, eps=eps))
         res = ks_two_sample(SampleSet(z, label=f"eps={eps}"), ref)
         out["ks"][eps] = {"statistic": res.statistic, "threshold": res.threshold}
     return out
-

@@ -25,57 +25,45 @@ from .she import _lattice_index, _square_root, _step
 from .stationary import DiscreteStationaryParams, sample_zuv_path
 
 
-@dataclass(frozen=True)
-class KpzScalingConfig:
-    """Lattice level and drift parameters of the scaled process; the T and X
-    it is read at need nT/2 and sqrt(n) X nonnegative integers."""
+def _log_tilde_z(alpha: float, u: float, v: float, t: int, ys, rng: RngStream,
+                 n_replicas: int) -> np.ndarray:
+    """Draws of log z-tilde(t, y) jointly over ys; returns (n_replicas,
+    len(ys)).
 
-    n: int
-    u: float
-    v: float
+    z-tilde(t, y) = ((2 alpha - 1)/2)^{2t+y} z_stat(t+y+2, t+2) /
+    (varpi_11 varpi_22), with one two-row grid at bulk parameter alpha per
+    replica evaluated at every y, preserving the joint law in y. The corner
+    weights varpi_11, varpi_22 are captured from the same grid.
+    """
+    m = t + 2
+    max_n = m + max(ys)
+    params = two_row_params(alpha, u, v, max_n)
+    capture = {(1, 1): None, (2, 2): None}
+    provider = make_row_logw(params, m, n_replicas, rng, capture=capture)
+    got = replicated_rows(provider, max_n, m, n_replicas, {m + y: [m] for y in ys})
+    log_scale = math.log((2.0 * alpha - 1.0) / 2.0)
+    corner = capture[(1, 1)] + capture[(2, 2)]
+    return np.stack([(2 * t + y) * log_scale + got[(m + y, m)] - corner
+                     for y in ys], axis=1)
 
-    def __post_init__(self):
-        _square_root(self.n, least=4)
-        if not self.v <= min(0.0, self.u):
-            raise ValueError("need v <= min(0, u)")
 
-    @property
-    def sqrt_n(self) -> int:
-        return _square_root(self.n)
-
-    @property
-    def alpha_n(self) -> float:
-        return 0.5 + self.sqrt_n
-
-
-def scaled_stationary_process(config: KpzScalingConfig, T: float, X_list,
+def scaled_stationary_process(n: int, u: float, v: float, T: float, X_list,
                               rng: RngStream, n_replicas: int = 1) -> np.ndarray:
     """Sample H_n(T, X) jointly over X_list; returns (n_replicas, len(X_list)).
 
-    H_n(T, X) = (nT + sqrt(n) X) log sqrt(n) + log z_stat(nT/2 + sqrt(n)X
-    + 2, nT/2 + 2) - log(varpi_11 varpi_22), with one two-row grid at bulk
-    parameter alpha_n per replica evaluated at all X points, preserving the
-    joint law in X. The boundary corner weights are captured from the same
-    grid, so the returned values are absolute (not only increments).
+    H_n(T, X) = log z-tilde(nT/2, sqrt(n) X) at alpha_n = 1/2 + sqrt(n),
+    where (2 alpha_n - 1)/2 = sqrt(n): n must be a perfect square >= 4,
+    nT/2 and sqrt(n) X nonnegative integers, and v <= min(0, u) with v < u.
+    The values are absolute (not only increments).
     """
-    if config.v == config.u:
+    sqrt_n = _square_root(n, least=4)
+    if not v <= min(0.0, u):
+        raise ValueError("need v <= min(0, u)")
+    if v == u:
         raise ValueError("two-row construction needs v < u")
-    half_t = _lattice_index(config.n / 2.0, T, "nT/2")
-    ks = [_lattice_index(config.sqrt_n, X, "sqrt(n) X") for X in X_list]
-    m = half_t + 2
-    max_n = m + max(ks)
-    params = two_row_params(config.alpha_n, config.u, config.v, max_n)
-    record = {m + k: [m] for k in sorted(set(ks))}
-    capture = {(1, 1): None, (2, 2): None}
-    provider = make_row_logw(params, m, n_replicas, rng, capture=capture)
-    got = replicated_rows(provider, max_n, m, n_replicas, record)
-    s = math.log(config.sqrt_n)
-    out = np.empty((n_replicas, len(ks)))
-    corner = capture[(1, 1)] + capture[(2, 2)]
-    for c, k in enumerate(ks):
-        pref = (2 * half_t + k) * s
-        out[:, c] = pref + got[(m + k, m)] - corner
-    return out
+    half_t = _lattice_index(n / 2.0, T, "nT/2")
+    ys = [_lattice_index(sqrt_n, X, "sqrt(n) X") for X in X_list]
+    return _log_tilde_z(0.5 + sqrt_n, u, v, half_t, ys, rng, n_replicas)
 
 
 def diagonal_time(t: int, y: int) -> int:
@@ -242,16 +230,8 @@ def matching_identity_check(alpha: float, u: float, v: float, t: int, y: int,
         raise ValueError("matching window guarded to t <= 5, y <= 4")
     s_end = diagonal_time(t, y)
     log_scale = math.log((2.0 * alpha - 1.0) / 2.0)
-    big_n, big_m = t + y + 2, t + 2
-    params = two_row_params(alpha, u, v, big_n)
     zp = DiscreteStationaryParams(alpha=alpha, u=u, v=v)
-    # left side: octant replicas
-    capture = {(1, 1): None, (2, 2): None}
-    provider = make_row_logw(params, big_m, n_samples, rng.substream(1),
-                             capture=capture)
-    got = replicated_rows(provider, big_n, big_m, n_samples, {big_n: [big_m]})
-    corner = capture[(1, 1)] + capture[(2, 2)]
-    lhs = (2 * t + y) * log_scale + got[(big_n, big_m)] - corner
+    lhs = _log_tilde_z(alpha, u, v, t, [y], rng.substream(1), n_samples)[:, 0]
     # right side: framework replicas
     rhs = _matching_rhs(alpha, u, zp, t, y, s_end, log_scale, n_samples,
                         rng.substream(2))

@@ -115,23 +115,44 @@ def test_empty_offsets_exit_2(runner, tmp_path, experiment):
 
 
 @pytest.mark.parametrize("experiment,params", [
-    ("one-row-stationarity", {"m_list": []}),
-    ("one-row-stationarity", {"m_list": [2]}),
-    ("matching-identity", {"points": []}),
-    ("burke", {"alpha_grid": []}),
-    ("permutation-symmetry", {"perms": []}),
-    ("lpp-stationarity", {"offsets": []}),
-    ("kpz-scaling", {"Ts": []}),
-    ("kpz-scaling", {"Xs": []}),
+    ("one-row-stationarity", {"m_list": [], "n_samples": 2000}),
+    ("one-row-stationarity", {"m_list": [2], "n_samples": 2000}),
+    ("matching-identity", {"points": [], "n_samples": 2000}),
+    ("burke", {"alpha_grid": [], "n_samples": 2000}),
+    ("permutation-symmetry", {"perms": [], "n_samples": 2000}),
+    ("lpp-stationarity", {"offsets": [], "n_samples": 2000}),
+    ("kpz-scaling", {"Ts": [], "n_samples": 2000}),
+    ("kpz-scaling", {"Xs": [], "n_samples": 2000}),
+    ("sheet-convergence", {"Ts": [], "n": 256}),
+    ("sheet-convergence", {"Ys": [], "n": 256}),
+    ("huv-properties", {"xs": [], "n_samples": 2000}),
+    ("lpp-stationarity", {"lim_eps": [], "n_samples": 2000}),
 ], ids=lambda v: v if isinstance(v, str) else next(iter(v)))
 def test_empty_axis_exit_2(runner, tmp_path, experiment, params):
     # each of these used to pass with no check run (exit 0), drop every
-    # pairwise check, or end in an IndexError (exit 1, "failed")
-    cfg = _write_config(tmp_path / "c.json", experiment=experiment,
-                        params=dict(params, n_samples=2000))
+    # pairwise check, end in an IndexError (exit 1, "failed"), or exit 2
+    # with a min() or max() message that named no parameter
+    cfg = _write_config(tmp_path / "c.json", experiment=experiment, params=params)
     res = runner.invoke(main, ["run", cfg, "--out", str(tmp_path / "o")])
     assert res.exit_code == 2, res.output
+    assert repr(next(iter(params))) in res.output
     assert not (tmp_path / "o" / f"{experiment}_report.json").exists()
+
+
+@pytest.mark.parametrize("params", [{"n": 256, "Xs": [0.0625, 0.5]}, {"n": 25}],
+                         ids=["X-off-level-n/4", "odd-sqrt-n"])
+def test_kpz_resolution_check_is_refused_before_any_draw(runner, tmp_path,
+                                                         monkeypatch, params):
+    # level n // 4 used to be built only after the whole suite had drawn
+    def no_draw(*args):
+        raise AssertionError("a sampler ran")
+
+    monkeypatch.setattr(experiments, "_run_batch", no_draw)
+    cfg = _write_config(tmp_path / "c.json", experiment="kpz-scaling",
+                        params=dict(params, n_samples=300, res_samples=300))
+    res = runner.invoke(main, ["run", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "resolution_check" in res.output
 
 
 @pytest.mark.parametrize("experiment,params", [

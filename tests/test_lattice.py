@@ -3,6 +3,7 @@ import pytest
 
 from hspolymer import lattice
 from hspolymer.distributions import inverse_gamma_cdf
+from hspolymer.experiments import SAMPLERS
 from hspolymer.rng import RngStream
 from hspolymer.stats import SampleSet, ks_one_sample, ks_two_sample
 
@@ -126,8 +127,11 @@ def test_exemption_outside_the_octant_is_refused(site):
 
 @pytest.mark.parametrize("kind,v", [("one_row", None), ("two_row", -0.4)])
 def test_row_samples_refuse_empty_offsets(kind, v):
+    # the experiment samplers of both specializations reach
+    # stationary_increments' own refusal
+    kw = {} if v is None else {"v": v}
     with pytest.raises(ValueError, match="nonempty"):
-        lattice.stationary_row_samples(kind, 1.5, 0.6, v, 3, [], 10, RngStream(0))
+        SAMPLERS[kind](RngStream(0), 10, alpha=1.5, u=0.6, m=3, offsets=[], **kw)
 
 
 def test_two_row_params_pinning_rules():
@@ -238,28 +242,25 @@ def test_make_row_logw_capture_and_pinning():
 
 
 def test_stationary_row_samples_deterministic():
-    a = lattice.stationary_row_samples("one_row", 1.5, 0.3, None, 2, [1, 3],
-                                       500, RngStream(2008))
-    b = lattice.stationary_row_samples("one_row", 1.5, 0.3, None, 2, [1, 3],
-                                       500, RngStream(2008))
-    assert np.array_equal(a, b)
+    a = SAMPLERS["one_row"](RngStream(2008), 500, alpha=1.5, u=0.3, m=2, offsets=[1, 3])
+    b = SAMPLERS["one_row"](RngStream(2008), 500, alpha=1.5, u=0.3, m=2, offsets=[1, 3])
+    assert a.shape == (500, 2) and np.array_equal(a, b)
 
 
 def test_one_row_ratio_is_inverse_gamma_any_base():
     alpha, u = 1.5, 0.3
     for m in (1, 3):
-        s = lattice.stationary_row_samples("one_row", alpha, u, None, m, [1],
-                                           30000, RngStream(2100 + m))
+        s = SAMPLERS["one_row"](RngStream(2100 + m), 30000, alpha=alpha, u=u, m=m,
+                                offsets=[1])
         res = ks_one_sample(SampleSet(np.exp(s[:, 0])),
                             lambda x: inverse_gamma_cdf(x, alpha - u))
         assert res.passed, (m, res.statistic, res.threshold)
 
 
 def test_two_row_ratio_base_invariance():
-    a = lattice.stationary_row_samples("two_row", 1.5, 0.6, -0.4, 2, [2],
-                                       30000, RngStream(2009))
-    b = lattice.stationary_row_samples("two_row", 1.5, 0.6, -0.4, 4, [2],
-                                       30000, RngStream(2010))
+    kw = {"alpha": 1.5, "u": 0.6, "v": -0.4, "offsets": [2]}
+    a = SAMPLERS["two_row"](RngStream(2009), 30000, m=2, **kw)
+    b = SAMPLERS["two_row"](RngStream(2010), 30000, m=4, **kw)
     res = ks_two_sample(SampleSet(a[:, 0], label="m=2"),
                         SampleSet(b[:, 0], label="m=4"))
     assert res.passed, (res.statistic, res.threshold)

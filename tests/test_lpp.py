@@ -6,7 +6,7 @@ from hspolymer.distributions import (exponential_cdf, gamma_cdf,
                                      sample_exponential, sample_geometric)
 from hspolymer.lattice import make_row_logw, replicated_rows
 from hspolymer.rng import RngStream
-from hspolymer.stats import SampleSet, ks_one_sample
+from hspolymer.stats import SampleSet, ks_one_sample, ks_two_sample
 
 
 def _exp_params(rng, size):
@@ -202,6 +202,43 @@ def test_limit_check_rejects_nondecreasing_grid():
     with pytest.raises(ValueError):
         lpp.loggamma_to_exp_limit_check(0.5, (0.8, 1.2, 1.0, 0.9), [0.1, 0.1],
                                         RngStream(0), n_replicas=10)
+
+
+def _limit_check_dense(a_circ, a_s, epsilon_list, rng, n, m, R):
+    """The limit check with every weight in a dense [row, replica, column]
+    cube, drawn site by site in row-major order and swept at max_m = m."""
+    theta = lpp.LppExpParams(a_circ, a_s).theta
+    sites = [(i, j) for i in range(1, n + 1) for j in range(1, i + 1)]
+
+    def sweep(w, plus):
+        return replicated_rows(lambda k: w[k, :, : min(k, m) + 1], n, m, R,
+                               {n: [m]}, plus)[(n, m)]
+
+    w_exp = np.full((n + 1, R, n + 1), np.nan)
+    for (i, j) in sites:
+        w_exp[i, :, j] = sample_exponential(theta[i, j], rng, R)
+    ref = SampleSet(sweep(w_exp, np.maximum), label=f"exp_G({n},{m})")
+    out = {"n": n, "m": m, "n_replicas": R, "ks": {}}
+    for eps in epsilon_list:
+        logw = np.full((n + 1, R, n + 1), np.nan)
+        for (i, j) in sites:
+            th = eps * theta[i, j]
+            boost = np.log(rng.gen.standard_gamma(th + 1.0, size=R))
+            logw[i, :, j] = -(boost + np.log(rng.gen.random(size=R)) / th)
+        res = ks_two_sample(SampleSet(eps * sweep(logw, np.logaddexp),
+                                      label=f"eps={eps}"), ref)
+        out["ks"][eps] = {"statistic": res.statistic, "threshold": res.threshold}
+    return out
+
+
+@pytest.mark.parametrize("a_s,n,m", [((1.0, 1.0, 1.0, 1.0), 4, 3),
+                                     ((0.8, 1.2, 1.0, 0.9, 1.1, 1.3), 4, 2)],
+                         ids=["square", "rows-beyond-n"])
+def test_limit_check_is_the_dense_cube_sweep(a_s, n, m):
+    eps = [0.3, 0.05, 0.01]
+    got = lpp.loggamma_to_exp_limit_check(0.5, a_s, eps, RngStream(4010),
+                                          n=n, m=m, n_replicas=500)
+    assert got == _limit_check_dense(0.5, a_s, eps, RngStream(4010), n, m, 500)
 
 
 def test_limit_check_statistic_shrinks_with_epsilon():

@@ -10,44 +10,47 @@ from hspolymer.stats import SampleSet, ks_two_sample
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        scaling.KpzScalingConfig(10, 0.6, -0.2)
-    with pytest.raises(ValueError):
-        scaling.KpzScalingConfig(16, 0.6, 0.2)   # v > 0
-    with pytest.raises(ValueError):
-        scaling.KpzScalingConfig(16, -0.3, -0.2)  # v > u
-    cfg = scaling.KpzScalingConfig(16, 0.6, -0.2)
-    assert cfg.sqrt_n == 4
-    assert cfg.alpha_n == pytest.approx(4.5)
+    for n, u, v, match in [(10, 0.6, -0.2, "perfect square"),
+                           (16, 0.6, 0.2, "v <= min"),     # v > 0
+                           (16, -0.3, -0.2, "v <= min")]:  # v > u
+        with pytest.raises(ValueError, match=match):
+            scaling.scaled_stationary_process(n, u, v, 0.0, [0.25], RngStream(0))
 
 
 def test_process_needs_two_distinct_rows():
-    cfg = scaling.KpzScalingConfig(16, -0.2, -0.2)
-    with pytest.raises(ValueError):
-        scaling.scaled_stationary_process(cfg, 0.0, [0.25], RngStream(0))
+    with pytest.raises(ValueError, match="v < u"):
+        scaling.scaled_stationary_process(16, -0.2, -0.2, 0.0, [0.25], RngStream(0))
+
+
+@pytest.mark.parametrize("seed", [6005, 20260801])
+def test_process_is_the_matching_left_side(seed):
+    # n = 16: alpha_n = 4.5, and (T, X) = (0.5, 0.5) is (t, y) = (4, 2)
+    R = 300
+    proc = scaling.scaled_stationary_process(16, 0.6, -0.2, 0.5, [0.5],
+                                             RngStream(seed).substream(1), R)
+    lhs = scaling.matching_identity_check(4.5, 0.6, -0.2, 4, 2, R,
+                                          RngStream(seed))["lhs_log"]
+    assert np.array_equal(proc[:, 0], lhs)
 
 
 def test_process_base_point_vanishes():
-    cfg = scaling.KpzScalingConfig(16, 0.6, -0.2)
-    out = scaling.scaled_stationary_process(cfg, 0.0, [0.0, 0.5],
+    out = scaling.scaled_stationary_process(16, 0.6, -0.2, 0.0, [0.0, 0.5],
                                             RngStream(6001), 200)
     assert np.all(out[:, 0] == 0.0)
     assert not np.all(out[:, 1] == 0.0)
 
 
 def test_process_deterministic():
-    cfg = scaling.KpzScalingConfig(16, 0.6, -0.2)
-    a = scaling.scaled_stationary_process(cfg, 0.5, [0.25, 0.75],
+    a = scaling.scaled_stationary_process(16, 0.6, -0.2, 0.5, [0.25, 0.75],
                                           RngStream(6002), 100)
-    b = scaling.scaled_stationary_process(cfg, 0.5, [0.25, 0.75],
+    b = scaling.scaled_stationary_process(16, 0.6, -0.2, 0.5, [0.25, 0.75],
                                           RngStream(6002), 100)
     assert np.array_equal(a, b)
 
 
 def test_process_initial_slice_matches_explicit_sampler():
     n, u, v, x = 64, 0.6, -0.2, 0.5
-    cfg = scaling.KpzScalingConfig(n, u, v)
-    proc = scaling.scaled_stationary_process(cfg, 0.0, [x], RngStream(6003),
+    proc = scaling.scaled_stationary_process(n, u, v, 0.0, [x], RngStream(6003),
                                              8000)[:, 0]
     init = scaled_initial_data(n, u, v, [x], RngStream(6004), 8000)[:, 0]
     res = ks_two_sample(SampleSet(proc, label="process"),
@@ -156,7 +159,11 @@ def test_matching_identity_reproducible():
 
 
 _SHEET16 = she.ScalingParams(16, 0.0, 0.0)
-_KPZ16 = scaling.KpzScalingConfig(16, 0.6, -0.2)
+
+
+def _kpz16(T, X_list):
+    return scaling.scaled_stationary_process(16, 0.6, -0.2, T, X_list, RngStream(0))
+
 
 # every refusal of a scaled coordinate or lattice level reached through a
 # public caller, at n = 16 (sqrt(n) = 4)
@@ -183,16 +190,14 @@ SCALED_REFUSALS = {
         _SHEET16, 0.0, [0.0, 0.25], [0.5], [0.0]),
     "sheet-n-not-square": lambda: she.ScalingParams(10, 0.0, 0.0),
     "sheet-n-below-4": lambda: she.ScalingParams(1, 0.0, 0.0),
-    "kpz-n-not-square": lambda: scaling.KpzScalingConfig(10, 0.6, -0.2),
-    "kpz-n-below-4": lambda: scaling.KpzScalingConfig(1, 0.6, -0.2),
-    "kpz-T-not-integral": lambda: scaling.scaled_stationary_process(
-        _KPZ16, 0.3, [0.0], RngStream(0)),
-    "kpz-T-negative": lambda: scaling.scaled_stationary_process(
-        _KPZ16, -0.25, [0.0], RngStream(0)),
-    "kpz-X-not-integral": lambda: scaling.scaled_stationary_process(
-        _KPZ16, 0.0, [0.0, 0.3], RngStream(0)),
-    "kpz-X-negative": lambda: scaling.scaled_stationary_process(
-        _KPZ16, 0.0, [-0.25], RngStream(0)),
+    "kpz-n-not-square": lambda: scaling.scaled_stationary_process(
+        10, 0.6, -0.2, 0.0, [0.0], RngStream(0)),
+    "kpz-n-below-4": lambda: scaling.scaled_stationary_process(
+        1, 0.6, -0.2, 0.0, [0.0], RngStream(0)),
+    "kpz-T-not-integral": lambda: _kpz16(0.3, [0.0]),
+    "kpz-T-negative": lambda: _kpz16(-0.25, [0.0]),
+    "kpz-X-not-integral": lambda: _kpz16(0.0, [0.0, 0.3]),
+    "kpz-X-negative": lambda: _kpz16(0.0, [-0.25]),
     "init-X-not-integral": lambda: scaled_initial_data(
         16, 0.6, 0.2, [0.0, 0.3], RngStream(0)),
     "init-X-negative": lambda: scaled_initial_data(
