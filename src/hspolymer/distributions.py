@@ -75,7 +75,7 @@ def inverse_gamma_moment(theta, k: int):
 
 
 def inverse_gamma_cdf(x, theta):
-    """P(X <= x) for X ~ Gamma^{-1}(theta int), as Q(theta, 1/x).
+    """P(X <= x) for X ~ Gamma^{-1}(theta), as Q(theta, 1/x).
 
     Q is the upper regularized incomplete gamma function; x <= 0 maps to 0.
     """

@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
@@ -27,8 +28,8 @@ from . import __version__, lattice, lpp, scaling, she, stationary
 from .distributions import (exponential_cdf, inverse_gamma_cdf, normal_cdf,
                             sample_gamma, sample_inverse_gamma)
 from .rng import RngStream
-from .stats import KsResult, KsSuite, SampleSet, ks_one_sample, ks_threshold, \
-    ks_two_sample, moment_compare
+from .stats import KsResult, KsSuite, SampleSet, ks_one_sample, ks_result, \
+    ks_threshold, ks_two_sample, moment_compare
 
 # ---------------------------------------------------------------------------
 # sampler registry (module-level for picklability)
@@ -285,7 +286,8 @@ def _save_atomic(path: Path, arr: np.ndarray):
 # A check is (label, a, b). Each side is (draw, column): the column is an
 # index, None for a 1-D draw, or a function of the drawn array. b is a
 # second side (two-sample test) or a CDF (one-sample test). The main test,
-# its retry and the unretried extras are all computed by _ks.
+# its retry and the unretried extras are all computed by _ks, which keeps
+# each statistic beside the run's sample checkpoints.
 
 class _Draw(NamedTuple):
     """n samples of SAMPLERS[sampler](**kwargs), on the streams of tag."""
@@ -307,13 +309,61 @@ def _side(draw, side) -> SampleSet:
     return SampleSet(arr, label=d.tag)
 
 
-def _ks(draw, a, b) -> KsResult:
+def _reference(cdf) -> str:
+    """What names a one-sample reference in a statistic's key: the module,
+    name and keywords of a keyword-only functools.partial of a module-level
+    function. Anything else raises TypeError, since no key could name its
+    behaviour."""
+    func = getattr(cdf, "func", None)
+    module = getattr(func, "__module__", None)
+    name = getattr(func, "__qualname__", None)
+    if not (isinstance(cdf, functools.partial) and not cdf.args and module
+            and name and getattr(sys.modules.get(module), name, None) is func):
+        raise TypeError(f"a KS reference must be a keyword-only "
+                        f"functools.partial of a module-level function, "
+                        f"got {cdf!r}")
+    return "\0".join([module, name, json.dumps(cdf.keywords, sort_keys=True)])
+
+
+def _ks_key(sides: list, reference: str) -> str:
+    """Statistic key: each side's size and values buffer (hashed in place),
+    the one-sample reference and the code."""
+    h = hashlib.sha1(b"%d" % len(sides))
+    for s in sides:
+        h.update(b"\0%d\0" % s.values.size)
+        h.update(s.values)
+    h.update(reference.encode())
+    h.update(_code_hash().encode())
+    return h.hexdigest()
+
+
+def _ks(draw, a, b, ckpt: Path | None) -> KsResult:
+    """KS test of side a against side b, or against the CDF b. Under a
+    checkpoint directory the statistic D is written to ks_<key>.npy once the
+    test has returned, and a rerun over the same samples, reference and code
+    rebuilds the result from it; a file that is absent, unreadable or holds
+    no distance in [0, 1] is recomputed and rewritten."""
+    sides = [_side(draw, a)]
     if isinstance(b, tuple):
-        return ks_two_sample(_side(draw, a), _side(draw, b))
-    return ks_one_sample(_side(draw, a), b)
+        sides.append(_side(draw, b))
+        reference = ""
+    else:
+        reference = _reference(b)
+    if ckpt is not None:
+        path = ckpt / f"ks_{_ks_key(sides, reference)}.npy"
+        try:
+            d = np.load(path)
+            if d.shape == () and d.dtype == np.float64 and 0.0 <= d <= 1.0:
+                return ks_result(float(d), tuple(len(s) for s in sides))
+        except (OSError, ValueError, EOFError):
+            pass  # absent or unreadable (e.g. truncated): recompute
+    res = ks_two_sample(*sides) if len(sides) == 2 else ks_one_sample(sides[0], b)
+    if ckpt is not None:
+        _save_atomic(path, np.array(res.statistic))
+    return res
 
 
-def _retry(a, b, stream: RngStream) -> KsResult:
+def _retry(a, b, stream: RngStream, *, ckpt: Path | None) -> KsResult:
     """The check on fresh samples: its first draw comes from stream, a
     second, distinct draw from stream.substream(1); a draw shared by both
     sides is drawn once."""
@@ -323,7 +373,7 @@ def _retry(a, b, stream: RngStream) -> KsResult:
     arrays = fresh(a[0], stream)
     if isinstance(b, tuple) and b[0].tag not in arrays:
         arrays.update(fresh(b[0], stream.substream(1)))
-    return _ks(lambda d: arrays[d.tag], a, b)
+    return _ks(lambda d: arrays[d.tag], a, b, ckpt)
 
 
 def _suite(name: str, checks, seed: int, ctx: RunContext, keep=()):
@@ -331,6 +381,7 @@ def _suite(name: str, checks, seed: int, ctx: RunContext, keep=()):
     collected once and released after the last check that reads it, unless
     it is in keep. Returns the report fields and a draw function that
     serves the kept draws and collects any other."""
+    ckpt = ctx.checkpoint_dir()
     arrays = {}
 
     def draw(d: _Draw) -> np.ndarray:
@@ -345,7 +396,8 @@ def _suite(name: str, checks, seed: int, ctx: RunContext, keep=()):
     last.update((d.tag, None) for d in keep)
     suite = KsSuite(name=name)
     for i, (label, a, b) in enumerate(checks):
-        suite.add(label, _ks(draw, a, b), functools.partial(_retry, a, b))
+        suite.add(label, _ks(draw, a, b, ckpt),
+                  functools.partial(_retry, a, b, ckpt=ckpt))
         for tag in [t for t, j in last.items() if j == i]:
             del arrays[tag]
     rep = suite.evaluate(RngStream(seed, 0xDEAD))
@@ -521,8 +573,9 @@ def exp_zuv(params: dict, seed: int, ctx: RunContext) -> dict:
     # tail ratio law at large k, with a documented finite-k tolerance
     k_tail = int(params["k_tail"])
     tail = zuv("zuv_tail", u2, v2, [k_tail, k_tail + 1])
+    ckpt = ctx.checkpoint_dir()
     res = _ks(draw, (tail, lambda a: np.exp(a[:, 1] - a[:, 0])),
-              functools.partial(inverse_gamma_cdf, theta=alpha - abs(v2)))
+              functools.partial(inverse_gamma_cdf, theta=alpha - abs(v2)), ckpt)
     extra = [_result(f"tail-ratio:k={k_tail}", res.statistic,
                      TAIL_TOL_MULT * res.threshold)]
     # boundary series limit 1 + G_{u-v}/G_{2v} for positive v
@@ -531,7 +584,7 @@ def exp_zuv(params: dict, seed: int, ctx: RunContext) -> dict:
     a_n = _Draw("zuv_a", {"alpha": alpha, "u": u3, "v": v3, "k": n_alim},
                 "zuv_alim", n)
     limit = _Draw("gamma_limit", {"u": u3, "v": v3}, "zuv_alim_ref", n)
-    res = _ks(draw, (a_n, None), (limit, None))
+    res = _ks(draw, (a_n, None), (limit, None), ckpt)
     extra.append(_result(f"a-limit:n={n_alim}", res.statistic,
                          ALIMIT_TOL_MULT * res.threshold))
     return _extend(rep, extra)
@@ -568,8 +621,9 @@ def exp_huv(params: dict, seed: int, ctx: RunContext) -> dict:
     # resolution stability: halve delta, KS shift must sit inside MC noise
     X_ref = xs[min(1, len(xs) - 1)]
     half = huv("huv_haldelta", ub, -ub, delta=delta / 2.0, xs=[X_ref])
-    d1 = _ks(draw, (hb, xs.index(X_ref)), brownian(X_ref)).statistic
-    d2 = _ks(draw, (half, 0), brownian(X_ref)).statistic
+    ckpt = ctx.checkpoint_dir()
+    d1 = _ks(draw, (hb, xs.index(X_ref)), brownian(X_ref), ckpt).statistic
+    d2 = _ks(draw, (half, 0), brownian(X_ref), ckpt).statistic
     return _extend(rep, [_result(f"delta-halving:X={X_ref}", abs(d1 - d2),
                                  ks_threshold(n),
                                  extra={"d_at_delta": d1, "d_at_half": d2})])
@@ -765,7 +819,8 @@ def exp_kpz(params: dict, seed: int, ctx: RunContext) -> dict:
     lo, hi = (_Draw("scaled_init", {"n": nn, "u": u, "v": v, "xs": [0.0, X_ref]},
                     tag, int(params["res_samples"]))
               for nn, tag in ((n // 4, "kpz_res_lo"), (n, "kpz_res_hi")))
-    d = _ks(draw, (lo, _increment(0)), (hi, _increment(0))).statistic
+    d = _ks(draw, (lo, _increment(0)), (hi, _increment(0)),
+            ctx.checkpoint_dir()).statistic
     return _extend(rep, [_result(f"resolution:n{n // 4}-vs-n{n}:X={X_ref}", d, 1.0,
                                  extra={"gated": False})])
 
@@ -986,9 +1041,12 @@ def run_experiment(name: str, params: dict, seeds: list, ctx: RunContext) -> dic
     for k, v in (params or {}).items():
         if k not in merged:
             raise ValueError(f"unknown parameter {k!r} for experiment {name}")
-        # an empty axis would drop every check along it, or fail mid-run
-        if isinstance(merged[k], list) and isinstance(v, (list, tuple)) and not v:
-            raise ValueError(f"{name}: parameter {k!r} must be a nonempty list")
+        # a scalar or an empty axis would fail mid-run or drop every check
+        # along it
+        if isinstance(merged[k], list) and (not isinstance(v, (list, tuple))
+                                            or not v):
+            raise ValueError(f"{name}: parameter {k!r} must be a nonempty list, "
+                             f"got {v!r}")
         merged[k] = v
     with ctx:
         result = exp.func(merged, seeds[0], ctx)

@@ -57,6 +57,16 @@ def ks_threshold(n_eff: float, alpha: float = 1e-3) -> float:
     return kolmogi(alpha) / np.sqrt(n_eff)
 
 
+def ks_result(d: float, sizes: tuple, alpha: float = 1e-3) -> KsResult:
+    """The result of sup-distance d between an empirical CDF of sizes[0]
+    points and an analytic CDF (one size) or a second empirical CDF of
+    sizes[1] points."""
+    n_eff = float(sizes[0]) if len(sizes) == 1 else \
+        sizes[0] * sizes[1] / (sizes[0] + sizes[1])
+    return KsResult(d, n_eff, kolmogorov(np.sqrt(n_eff) * d),
+                    ks_threshold(n_eff, alpha))
+
+
 def ks_two_sample(a: SampleSet, b: SampleSet, alpha: float = 1e-3) -> KsResult:
     """Exact sup-distance between the two empirical CDFs."""
     xa = np.sort(a.values)
@@ -66,9 +76,7 @@ def ks_two_sample(a: SampleSet, b: SampleSet, alpha: float = 1e-3) -> KsResult:
     cdf_a = np.searchsorted(xa, both, side="right") / na
     cdf_b = np.searchsorted(xb, both, side="right") / nb
     d = float(np.max(np.abs(cdf_a - cdf_b)))
-    n_eff = na * nb / (na + nb)
-    lam = np.sqrt(n_eff) * d
-    return KsResult(d, n_eff, kolmogorov(lam), ks_threshold(n_eff, alpha))
+    return ks_result(d, (na, nb), alpha)
 
 
 def ks_one_sample(a: SampleSet, cdf, alpha: float = 1e-3) -> KsResult:
@@ -82,8 +90,7 @@ def ks_one_sample(a: SampleSet, cdf, alpha: float = 1e-3) -> KsResult:
     d_plus = np.max((grid + 1.0) / n - f)
     d_minus = np.max(f - grid / n)
     d = float(max(d_plus, d_minus))
-    lam = np.sqrt(n) * d
-    return KsResult(d, float(n), kolmogorov(lam), ks_threshold(n, alpha))
+    return ks_result(d, (n,), alpha)
 
 
 def moment_compare(a: SampleSet, k: int, target: float) -> dict:

@@ -139,6 +139,28 @@ def test_empty_axis_exit_2(runner, tmp_path, experiment, params):
     assert not (tmp_path / "o" / f"{experiment}_report.json").exists()
 
 
+@pytest.mark.parametrize("experiment,params", [
+    ("burke", {"alpha_grid": 1.5}),
+    ("burke", {"u_spec": "half"}),
+    ("one-row-stationarity", {"offsets": 3}),
+    ("kpz-scaling", {"Xs": 0.5}),
+], ids=lambda v: v if isinstance(v, str) else next(iter(v)))
+def test_a_scalar_for_a_list_parameter_exits_2(runner, tmp_path, monkeypatch,
+                                               experiment, params):
+    # a scalar alpha_grid used to raise TypeError out of exp_burke, exit 1
+    # ("failed"), after the config had been accepted
+    def no_draw(*args):
+        raise AssertionError("a sampler ran")
+
+    monkeypatch.setattr(experiments, "_run_batch", no_draw)
+    cfg = _write_config(tmp_path / "c.json", experiment=experiment,
+                        params=dict(params, n_samples=2000))
+    res = runner.invoke(main, ["run", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert repr(next(iter(params))) in res.output
+    assert not (tmp_path / "o" / f"{experiment}_report.json").exists()
+
+
 @pytest.mark.parametrize("params", [{"n": 256, "Xs": [0.0625, 0.5]}, {"n": 25}],
                          ids=["X-off-level-n/4", "odd-sqrt-n"])
 def test_kpz_resolution_check_is_refused_before_any_draw(runner, tmp_path,
@@ -221,6 +243,30 @@ def test_a_larger_rerun_into_one_out_redraws_the_tail_batch(tmp_path):
         [pytest.approx(0.006165, abs=1e-6)] * 3
     grown["wallclock_s"] = fresh["wallclock_s"] = None
     assert grown == fresh
+
+
+@pytest.mark.parametrize("experiment,params", [
+    ("burke", {"alpha_grid": [1.5], "u_spec": [0.3], "n_samples": 3000}),
+    ("one-row-stationarity", {"n_samples": 2000}),
+])
+def test_a_warm_run_reads_every_ks_statistic(tmp_path, monkeypatch, experiment,
+                                             params):
+    cfg = _write_config(tmp_path / "c.json", experiment=experiment, params=params)
+    out = tmp_path / "out"
+    assert _polymer(cfg, "--out", str(out)) == 0
+    cold = json.loads((out / f"{experiment}_report.json").read_text())
+    ckpt = sorted((out / "checkpoints").iterdir())
+
+    def no_test(*args, **kwargs):
+        raise AssertionError("a KS statistic was recomputed")
+
+    monkeypatch.setattr(experiments, "ks_one_sample", no_test)
+    monkeypatch.setattr(experiments, "ks_two_sample", no_test)
+    assert _polymer(cfg, "--out", str(out)) == 0
+    warm = json.loads((out / f"{experiment}_report.json").read_text())
+    cold["wallclock_s"] = warm["wallclock_s"] = None
+    assert cold == warm
+    assert sorted((out / "checkpoints").iterdir()) == ckpt
 
 
 _REAL_RUN_BATCH = experiments._run_batch

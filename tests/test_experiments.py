@@ -1,3 +1,4 @@
+import functools
 import multiprocessing
 
 import numpy as np
@@ -326,3 +327,137 @@ def test_sheet_experiment_sweeps_once_per_environment(monkeypatch):
     xs = experiments.EXPERIMENTS["sheet-convergence"].defaults["Xs"]
     assert calls[:len(params["mus"])] == [xs] * len(params["mus"])
     assert sorted(rep["variance_study"]) == params["var_ns"]
+
+
+# one burke draw of three one-sample checks, small enough to run often
+BURKE_SMALL = {"alpha_grid": [1.5], "u_spec": [0.3], "n_samples": 3000}
+
+
+def _ks_files(out):
+    return sorted((out / "checkpoints").glob("ks_*.npy"))
+
+
+def test_ks_statistics_from_other_code_are_not_read(tmp_path, monkeypatch):
+    fresh = run_experiment("burke", BURKE_SMALL, [7], RunContext())
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "_code_hash", lambda: "older code")
+        run_experiment("burke", BURKE_SMALL, [7], RunContext(out_dir=tmp_path))
+    stale = _ks_files(tmp_path)
+    assert len(stale) == 3
+    for path in stale:
+        np.save(path, np.array(0.5))
+    # the samples have the same bytes under both codes; the key still differs
+    assert run_experiment("burke", BURKE_SMALL, [7],
+                          RunContext(out_dir=tmp_path)) == fresh
+    assert len(set(_ks_files(tmp_path)) - set(stale)) == 3
+    assert all(np.load(path) == 0.5 for path in stale)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda data: data[:len(data) // 2],
+    lambda data: data[:-4],
+    lambda data: b"not a numpy file",
+    lambda data: b"",
+], ids=["truncated-header", "truncated-value", "garbage", "empty"])
+def test_unreadable_ks_statistics_are_recomputed(tmp_path, monkeypatch, damage):
+    ctx = RunContext(out_dir=tmp_path)
+    cold = run_experiment("burke", BURKE_SMALL, [7], ctx)
+    paths = _ks_files(tmp_path)
+    saved = [p.read_bytes() for p in paths]
+    paths[1].write_bytes(damage(saved[1]))
+    calls = []
+    real = experiments.ks_one_sample
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "ks_one_sample", counted)
+    assert run_experiment("burke", BURKE_SMALL, [7], ctx) == cold
+    # the damaged statistic alone is recomputed, and rewritten as it was
+    assert len(calls) == 1
+    assert [p.read_bytes() for p in paths] == saved
+    assert _ks_files(tmp_path) == paths
+    assert not list((tmp_path / "checkpoints").glob("*.tmp"))
+
+
+@pytest.mark.parametrize("value", [np.array([0.01, 0.02]), np.float32(0.01),
+                                   np.array(1.5), np.array(np.nan)],
+                         ids=["not-0-d", "float32", "above-1", "nan"])
+def test_ks_statistics_that_are_no_distance_are_recomputed(tmp_path, value):
+    ctx = RunContext(out_dir=tmp_path)
+    cold = run_experiment("burke", BURKE_SMALL, [7], ctx)
+    paths = _ks_files(tmp_path)
+    saved = [p.read_bytes() for p in paths]
+    np.save(paths[0], value)
+    assert run_experiment("burke", BURKE_SMALL, [7], ctx) == cold
+    assert [p.read_bytes() for p in paths] == saved
+
+
+def _falling_cdf(x, theta):
+    """Not a CDF: it falls. Module level, so it can be a KS reference."""
+    return 1.0 - np.minimum(x / theta, 1.0)
+
+
+def test_a_failed_monotonicity_guard_stores_no_statistic(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "inverse_gamma_cdf", _falling_cdf)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not monotone"):
+            run_experiment("burke", BURKE_SMALL, [7], RunContext(out_dir=tmp_path))
+        assert _ks_files(tmp_path) == []
+        assert list((tmp_path / "checkpoints").glob("burke_*.npy"))
+
+
+def test_a_run_without_out_dir_writes_nothing(tmp_path, monkeypatch):
+    def no_write(*args):
+        raise AssertionError("a file was written")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(experiments, "_save_atomic", no_write)
+    run_experiment("burke", BURKE_SMALL, [7], RunContext())
+    run_experiment("one-row-stationarity", {"n_samples": 1000}, [7], RunContext())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_each_sample_and_reference_keeps_its_own_statistic(tmp_path):
+    from hspolymer.distributions import inverse_gamma_cdf
+
+    ckpt = RunContext(out_dir=tmp_path).checkpoint_dir()
+    d = experiments._Draw("burke", BURKE_KW, "burke", 2000)
+
+    def ks(theta, seed=7):
+        values = collect_samples("burke", BURKE_KW, seed, 2000, RunContext())
+        return experiments._ks(lambda _: values, (d, 0),
+                               functools.partial(inverse_gamma_cdf, theta=theta),
+                               ckpt)
+
+    first = ks(1.8)
+    assert len(_ks_files(tmp_path)) == 1
+    assert ks(2.4).statistic != first.statistic
+    assert len(_ks_files(tmp_path)) == 2
+    # a hit gives the result the test gave
+    assert ks(1.8) == first
+    assert len(_ks_files(tmp_path)) == 2
+    # another sample of the same size is another statistic
+    assert ks(1.8, seed=8).statistic != first.statistic
+    assert len(_ks_files(tmp_path)) == 3
+
+
+def _cdf_with(x, theta):
+    return np.clip(x / theta, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("reference", [
+    lambda x: np.clip(x, 0.0, 1.0),
+    _cdf_with,
+    functools.partial(_cdf_with, 2.0),
+    functools.partial(lambda x, theta: np.clip(x / theta, 0.0, 1.0), theta=2.0),
+], ids=["lambda", "bare-function", "positional-partial", "partial-of-lambda"])
+def test_a_reference_no_key_can_name_is_refused(reference):
+    d = experiments._Draw("burke", BURKE_KW, "burke", 100)
+    values = np.linspace(0.1, 1.0, 100)
+    with pytest.raises(TypeError, match="functools.partial"):
+        experiments._ks(lambda _: values, (d, None), reference, None)
+    # a keyword-only partial of a module-level function is a reference
+    experiments._ks(lambda _: values, (d, None),
+                    functools.partial(_cdf_with, theta=2.0), None)
