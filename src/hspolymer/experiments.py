@@ -99,6 +99,10 @@ def _s_lpp_rows(rng, n, kind, bulk, p1, m, offsets, p2=None):
                                           p2=p2)
 
 
+def _s_lpp_limit(rng, size, **kw):
+    return lpp.zero_temperature_samples(rng=rng, n_replicas=size, **kw)
+
+
 def _s_matching(rng, n, alpha, u, v, t, y):
     rep = scaling.matching_identity_check(alpha, u, v, t, y, n, rng)
     return np.stack([rep["lhs_log"], rep["rhs_log"]], axis=1)
@@ -124,6 +128,7 @@ SAMPLERS = {
     "scaled_init": _s_scaled_init,
     "scaled_proc": _s_scaled_proc,
     "lpp_rows": _s_lpp_rows,
+    "lpp_limit": _s_lpp_limit,
     "matching": _s_matching,
     "perm": _s_perm,
 }
@@ -281,13 +286,19 @@ def _save_atomic(path: Path, arr: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# declared KS checks
+# declared checks
 #
-# A check is (label, a, b). Each side is (draw, column): the column is an
-# index, None for a 1-D draw, or a function of the drawn array. b is a
-# second side (two-sample test) or a CDF (one-sample test). The main test,
-# its retry and the unretried extras are all computed by _ks, which keeps
-# each statistic beside the run's sample checkpoints.
+# An experiment's report is one list of gates, which _evaluate walks in
+# order. A KS side is (draw, column): the column is an index, None for a 1-D
+# draw, or a function of the drawn array; b is a second side or a CDF.
+#   (label, a, b): a KS check retried under the KsSuite rule; only these
+#     enter the suite;
+#   (label, a, b, threshold[, extra]): an unretried KS check, gated at a
+#     number or at a function of its own KS threshold;
+#   a function f(first, ks) returning a result: first maps the label of each
+#     earlier KS gate to its first-pass result, and ks(a, b) runs a test;
+#   a dict: a value gate, a result the experiment computed.
+# _ks runs every KS test and keeps each statistic beside the checkpoints.
 
 class _Draw(NamedTuple):
     """n samples of SAMPLERS[sampler](**kwargs), on the streams of tag."""
@@ -297,6 +308,11 @@ class _Draw(NamedTuple):
     tag: str
     n: int
     batch: int = _DEFAULT_BATCH
+
+
+def _collect(d: _Draw, seed: int, ctx: RunContext) -> np.ndarray:
+    return collect_samples(d.sampler, d.kwargs, seed, d.n, ctx, tag=d.tag,
+                           batch=d.batch)
 
 
 def _side(draw, side) -> SampleSet:
@@ -376,50 +392,54 @@ def _retry(a, b, stream: RngStream, *, ckpt: Path | None) -> KsResult:
     return _ks(lambda d: arrays[d.tag], a, b, ckpt)
 
 
-def _suite(name: str, checks, seed: int, ctx: RunContext, keep=()):
-    """Evaluate the checks under the KsSuite retry rule. Each draw is
-    collected once and released after the last check that reads it, unless
-    it is in keep. Returns the report fields and a draw function that
-    serves the kept draws and collects any other."""
-    ckpt = ctx.checkpoint_dir()
+def _evaluate(name: str, gates: list, seed: int, ctx: RunContext) -> dict:
+    """The report fields of an experiment's gates: their results in
+    declaration order, the verdict and the suite's retries. Each draw is
+    collected once and released after the last gate that reads it; only
+    the gated results count toward the verdict."""
+    # a run of value gates alone makes no checkpoint directory
+    ckpt = None if all(isinstance(g, dict) for g in gates) else ctx.checkpoint_dir()
     arrays = {}
 
     def draw(d: _Draw) -> np.ndarray:
         if d.tag not in arrays:
-            arrays[d.tag] = collect_samples(d.sampler, d.kwargs, seed, d.n, ctx,
-                                            tag=d.tag, batch=d.batch)
+            arrays[d.tag] = _collect(d, seed, ctx)
         return arrays[d.tag]
 
-    # index of the last check reading each tag; None keeps the draw
-    last = {side[0].tag: i for i, (_, a, b) in enumerate(checks)
-            for side in (a, b) if isinstance(side, tuple)}
-    last.update((d.tag, None) for d in keep)
+    # index of the last tuple gate reading each tag
+    last = {side[0].tag: i for i, g in enumerate(gates) if isinstance(g, tuple)
+            for side in g[1:3] if isinstance(side, tuple)}
     suite = KsSuite(name=name)
-    for i, (label, a, b) in enumerate(checks):
-        suite.add(label, _ks(draw, a, b, ckpt),
-                  functools.partial(_retry, a, b, ckpt=ckpt))
-        for tag in [t for t, j in last.items() if j == i]:
+    first, results = {}, []
+    for i, gate in enumerate(gates):
+        if isinstance(gate, dict):
+            results.append(gate)
+        elif callable(gate):
+            results.append(gate(first, functools.partial(_ks, draw, ckpt=ckpt)))
+        else:
+            label, a, b, *unretried = gate
+            res = first[label] = _ks(draw, a, b, ckpt)
+            if unretried:
+                threshold, *extra = unretried
+                if callable(threshold):
+                    threshold = threshold(res.threshold)
+                results.append(_result(label, res.statistic, threshold, *extra))
+            else:
+                # the suite's result, possibly retried, takes this place
+                results.append(len(suite.checks))
+                suite.add(label, res, functools.partial(_retry, a, b, ckpt=ckpt))
+        for tag in [t for t in arrays if last.get(t, i) <= i]:
             del arrays[tag]
-    rep = suite.evaluate(RngStream(seed, 0xDEAD))
-    return {k: rep[k] for k in ("results", "pass", "retried")}, draw
-
-
-def _extend(rep: dict | None, results: list) -> dict:
-    """A suite report with unretried results appended; only the gated ones
-    count toward its verdict. rep None builds the report of an experiment
-    with no suite from the results alone."""
-    rep = rep or {"results": [], "pass": True, "retried": []}
+    rep = suite.evaluate(RngStream(seed, 0xDEAD) if suite.checks else None)
+    results = [rep["results"][r] if isinstance(r, int) else r for r in results]
     ok = rep["pass"] and all(r["pass"] for r in results if r.get("gated", True))
-    return {**rep, "results": rep["results"] + results, "pass": ok}
+    return {"results": results, "pass": ok, "retried": rep["retried"]}
 
 
 def _result(test: str, statistic: float, threshold: float, extra=None) -> dict:
-    out = {"test": test, "statistic": float(statistic),
-           "threshold": float(threshold),
-           "pass": bool(statistic <= threshold)}
-    if extra:
-        out.update(extra)
-    return out
+    return {"test": test, "statistic": float(statistic),
+            "threshold": float(threshold), "pass": bool(statistic <= threshold),
+            **(extra or {})}
 
 
 def _write_csv(ctx: RunContext, filename: str, header: list, rows):
@@ -435,12 +455,13 @@ def _write_csv(ctx: RunContext, filename: str, header: list, rows):
         w.writerows(rows)
 
 
-def _emit_samples_csv(ctx: RunContext, name: str, arrays: dict, seed: int):
-    """samples.csv schema: replica, k, value, seed; one k per column."""
+def _emit_samples_csv(ctx: RunContext, name: str, draws: dict, seed: int):
+    """samples.csv schema: replica, k, value, seed; one k per column. Each
+    draw is read back from the checkpoints, and only if the CSV is written."""
     _write_csv(ctx, f"{name}_samples.csv", ["replica", "k", "value", "seed"],
                ([i, f"{k}[{j}]", repr(float(val)), seed]
-                for k, arr in arrays.items()
-                for (i, j), val in np.ndenumerate(arr)))
+                for k, d in draws.items()
+                for (i, j), val in np.ndenumerate(_collect(d, seed, ctx))))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +479,7 @@ def exp_burke(params: dict, seed: int, ctx: RunContext) -> dict:
                      ("wprime", 2.0 * alpha)]):
                 checks.append((f"alpha={alpha},u={u}:{label}", (d, col),
                                functools.partial(inverse_gamma_cdf, theta=theta)))
-    return _suite("burke", checks, seed, ctx)[0]
+    return _evaluate("burke", checks, seed, ctx)
 
 
 def _pairwise_m(sampler: str, base_kw: dict, params: dict, m_key: str, n: int,
@@ -488,10 +509,8 @@ def exp_one_row(params: dict, seed: int, ctx: RunContext) -> dict:
         inc = _Draw("one_row", dict(base, m=m, offsets=[1]), f"onerow_inc_m{m}", n)
         checks.append((f"onerow:increment-ig:m={m}",
                        (inc, lambda a: np.exp(a[:, 0])), cdf))
-    rep, draw = _suite("one-row-stationarity", checks, seed, ctx,
-                       keep=draws.values())
-    _emit_samples_csv(ctx, "one_row", {f"m{m}": draw(d) for m, d in draws.items()},
-                      seed)
+    rep = _evaluate("one-row-stationarity", checks, seed, ctx)
+    _emit_samples_csv(ctx, "one_row", {f"m{m}": d for m, d in draws.items()}, seed)
     return rep
 
 
@@ -507,10 +526,8 @@ def exp_two_row(params: dict, seed: int, ctx: RunContext) -> dict:
     m0 = params["m_list"][0]
     checks += [(f"tworow:k={k}:m{m0}-vs-direct", (draws[m0], ci), (direct, ci))
                for ci, k in enumerate(offsets)]
-    rep, draw = _suite("two-row-stationarity", checks, seed, ctx,
-                       keep=[draws[m0], direct])
-    _emit_samples_csv(ctx, "two_row", {f"m{m0}": draw(draws[m0]),
-                                       "direct": draw(direct)}, seed)
+    rep = _evaluate("two-row-stationarity", checks, seed, ctx)
+    _emit_samples_csv(ctx, "two_row", {f"m{m0}": draws[m0], "direct": direct}, seed)
     if ctx.emit_csv and ctx.out_dir is not None:
         size = 12
         gp = lattice.two_row_params(alpha, u, v, size)
@@ -535,7 +552,7 @@ def exp_permutation(params: dict, seed: int, ctx: RunContext) -> dict:
         d = _Draw("perm", kw, f"perm{pi}", n, batch=max(n, 1))
         checks += [(f"perm{pi}:k={k}", (d, ci), (d, len(offsets) + ci))
                    for ci, k in enumerate(offsets)]
-    return _suite("permutation-symmetry", checks, seed, ctx)[0]
+    return _evaluate("permutation-symmetry", checks, seed, ctx)
 
 
 # frozen finite-size tolerance multipliers for the two asymptotic-law checks
@@ -569,25 +586,22 @@ def exp_zuv(params: dict, seed: int, ctx: RunContext) -> dict:
     zpra = zuv("zuv_pra", u2, v2, [1, 4], sampler="zuv_pra")
     checks += [(f"pra-route:k={k}", (zd, ci), (zpra, ci))
                for ci, k in enumerate([1, 4])]
-    rep, draw = _suite("zuv-properties", checks, seed, ctx)
     # tail ratio law at large k, with a documented finite-k tolerance
     k_tail = int(params["k_tail"])
     tail = zuv("zuv_tail", u2, v2, [k_tail, k_tail + 1])
-    ckpt = ctx.checkpoint_dir()
-    res = _ks(draw, (tail, lambda a: np.exp(a[:, 1] - a[:, 0])),
-              functools.partial(inverse_gamma_cdf, theta=alpha - abs(v2)), ckpt)
-    extra = [_result(f"tail-ratio:k={k_tail}", res.statistic,
-                     TAIL_TOL_MULT * res.threshold)]
+    checks.append((f"tail-ratio:k={k_tail}",
+                   (tail, lambda a: np.exp(a[:, 1] - a[:, 0])),
+                   functools.partial(inverse_gamma_cdf, theta=alpha - abs(v2)),
+                   lambda t: TAIL_TOL_MULT * t))
     # boundary series limit 1 + G_{u-v}/G_{2v} for positive v
     u3, v3 = params["u_alim"], params["v_alim"]
     n_alim = int(params["n_alim"])
     a_n = _Draw("zuv_a", {"alpha": alpha, "u": u3, "v": v3, "k": n_alim},
                 "zuv_alim", n)
     limit = _Draw("gamma_limit", {"u": u3, "v": v3}, "zuv_alim_ref", n)
-    res = _ks(draw, (a_n, None), (limit, None), ckpt)
-    extra.append(_result(f"a-limit:n={n_alim}", res.statistic,
-                         ALIMIT_TOL_MULT * res.threshold))
-    return _extend(rep, extra)
+    checks.append((f"a-limit:n={n_alim}", (a_n, None), (limit, None),
+                   lambda t: ALIMIT_TOL_MULT * t))
+    return _evaluate("zuv-properties", checks, seed, ctx)
 
 
 def exp_huv(params: dict, seed: int, ctx: RunContext) -> dict:
@@ -617,16 +631,17 @@ def exp_huv(params: dict, seed: int, ctx: RunContext) -> dict:
     hpit = huv("huv_pitman", us, -vs, route="pitman")
     checks += [(f"pitman-route:X={X}", (hm, ci), (hpit, ci))
                for ci, X in enumerate(xs[-2:], start=len(xs) - 2)]
-    rep, draw = _suite("huv-properties", checks, seed, ctx, keep=[hb])
     # resolution stability: halve delta, KS shift must sit inside MC noise
     X_ref = xs[min(1, len(xs) - 1)]
     half = huv("huv_haldelta", ub, -ub, delta=delta / 2.0, xs=[X_ref])
-    ckpt = ctx.checkpoint_dir()
-    d1 = _ks(draw, (hb, xs.index(X_ref)), brownian(X_ref), ckpt).statistic
-    d2 = _ks(draw, (half, 0), brownian(X_ref), ckpt).statistic
-    return _extend(rep, [_result(f"delta-halving:X={X_ref}", abs(d1 - d2),
-                                 ks_threshold(n),
-                                 extra={"d_at_delta": d1, "d_at_half": d2})])
+
+    def delta_halving(first, ks):
+        d1 = first[f"brownian:X={X_ref}"].statistic
+        d2 = ks((half, 0), brownian(X_ref)).statistic
+        return _result(f"delta-halving:X={X_ref}", abs(d1 - d2), ks_threshold(n),
+                       extra={"d_at_delta": d1, "d_at_half": d2})
+
+    return _evaluate("huv-properties", checks + [delta_halving], seed, ctx)
 
 
 # finite-epsilon tolerance (KS distance) for the zero-temperature limit at
@@ -655,20 +670,18 @@ def exp_lpp(params: dict, seed: int, ctx: RunContext) -> dict:
                              "offsets": [1]}, "lpp_exp_inc", n)
     checks.append(("exp_one:increment-exponential", (inc, 0),
                    functools.partial(exponential_cdf, a=a - eu)))
-    rep, _ = _suite("lpp-stationarity", checks, seed, ctx)
     # zero-temperature limit: reported KS along the epsilon grid, gated only
-    # at the smallest epsilon with the documented finite-epsilon tolerance
-    lim = lpp.loggamma_to_exp_limit_check(
-        params["lim_a_circ"], params["lim_a_s"], params["lim_eps"],
-        RngStream(seed, _stable_base("lpp_limit")),
-        n=params["lim_n"], m=params["lim_m"],
-        n_replicas=int(params["lim_samples"]))
-    eps_min = min(lim["ks"])
-    return _extend(rep, [
-        _result(f"lpp-limit:eps={eps}", entry["statistic"],
-                EPS_LIMIT_TOL if eps == eps_min else 1.0,
-                extra={"gated": eps == eps_min})
-        for eps, entry in sorted(lim["ks"].items(), reverse=True)])
+    # at the smallest epsilon with the documented finite-epsilon tolerance;
+    # one batch, so every column comes from one stream
+    R, eps_grid = int(params["lim_samples"]), params["lim_eps"]
+    lim = _Draw("lpp_limit", {"a_circ": params["lim_a_circ"], "a_s": params["lim_a_s"],
+                              "epsilon_list": eps_grid, "n": params["lim_n"],
+                              "m": params["lim_m"]}, "lpp_limit", R, batch=max(R, 1))
+    eps_min = min(eps_grid)
+    checks += [(f"lpp-limit:eps={eps}", (lim, 1 + i), (lim, 0),
+                EPS_LIMIT_TOL if eps == eps_min else 1.0, {"gated": eps == eps_min})
+               for i, eps in enumerate(eps_grid)]
+    return _evaluate("lpp-stationarity", checks, seed, ctx)
 
 
 def _random_instance(rng: RngStream, t_span: int, min_height: int = 0):
@@ -727,7 +740,7 @@ def exp_she(params: dict, seed: int, ctx: RunContext) -> dict:
                                        {"s": s, "t": t, "x_max": x_max})
     results.append(_result("boundary-monotonicity", mono["max_violation"], 0.0,
                            extra={"checked": mono["checked"]}))
-    return _extend(None, results)
+    return _evaluate("she-identities", results, seed, ctx)
 
 
 ENVELOPE_C = 4.0
@@ -778,7 +791,8 @@ def exp_sheet(params: dict, seed: int, ctx: RunContext) -> dict:
     _write_csv(ctx, "sheet_kernels.csv", ["s", "x", "t", "y", "value"],
                ([S, repr(X), repr(T), repr(Y), repr(got)]
                 for (S, X, T, Y, got) in rows))
-    return {**_extend(None, results), "variance_study": var_study}
+    return {**_evaluate("sheet-convergence", results, seed, ctx),
+            "variance_study": var_study}
 
 
 def _increment(c):
@@ -811,18 +825,15 @@ def exp_kpz(params: dict, seed: int, ctx: RunContext) -> dict:
                  "kpz_init", nsamp, batch=20000)
     checks += [(f"T0-vs-initial-data:X={X}", (procs[T0], _increment(ci)),
                 (init, _increment(ci))) for ci, X in enumerate(Xs)]
-    rep, draw = _suite("kpz-scaling", checks, seed, ctx)
-    if not params["resolution_check"]:
-        return rep
-    # resolution report: distance between levels n and 4n (not gated)
-    X_ref = Xs[0]
-    lo, hi = (_Draw("scaled_init", {"n": nn, "u": u, "v": v, "xs": [0.0, X_ref]},
-                    tag, int(params["res_samples"]))
-              for nn, tag in ((n // 4, "kpz_res_lo"), (n, "kpz_res_hi")))
-    d = _ks(draw, (lo, _increment(0)), (hi, _increment(0)),
-            ctx.checkpoint_dir()).statistic
-    return _extend(rep, [_result(f"resolution:n{n // 4}-vs-n{n}:X={X_ref}", d, 1.0,
-                                 extra={"gated": False})])
+    if params["resolution_check"]:
+        # resolution report: distance between levels n and 4n (not gated)
+        X_ref = Xs[0]
+        lo, hi = (_Draw("scaled_init", {"n": nn, "u": u, "v": v, "xs": [0.0, X_ref]},
+                        tag, int(params["res_samples"]))
+                  for nn, tag in ((n // 4, "kpz_res_lo"), (n, "kpz_res_hi")))
+        checks.append((f"resolution:n{n // 4}-vs-n{n}:X={X_ref}", (lo, _increment(0)),
+                       (hi, _increment(0)), 1.0, {"gated": False}))
+    return _evaluate("kpz-scaling", checks, seed, ctx)
 
 
 def exp_matching(params: dict, seed: int, ctx: RunContext) -> dict:
@@ -833,7 +844,7 @@ def exp_matching(params: dict, seed: int, ctx: RunContext) -> dict:
         # both sides come from one draw, so a retry redraws it once
         d = _Draw("matching", dict(kw, t=t, y=y), f"match_t{t}y{y}", n, batch=20000)
         checks.append((f"matching:t={t},y={y}", (d, 0), (d, 1)))
-    return _suite("matching-identity", checks, seed, ctx)[0]
+    return _evaluate("matching-identity", checks, seed, ctx)
 
 
 # frozen bounds on the scaled moment gaps of the matching bulk law; the even
@@ -907,7 +918,7 @@ def exp_moments(params: dict, seed: int, ctx: RunContext) -> dict:
                            extra={"estimate": est, "exact": exact8,
                                   "gaussian_limit": 105.0,
                                   "drift_to_limit": abs(est - 105.0) / 105.0}))
-    return _extend(None, results)
+    return _evaluate("moments", results, seed, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ lattice's. Weights are geometric (parametrized by q_i q_j) or exponential
 The circ and row parameters are stored as alpha_circ and alphas, as in
 OctantParams. Four stationary constructions mirror the polymer ones: defect
 parameters on the first one or two rows, with the corner weights pinned
-to 0. The zero-temperature limit check draws its polymer side through a
-third such class, the log-gamma law at shapes eps times the exponential
-site parameters, so both of its sides ride the same provider and sweep.
+to 0. The zero-temperature limit's samples draw their polymer side
+through a third such class, the log-gamma law at shapes eps times the
+exponential site parameters, so both sides ride the same provider and
+sweep.
 """
 
 from __future__ import annotations
@@ -137,34 +138,22 @@ def stationary_row_samples_lpp(kind: str, bulk: float, p1: float, m: int,
         1 if kind.endswith("_one") else 2, m, offsets, n_replicas, rng)
 
 
-def loggamma_to_exp_limit_check(a_circ: float, a_s, epsilon_list, rng: RngStream,
-                                n: int = 4, m: int = 3,
-                                n_replicas: int = 10 ** 5) -> dict:
-    """Zero-temperature limit: eps * log Z at inverse-gamma shapes eps * a
-    compared in law against the exponential passage time with rates a.
-
-    For each eps the polymer octant is sampled with shapes eps * (a_i + a_j)
-    and eps * log Z(n, m) is collected over replicas; an independent batch
-    of exponential G(n, m) values is the reference. Returns per-eps KS
-    statistics plus the reference threshold; the sequence should decrease
-    along a decreasing eps grid (reported, not asserted here).
-    """
-    from .stats import SampleSet, ks_two_sample
-
-    eps_sorted = list(epsilon_list)
-    if any(b >= a for a, b in zip(eps_sorted, eps_sorted[1:])):
+def zero_temperature_samples(a_circ: float, a_s, epsilon_list, rng: RngStream,
+                             n: int = 4, m: int = 3,
+                             n_replicas: int = 10 ** 5) -> np.ndarray:
+    """Corner samples of the zero-temperature limit, (n_replicas, 1 +
+    len(epsilon_list)): column 0 is the exponential passage time G(n, m) at
+    rates a, column 1 + i is eps_i * log Z(n, m) of an independent polymer
+    at inverse-gamma shapes eps_i * a. Along a decreasing eps grid the
+    polymer columns approach column 0 in law."""
+    if np.any(np.diff(epsilon_list) >= 0):
         raise ValueError("epsilon grid must be decreasing")
-    R = n_replicas
 
     def corner(params: OctantParams) -> np.ndarray:
         # max_m = n draws every site of rows 1..n, row by row in column order
-        rows = make_row_logw(params, n, R, rng)
-        return replicated_rows(rows, n, n, R, {n: [m]}, params.plus)[(n, m)]
+        rows = make_row_logw(params, n, n_replicas, rng)
+        return replicated_rows(rows, n, n, n_replicas, {n: [m]}, params.plus)[(n, m)]
 
-    ref = SampleSet(corner(LppExpParams(a_circ, a_s)), label=f"exp_G({n},{m})")
-    out = {"n": n, "m": m, "n_replicas": R, "ks": {}}
-    for eps in eps_sorted:
-        z = eps * corner(_SmallShapeParams(a_circ, a_s, eps=eps))
-        res = ks_two_sample(SampleSet(z, label=f"eps={eps}"), ref)
-        out["ks"][eps] = {"statistic": res.statistic, "threshold": res.threshold}
-    return out
+    ref = corner(LppExpParams(a_circ, a_s))
+    return np.stack([ref] + [eps * corner(_SmallShapeParams(a_circ, a_s, eps=eps))
+                             for eps in epsilon_list], axis=1)

@@ -11,15 +11,12 @@ sublattice; diagonal_time records that map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .distributions import sample_inverse_gamma
-from .lattice import (make_row_logw, partition_recurrence,
-                      point_to_point_partition, replicated_rows,
-                      sample_weight_field, two_row_params)
+from .lattice import make_row_logw, replicated_rows, two_row_params
 from .rng import RngStream
 from .she import _lattice_index, _square_root, _step
 from .stationary import DiscreteStationaryParams, sample_zuv_path
@@ -70,56 +67,6 @@ def diagonal_time(t: int, y: int) -> int:
     """Map an octant label (t, y) to the reflected-walk endpoint time
     2t + y - 2 (the endpoint height is y itself)."""
     return 2 * t + y - 2
-
-
-@dataclass
-class TildeZResult:
-    log_value: float
-    decomposition_defect: float
-    terms: int
-
-
-def normalized_tilde_z(alpha: float, u: float, v: float, t: int, y: int,
-                       rng: RngStream) -> TildeZResult:
-    """One realization of log z-tilde(t, y) with its exact decomposition
-    defect.
-
-    z-tilde(t, y) = ((2 alpha - 1)/2)^{2t+y} z_stat(t+y+2, t+2) /
-    (varpi_11 varpi_22). On the same weight field the value decomposes as
-    sum_{x=0}^{t+y-1} z-tilde(x) * propagator(x), where z-tilde(x) uses
-    only rows 1-2 and the propagator is the point-to-point partition over
-    rows >= 3 entering column 3 at row x + 3, normalized by the matching
-    power of (2 alpha - 1)/2. The defect reported is the relative gap
-    between the direct value and the decomposed sum, which is a pure
-    bookkeeping identity and must vanish to rounding.
-    """
-    if not alpha > 0.5:
-        raise ValueError("need alpha > 1/2")
-    if t < 0 or y < 0 or t + y < 1:
-        raise ValueError("need t, y >= 0 with t + y >= 1")
-    big_n, big_m = t + y + 2, t + 2
-    params = two_row_params(alpha, u, v, big_n)
-    field = sample_weight_field(params, rng)
-    grid = partition_recurrence(field, big_n, big_m)
-    log_scale = math.log((2.0 * alpha - 1.0) / 2.0)
-    lw = field.log_w
-    corner = lw[1, 1] + lw[2, 2]
-    direct = (2 * t + y) * log_scale + grid.log_z[big_n, big_m] - corner
-    if t == 0:
-        # z-tilde(0, y) is the initial data z-tilde(y-1) by definition;
-        # the column-3 decomposition needs t >= 1
-        return TildeZResult(log_value=float(direct), decomposition_defect=0.0,
-                            terms=0)
-    parts = []
-    for x in range(0, t + y):
-        init = (x + 1) * log_scale + grid.log_z[x + 3, 2] - corner
-        prop = (2 * t + y - x - 1) * log_scale + point_to_point_partition(
-            field, (x + 3, 3), (big_n, big_m))
-        parts.append(init + prop)
-    total = np.logaddexp.reduce(parts)
-    defect = abs(total - direct) / max(abs(direct), 1.0)
-    return TildeZResult(log_value=float(direct), decomposition_defect=float(defect),
-                        terms=len(parts))
 
 
 def bulk_weight_matching_moments(n: int, max_order: int = 8) -> dict:

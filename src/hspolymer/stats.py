@@ -19,6 +19,9 @@ import numpy as np
 from .rng import RngStream
 from .special import kolmogi, kolmogorov
 
+# the level of every KS test
+KS_LEVEL = 1e-3
+
 
 @dataclass
 class SampleSet:
@@ -51,23 +54,23 @@ class KsResult:
         return self.statistic <= self.threshold
 
 
-def ks_threshold(n_eff: float, alpha: float = 1e-3) -> float:
-    """Critical D at level alpha for effective sample size n_eff: the root
-    of Q(lambda) = alpha, scaled by 1/sqrt(n_eff)."""
-    return kolmogi(alpha) / np.sqrt(n_eff)
+def ks_threshold(n_eff: float) -> float:
+    """Critical D at KS_LEVEL for effective sample size n_eff: the root
+    of Q(lambda) = KS_LEVEL, scaled by 1/sqrt(n_eff)."""
+    return kolmogi(KS_LEVEL) / np.sqrt(n_eff)
 
 
-def ks_result(d: float, sizes: tuple, alpha: float = 1e-3) -> KsResult:
+def ks_result(d: float, sizes: tuple) -> KsResult:
     """The result of sup-distance d between an empirical CDF of sizes[0]
     points and an analytic CDF (one size) or a second empirical CDF of
     sizes[1] points."""
     n_eff = float(sizes[0]) if len(sizes) == 1 else \
         sizes[0] * sizes[1] / (sizes[0] + sizes[1])
     return KsResult(d, n_eff, kolmogorov(np.sqrt(n_eff) * d),
-                    ks_threshold(n_eff, alpha))
+                    ks_threshold(n_eff))
 
 
-def ks_two_sample(a: SampleSet, b: SampleSet, alpha: float = 1e-3) -> KsResult:
+def ks_two_sample(a: SampleSet, b: SampleSet) -> KsResult:
     """Exact sup-distance between the two empirical CDFs."""
     xa = np.sort(a.values)
     xb = np.sort(b.values)
@@ -76,10 +79,10 @@ def ks_two_sample(a: SampleSet, b: SampleSet, alpha: float = 1e-3) -> KsResult:
     cdf_a = np.searchsorted(xa, both, side="right") / na
     cdf_b = np.searchsorted(xb, both, side="right") / nb
     d = float(np.max(np.abs(cdf_a - cdf_b)))
-    return ks_result(d, (na, nb), alpha)
+    return ks_result(d, (na, nb))
 
 
-def ks_one_sample(a: SampleSet, cdf, alpha: float = 1e-3) -> KsResult:
+def ks_one_sample(a: SampleSet, cdf) -> KsResult:
     """Sup-distance of the empirical CDF against an analytic CDF."""
     x = np.sort(a.values)
     n = x.size
@@ -90,7 +93,7 @@ def ks_one_sample(a: SampleSet, cdf, alpha: float = 1e-3) -> KsResult:
     d_plus = np.max((grid + 1.0) / n - f)
     d_minus = np.max(f - grid / n)
     d = float(max(d_plus, d_minus))
-    return ks_result(d, (n,), alpha)
+    return ks_result(d, (n,))
 
 
 def moment_compare(a: SampleSet, k: int, target: float) -> dict:

@@ -248,20 +248,27 @@ def test_a_larger_rerun_into_one_out_redraws_the_tail_batch(tmp_path):
 @pytest.mark.parametrize("experiment,params", [
     ("burke", {"alpha_grid": [1.5], "u_spec": [0.3], "n_samples": 3000}),
     ("one-row-stationarity", {"n_samples": 2000}),
+    # the zero-temperature limit's three checks included
+    ("lpp-stationarity", {"n_samples": 3000, "lim_samples": 3000}),
 ])
 def test_a_warm_run_reads_every_ks_statistic(tmp_path, monkeypatch, experiment,
                                              params):
+    from hspolymer import stats
+
     cfg = _write_config(tmp_path / "c.json", experiment=experiment, params=params)
     out = tmp_path / "out"
     assert _polymer(cfg, "--out", str(out)) == 0
     cold = json.loads((out / f"{experiment}_report.json").read_text())
     ckpt = sorted((out / "checkpoints").iterdir())
+    # one stored statistic per result
+    assert len([p for p in ckpt if p.name.startswith("ks_")]) == len(cold["results"])
 
     def no_test(*args, **kwargs):
-        raise AssertionError("a KS statistic was recomputed")
+        raise AssertionError("a sample was drawn or a KS statistic recomputed")
 
-    monkeypatch.setattr(experiments, "ks_one_sample", no_test)
-    monkeypatch.setattr(experiments, "ks_two_sample", no_test)
+    for owner, name in [(experiments, "_run_batch"), (experiments, "ks_one_sample"),
+                        (experiments, "ks_two_sample"), (stats, "ks_two_sample")]:
+        monkeypatch.setattr(owner, name, no_test)
     assert _polymer(cfg, "--out", str(out)) == 0
     warm = json.loads((out / f"{experiment}_report.json").read_text())
     cold["wallclock_s"] = warm["wallclock_s"] = None

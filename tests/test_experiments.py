@@ -243,6 +243,34 @@ def test_huv_unsorted_xs_label_their_own_columns():
                          for r in rep["results"] if not r["pass"]]
 
 
+def test_huv_delta_halving_reads_the_suite_statistic(monkeypatch):
+    calls = []
+    real = experiments.ks_one_sample
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "ks_one_sample", counted)
+    rep = run_experiment("huv-properties", {"xs": [0.5, 1.0, 2.0], "n_samples": 200,
+                                            "delta": 2.0 ** -6}, [5], RunContext())
+    assert rep["retried"] == []
+    # the three Brownian marginals and the halved-delta one, no repeat
+    assert len(calls) == 4
+    results = {r["test"]: r for r in rep["results"]}
+    assert results["delta-halving:X=1.0"]["d_at_delta"] == \
+        results["brownian:X=1.0"]["statistic"]
+
+
+@pytest.mark.parametrize("name,params", [
+    ("she-identities", {"instances": 2}),
+    ("sheet-convergence", {"n": 256, "var_ns": [16], "var_replicas": 2}),
+])
+def test_a_run_of_value_gates_makes_no_checkpoint_directory(tmp_path, name, params):
+    run_experiment(name, params, [7], RunContext(out_dir=tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_she_monotonicity_field_covers_its_window():
     # at this seed the monotonicity instance has max(x, y) < 2, so a bulk
     # field sized by the instance's own endpoints stopped short of the

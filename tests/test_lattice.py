@@ -60,6 +60,21 @@ def test_point_to_point_matches_full_grid_from_corner():
     assert got == pytest.approx(grid.log_z[5, 3], rel=1e-12)
 
 
+@pytest.mark.parametrize("t,y", [(1, 0), (1, 2), (2, 1), (3, 2)])
+def test_two_row_partition_decomposes_at_column_3(t, y):
+    # Z(t + y + 2, t + 2) on the two-row grid sums, over the row x + 3 at
+    # which a path enters column 3, the partition Z(x + 3, 2) of rows 1-2
+    # times the point-to-point partition from (x + 3, 3)
+    big_n, big_m = t + y + 2, t + 2
+    field = lattice.sample_weight_field(
+        lattice.two_row_params(2.0, 0.7, -0.3, big_n), RngStream(6100 + 10 * t + y))
+    log_z = lattice.partition_recurrence(field, big_n, big_m).log_z
+    parts = [log_z[x + 3, 2] + lattice.point_to_point_partition(
+        field, (x + 3, 3), (big_n, big_m)) for x in range(t + y)]
+    direct = log_z[big_n, big_m]
+    assert abs(np.logaddexp.reduce(parts) - direct) < 1e-10 * max(abs(direct), 1.0)
+
+
 def test_octant_params_validation():
     # construction validates every drawn site
     with pytest.raises(ValueError, match=r"\(1,1\)"):

@@ -200,12 +200,12 @@ def test_sample_lpp_weights_is_the_scalar_site_loop(family):
 
 def test_limit_check_rejects_nondecreasing_grid():
     with pytest.raises(ValueError):
-        lpp.loggamma_to_exp_limit_check(0.5, (0.8, 1.2, 1.0, 0.9), [0.1, 0.1],
-                                        RngStream(0), n_replicas=10)
+        lpp.zero_temperature_samples(0.5, (0.8, 1.2, 1.0, 0.9), [0.1, 0.1],
+                                     RngStream(0), n_replicas=10)
 
 
-def _limit_check_dense(a_circ, a_s, epsilon_list, rng, n, m, R):
-    """The limit check with every weight in a dense [row, replica, column]
+def _limit_samples_dense(a_circ, a_s, epsilon_list, rng, n, m, R):
+    """The limit samples with every weight in a dense [row, replica, column]
     cube, drawn site by site in row-major order and swept at max_m = m."""
     theta = lpp.LppExpParams(a_circ, a_s).theta
     sites = [(i, j) for i in range(1, n + 1) for j in range(1, i + 1)]
@@ -217,18 +217,15 @@ def _limit_check_dense(a_circ, a_s, epsilon_list, rng, n, m, R):
     w_exp = np.full((n + 1, R, n + 1), np.nan)
     for (i, j) in sites:
         w_exp[i, :, j] = sample_exponential(theta[i, j], rng, R)
-    ref = SampleSet(sweep(w_exp, np.maximum), label=f"exp_G({n},{m})")
-    out = {"n": n, "m": m, "n_replicas": R, "ks": {}}
+    columns = [sweep(w_exp, np.maximum)]
     for eps in epsilon_list:
         logw = np.full((n + 1, R, n + 1), np.nan)
         for (i, j) in sites:
             th = eps * theta[i, j]
             boost = np.log(rng.gen.standard_gamma(th + 1.0, size=R))
             logw[i, :, j] = -(boost + np.log(rng.gen.random(size=R)) / th)
-        res = ks_two_sample(SampleSet(eps * sweep(logw, np.logaddexp),
-                                      label=f"eps={eps}"), ref)
-        out["ks"][eps] = {"statistic": res.statistic, "threshold": res.threshold}
-    return out
+        columns.append(eps * sweep(logw, np.logaddexp))
+    return np.stack(columns, axis=1)
 
 
 @pytest.mark.parametrize("a_s,n,m", [((1.0, 1.0, 1.0, 1.0), 4, 3),
@@ -236,16 +233,17 @@ def _limit_check_dense(a_circ, a_s, epsilon_list, rng, n, m, R):
                          ids=["square", "rows-beyond-n"])
 def test_limit_check_is_the_dense_cube_sweep(a_s, n, m):
     eps = [0.3, 0.05, 0.01]
-    got = lpp.loggamma_to_exp_limit_check(0.5, a_s, eps, RngStream(4010),
-                                          n=n, m=m, n_replicas=500)
-    assert got == _limit_check_dense(0.5, a_s, eps, RngStream(4010), n, m, 500)
+    got = lpp.zero_temperature_samples(0.5, a_s, eps, RngStream(4010),
+                                       n=n, m=m, n_replicas=500)
+    assert got.shape == (500, 1 + len(eps))
+    assert np.array_equal(got, _limit_samples_dense(0.5, a_s, eps, RngStream(4010),
+                                                    n, m, 500))
 
 
 def test_limit_check_statistic_shrinks_with_epsilon():
-    out = lpp.loggamma_to_exp_limit_check(0.5, (0.8, 1.2, 1.0, 0.9),
-                                          [0.6, 0.05], RngStream(4006),
-                                          n_replicas=4000)
-    assert out["n"] == 4 and out["m"] == 3
-    assert set(out["ks"]) == {0.6, 0.05}
-    assert out["ks"][0.6]["statistic"] > out["ks"][0.05]["statistic"]
-    assert out["ks"][0.05]["statistic"] < 3.0 * out["ks"][0.05]["threshold"]
+    got = lpp.zero_temperature_samples(0.5, (0.8, 1.2, 1.0, 0.9), [0.6, 0.05],
+                                       RngStream(4006), n_replicas=4000)
+    ref = SampleSet(got[:, 0])
+    coarse, fine = (ks_two_sample(SampleSet(got[:, c]), ref) for c in (1, 2))
+    assert coarse.statistic > fine.statistic
+    assert fine.statistic < 3.0 * fine.threshold

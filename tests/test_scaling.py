@@ -64,27 +64,6 @@ def test_diagonal_time_map():
     assert scaling.diagonal_time(3, 2) == 6
 
 
-@pytest.mark.parametrize("t,y", [(1, 0), (1, 2), (2, 1), (3, 2)])
-def test_tilde_z_decomposition_is_exact(t, y):
-    res = scaling.normalized_tilde_z(2.0, 0.7, -0.3, t, y,
-                                     RngStream(6100 + 10 * t + y))
-    assert res.terms == t + y
-    assert res.decomposition_defect < 1e-10
-    assert np.isfinite(res.log_value)
-
-
-def test_tilde_z_initial_row_has_no_decomposition():
-    res = scaling.normalized_tilde_z(2.0, 0.7, -0.3, 0, 3, RngStream(6101))
-    assert res.terms == 0 and res.decomposition_defect == 0.0
-
-
-def test_tilde_z_validation():
-    with pytest.raises(ValueError):
-        scaling.normalized_tilde_z(0.4, 0.1, -0.1, 1, 0, RngStream(0))
-    with pytest.raises(ValueError):
-        scaling.normalized_tilde_z(2.0, 0.7, -0.3, 0, 0, RngStream(0))
-
-
 @pytest.mark.parametrize("n", [100, 10000])
 def test_bulk_moments_closed_forms(n):
     rep = scaling.bulk_weight_matching_moments(n, max_order=4)
