@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__, lattice, lpp, scaling, she, stationary
+from . import lattice, lpp, scaling, she, stationary
 from .distributions import (exponential_cdf, inverse_gamma_cdf, normal_cdf,
                             sample_gamma, sample_inverse_gamma)
 from .rng import RngStream
@@ -104,8 +104,7 @@ def _s_lpp_limit(rng, size, **kw):
 
 
 def _s_matching(rng, n, alpha, u, v, t, y):
-    rep = scaling.matching_identity_check(alpha, u, v, t, y, n, rng)
-    return np.stack([rep["lhs_log"], rep["rhs_log"]], axis=1)
+    return scaling.matching_identity_check(alpha, u, v, t, y, n, rng)
 
 
 def _s_perm(rng, n, alpha_circ, alphas, sigma, m, offsets):
@@ -199,12 +198,23 @@ def _code_hash() -> str:
 
 
 def _digest(sampler: str, kwargs: dict, seed: int, batch: int) -> str:
-    """Checkpoint key: the draw's inputs, the package version and the code,
-    so a checkpoint written by other code is never read back."""
+    """Checkpoint key: the draw's inputs and the code (the package version
+    among it), so a checkpoint written by other code is never read back."""
     blob = json.dumps({"s": sampler, "k": kwargs, "seed": seed, "b": batch,
-                       "v": __version__, "code": _code_hash()},
+                       "code": _code_hash()},
                       sort_keys=True, default=str)
     return hashlib.sha1(blob.encode()).hexdigest()[:10]
+
+
+def _load(path: Path, check) -> np.ndarray | None:
+    """The array saved at path if it loads and check(array) holds, else None:
+    a file that is absent, unreadable (e.g. truncated) or not what its
+    writer stored is rebuilt by the caller."""
+    try:
+        arr = np.load(path)
+    except (OSError, ValueError, EOFError):
+        return None
+    return arr if check(arr) else None
 
 
 def _run_batch(sampler: str, kwargs: dict, seed: int, stream_id: int, size: int):
@@ -232,17 +242,12 @@ def collect_samples(sampler: str, kwargs: dict, seed: int, n_total: int,
     missing = []
     for i, size in enumerate(sizes):
         if ckpt is not None:
-            path = ckpt / f"{tag}_{dig}_{i:04d}.npy"
-            try:
-                part = np.load(path)
-                # the digest omits n_total, so the tail batch of another
-                # n_total has this name; its rows tell it apart
-                if part.shape[0] == size:
-                    parts[i] = part
-                    continue
-            except (OSError, ValueError, EOFError):
-                pass  # absent or unreadable (e.g. truncated): regenerate
-        missing.append(i)
+            # the digest omits n_total, so the tail batch of another n_total
+            # has this name; its rows tell it apart
+            parts[i] = _load(ckpt / f"{tag}_{dig}_{i:04d}.npy",
+                             lambda a: a.shape[:1] == (size,))
+        if parts[i] is None:
+            missing.append(i)
 
     def land(i: int, part: np.ndarray):
         parts[i] = part
@@ -367,12 +372,10 @@ def _ks(draw, a, b, ckpt: Path | None) -> KsResult:
         reference = _reference(b)
     if ckpt is not None:
         path = ckpt / f"ks_{_ks_key(sides, reference)}.npy"
-        try:
-            d = np.load(path)
-            if d.shape == () and d.dtype == np.float64 and 0.0 <= d <= 1.0:
-                return ks_result(float(d), tuple(len(s) for s in sides))
-        except (OSError, ValueError, EOFError):
-            pass  # absent or unreadable (e.g. truncated): recompute
+        d = _load(path, lambda a: a.shape == () and a.dtype == np.float64
+                  and 0.0 <= a <= 1.0)
+        if d is not None:
+            return ks_result(float(d), tuple(len(s) for s in sides))
     res = ks_two_sample(*sides) if len(sides) == 2 else ks_one_sample(sides[0], b)
     if ckpt is not None:
         _save_atomic(path, np.array(res.statistic))
@@ -650,7 +653,9 @@ EPS_LIMIT_TOL = 0.05
 
 
 def exp_lpp(params: dict, seed: int, ctx: RunContext) -> dict:
-    n = int(params["n_samples"])
+    n, eps_grid = int(params["n_samples"]), params["lim_eps"]
+    if np.any(np.diff(eps_grid) >= 0):
+        raise ValueError(f"lpp-stationarity needs a decreasing lim_eps, got {eps_grid}")
     kinds = {
         "exp_one": ({"kind": "exp_one", "bulk": params["a"], "p1": params["exp_u"]},
                     "m_one"),
@@ -673,7 +678,7 @@ def exp_lpp(params: dict, seed: int, ctx: RunContext) -> dict:
     # zero-temperature limit: reported KS along the epsilon grid, gated only
     # at the smallest epsilon with the documented finite-epsilon tolerance;
     # one batch, so every column comes from one stream
-    R, eps_grid = int(params["lim_samples"]), params["lim_eps"]
+    R = int(params["lim_samples"])
     lim = _Draw("lpp_limit", {"a_circ": params["lim_a_circ"], "a_s": params["lim_a_s"],
                               "epsilon_list": eps_grid, "n": params["lim_n"],
                               "m": params["lim_m"]}, "lpp_limit", R, batch=max(R, 1))

@@ -18,7 +18,7 @@ import numpy as np
 from .distributions import sample_inverse_gamma
 from .lattice import make_row_logw, replicated_rows, two_row_params
 from .rng import RngStream
-from .she import _lattice_index, _square_root, _step
+from .she import _lattice_index, _run_dp, _square_root
 from .stationary import DiscreteStationaryParams, sample_zuv_path
 
 
@@ -159,7 +159,7 @@ def boundary_weight_matching_moments(n: int, u: float) -> dict:
 
 
 def matching_identity_check(alpha: float, u: float, v: float, t: int, y: int,
-                            n_samples: int, rng: RngStream) -> dict:
+                            n_samples: int, rng: RngStream) -> np.ndarray:
     """Sample both sides of the octant-to-framework identity in law.
 
     Left side: log z-tilde(t, y) from the two-row octant at bulk parameter
@@ -168,52 +168,38 @@ def matching_identity_check(alpha: float, u: float, v: float, t: int, y: int,
     z_{u,v} sampler), bulk factors (2 alpha - 1) InvGamma(2 alpha),
     boundary factors ((2 alpha - 1)/2) InvGamma(alpha + u), and a fresh
     endpoint factor at time 2t + y - 2; the right-side value is
-    (2^{1{y=0}}/2) * endpoint * z-diag. Returns the two log-sample arrays
-    plus bookkeeping; the KS comparison is left to the caller.
+    (2^{1{y=0}}/2) * endpoint * z-diag. Returns the (n_samples, 2) log
+    samples, left side in column 0; the KS comparison is left to the caller.
     """
     if t + y < 1 or t < 1:
         raise ValueError("need t >= 1")
     if t > 5 or y > 4:
         raise ValueError("matching window guarded to t <= 5, y <= 4")
-    s_end = diagonal_time(t, y)
-    log_scale = math.log((2.0 * alpha - 1.0) / 2.0)
-    zp = DiscreteStationaryParams(alpha=alpha, u=u, v=v)
-    lhs = _log_tilde_z(alpha, u, v, t, [y], rng.substream(1), n_samples)[:, 0]
-    # right side: framework replicas
-    rhs = _matching_rhs(alpha, u, zp, t, y, s_end, log_scale, n_samples,
-                        rng.substream(2))
-    return {"alpha": alpha, "u": u, "v": v, "t": t, "y": y,
-            "s_end": s_end, "lhs_log": lhs, "rhs_log": rhs}
-
-
-def _matching_rhs(alpha: float, u: float, zp: DiscreteStationaryParams,
-                  t: int, y: int, s_end: int, log_scale: float,
-                  R: int, rng: RngStream) -> np.ndarray:
-    """Right side of the matching identity, vectorized over replicas."""
+    R, s_end, x_hi = n_samples, diagonal_time(t, y), t + y - 1
     bulk_scale = 2.0 * alpha - 1.0
     bdry_scale = bulk_scale / 2.0
-    x_hi = t + y - 1          # initial data indices 0..x_hi
-    log_zuv = sample_zuv_path(zp, x_hi + 1, rng, n_replicas=R)
-    # init value at x: z-tilde(x) in law = scale^{x+1} z_{u,v}(x+1)
-    init = np.empty((R, x_hi + 1))
-    for x in range(x_hi + 1):
-        init[:, x] = np.exp((x + 1) * log_scale + log_zuv[:, x + 1])
+    lhs = _log_tilde_z(alpha, u, v, t, [y], rng.substream(1), R)[:, 0]
+    # right side: she's diagonal sweep from initial data at heights 0..x_hi,
+    # where z-tilde(x) is scale^{x+1} z_{u,v}(x+1) in law
+    rng = rng.substream(2)
+    log_zuv = sample_zuv_path(DiscreteStationaryParams(alpha=alpha, u=u, v=v),
+                              x_hi + 1, rng, n_replicas=R)
+    init = np.exp(np.arange(1, x_hi + 2) * math.log(bdry_scale) + log_zuv[:, 1:])
     cap = s_end + 1
-    f = np.zeros((R, cap + 1))
-    for r in range(s_end):
-        if r <= x_hi:
-            f[:, r] += init[:, r]
-        g = np.empty((R, cap + 1))
-        g[:, 0] = bdry_scale * sample_inverse_gamma(alpha + u, rng, size=R)
-        g[:, 1:] = 0.5 * bulk_scale * sample_inverse_gamma(
-            2.0 * alpha, rng, size=(R, cap))
-        f = _step(f, g)
-    if s_end <= x_hi and y == s_end:
-        f[:, y] += init[:, s_end]
+
+    def rows():
+        for _ in range(s_end):
+            g = np.empty((R, cap + 1))
+            g[:, 0] = bdry_scale * sample_inverse_gamma(alpha + u, rng, size=R)
+            g[:, 1:] = 0.5 * bulk_scale * sample_inverse_gamma(
+                2.0 * alpha, rng, size=(R, cap))
+            yield g
+
+    f = _run_dp(np.zeros((R, cap + 1)), rows(), init)
     if y == 0:
         endpoint = bdry_scale * sample_inverse_gamma(alpha + u, rng, size=R)
         front = 0.0  # log(2^1 / 2)
     else:
         endpoint = bulk_scale * sample_inverse_gamma(2.0 * alpha, rng, size=R)
         front = math.log(0.5)
-    return front + np.log(endpoint) + np.log(f[:, y])
+    return np.stack([lhs, front + np.log(endpoint) + np.log(f[:, y])], axis=1)

@@ -109,13 +109,13 @@ def _checked_cap(s: int, x: int, t: int, y: int) -> int:
 def _step(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """One forward step of the reflected-walk DP.
 
-    f is the current weighted mass over heights 0..cap on its last axis
-    (leading axes are a batch), g the per-height factor at this time
-    (boundary at 0, halved bulk factor above). Mass at the cap moving up is
-    dropped (absorbing truncation).
+    f is the weighted mass over heights 0..cap on its last axis (leading
+    axes a batch), g the per-height factor at this time (boundary at 0,
+    halved bulk factor above); the result has their broadcast shape. Mass
+    at the cap moving up is dropped (absorbing truncation).
     """
     h = f * g
-    out = np.zeros_like(f)
+    out = np.zeros_like(h)
     out[..., 1:] += h[..., :-1]
     out[..., :-1] += h[..., 1:]
     return out
@@ -132,19 +132,27 @@ def _factor_rows(s: int, t: int, cap: int, boundary, bulk) -> np.ndarray:
     return g
 
 
-def _run_dp(x0: int, g: np.ndarray) -> np.ndarray:
-    """Mass over heights 0..cap after the rows of g, started at height x0."""
-    f = np.zeros(g.shape[1])
-    f[x0] = 1.0
-    for row in g:
+def _run_dp(f: np.ndarray, rows, inject: np.ndarray | None = None) -> np.ndarray:
+    """The mass f, over heights 0..cap on its last axis and a batch on any
+    leading axes, after the factor rows (an array or an iterable that
+    broadcasts against f). inject[..., r] is added at height r before row r,
+    or after the last row when r is the row count; f may change in place."""
+    r, n_in = 0, (0 if inject is None else inject.shape[-1])
+    for row in rows:
+        if r < n_in:
+            f[..., r] += inject[..., r]
         f = _step(f, row)
+        r += 1
+    if r < n_in:
+        f[..., r] += inject[..., r]
     return f
 
 
 def _partition(boundary, bulk, s: int, x: int, t: int, y: int) -> float:
     """Direct DP from (s, x) to (t, y); boundary or bulk may be None."""
-    g = _factor_rows(s, t, _checked_cap(s, x, t, y), boundary, bulk)
-    return float(_run_dp(x, g)[y]) if _parity_ok(s, x, t, y) else 0.0
+    cap = _checked_cap(s, x, t, y)
+    f = _run_dp(np.eye(cap + 1)[x], _factor_rows(s, t, cap, boundary, bulk))
+    return float(f[y]) if _parity_ok(s, x, t, y) else 0.0
 
 
 def reflected_kernel(s: int, x: int, t: int, y: int) -> float:
@@ -256,9 +264,7 @@ def modified_partition_mild(boundary: BoundaryWeights, bulk: BulkWeights,
     beta = bulk.beta
     # z[r - s] holds z(s, x; r, .) as a vector over heights
     zvecs = [None] * (t - s + 1)
-    z0 = np.zeros(cap + 1)
-    z0[x] = 1.0
-    zvecs[0] = z0
+    zvecs[0] = np.eye(cap + 1)[x]
     for r in range(s + 1, t + 1):
         vec = kt.matrix(s, r)[x, :].copy()
         for rp in range(s, r):
@@ -278,7 +284,7 @@ def composition_check(boundary: BoundaryWeights, bulk: BulkWeights,
     worst = 0.0
     for r in range(s + 1, t):
         cap = x + (r - s)
-        left = _run_dp(x, g[:r - s, :cap + 1])
+        left = _run_dp(np.eye(cap + 1)[x], g[:r - s, :cap + 1])
         glued = 0.0
         for w in range(cap + 1):
             if left[w] == 0.0:
@@ -311,11 +317,11 @@ def partition_with_initial_data(kind: str, init: dict,
     "diagonal": sum_x init[x] z(x, x; t, y) over x >= 0, where the x-th
     term starts on the time-space diagonal. Terms with x > x_truncation
     are dropped and a Gaussian-envelope bound on the dropped mass is
-    reported. The sum is evaluated with a single forward DP by linearity
-    (vertical: seeded mass vector; diagonal: mass injected at time x).
+    reported. One forward DP evaluates the sum by linearity (vertical: seeded
+    mass vector; diagonal: mass injected at time x); t = 0 gives init itself.
     """
-    if t <= 0:
-        raise ValueError("need t > 0")
+    if t < 0:
+        raise ValueError("need t >= 0")
     if y < 0 or any(x0 < 0 for x0 in init):
         raise ValueError("heights must be nonnegative")
     cap = max(x_truncation, y) + t
@@ -334,19 +340,14 @@ def partition_with_initial_data(kind: str, init: dict,
                 raise ValueError("vertical initial data lives on even heights")
             if x0 <= x_truncation:
                 f[x0] = val
-        for row in g:
-            f = _step(f, row)
+        f = _run_dp(f, g)
     elif kind == "diagonal":
-        for r, row in enumerate(g):
-            if r in init and r <= x_truncation:
-                f[r] += init[r]
-            f = _step(f, row)
-        if t in init and t <= x_truncation and y == t:
-            # a term starting exactly at the endpoint contributes its bare value
-            f[y] += init[t]
+        # a term starting at time t is its bare value; later ones vanish
+        f = _run_dp(f, g, np.array([init.get(x0, 0.0) for x0 in
+                                    range(min(x_truncation, t) + 1)], dtype=float))
     else:
         raise ValueError(f"unknown initial data kind {kind!r}")
-    value = float(f[y]) if y <= cap else 0.0
+    value = float(f[y])
     return InitialDataResult(value=value, tail_bound=tail, truncated=truncated)
 
 
@@ -597,21 +598,17 @@ def monotone_coupling_check(boundary_low: BoundaryWeights,
     unordered = np.flatnonzero(~((lo <= mid) & (mid <= hi)))
     if unordered.size:
         raise ValueError(f"boundaries not ordered at time {s + unordered[0]}")
-    # one factor array per boundary at the window's largest cap
-    gs = [_factor_rows(s, t, x_max + (t - s), b, bulk) for b in boundaries]
+    # the factors at the window's largest cap as [time, boundary, 1, height],
+    # so each row broadcasts over the three boundaries and every start height
+    gs = np.stack([_factor_rows(s, t, x_max + (t - s), b, bulk)
+                   for b in boundaries], axis=1)[:, :, None, :]
     checked = 0
     worst = 0.0
-    ok = True
     for s2 in range(s, t):
         for t2 in range(s2 + 1, t + 1):
             cap = x_max + (t2 - s2)
-            for x in range(0, x_max + 1):
-                rows = [_run_dp(x, g[s2 - s:t2 - s, :cap + 1]) for g in gs]
-                for y in range(cap + 1):
-                    lo, mid, hi = rows[0][y], rows[1][y], rows[2][y]
-                    checked += 1
-                    gap = max(lo - mid, mid - hi, 0.0)
-                    if gap > 0.0:
-                        ok = False
-                        worst = max(worst, gap)
-    return {"pass": ok, "checked": checked, "max_violation": worst}
+            lo, mid, hi = _run_dp(np.eye(cap + 1)[:x_max + 1],
+                                  gs[s2 - s:t2 - s, ..., :cap + 1])
+            checked += lo.size
+            worst = max(worst, float(np.max(lo - mid)), float(np.max(mid - hi)))
+    return {"pass": worst == 0.0, "checked": checked, "max_violation": worst}

@@ -177,6 +177,22 @@ def test_kpz_resolution_check_is_refused_before_any_draw(runner, tmp_path,
     assert "resolution_check" in res.output
 
 
+def test_a_bad_lim_eps_is_refused_before_any_draw(runner, tmp_path, monkeypatch):
+    # an increasing grid used to be refused only by the limit draw, after the
+    # 13 row draws, in an error that named no parameter
+    def no_draw(*args):
+        raise AssertionError("a sampler ran")
+
+    monkeypatch.setattr(experiments, "_run_batch", no_draw)
+    cfg = _write_config(tmp_path / "c.json", experiment="lpp-stationarity",
+                        params={"lim_eps": [0.01, 0.1], "n_samples": 2000,
+                                "lim_samples": 500})
+    res = runner.invoke(main, ["run", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "lim_eps" in res.output
+    assert not (tmp_path / "o" / "lpp-stationarity_report.json").exists()
+
+
 @pytest.mark.parametrize("experiment,params", [
     ("moments", {"moment_ns": [], "mc_samples": 2000}),
     ("sheet-convergence", {"mus": [], "var_ns": [16], "var_replicas": 2}),

@@ -45,6 +45,18 @@ def test_collect_checkpoints_resume(tmp_path):
     assert sorted((tmp_path / "checkpoints").iterdir()) == parts
 
 
+def test_a_0d_checkpoint_part_is_redrawn(tmp_path):
+    # a 0-d array under a part's name used to raise IndexError from the row
+    # count check instead of being redrawn
+    ctx = RunContext(out_dir=tmp_path)
+    a = collect_samples("burke", BURKE_KW, 7, 500, ctx, batch=200)
+    part = sorted((tmp_path / "checkpoints").glob("burke_*.npy"))[1]
+    np.save(part, np.array(0.5))
+    assert np.array_equal(
+        collect_samples("burke", BURKE_KW, 7, 500, ctx, batch=200), a)
+    assert np.load(part).shape == (200, a.shape[1])
+
+
 def test_checkpoints_from_other_code_are_regenerated(tmp_path, monkeypatch):
     ctx = RunContext(out_dir=tmp_path)
     fresh = collect_samples("burke", BURKE_KW, 7, 500, RunContext(), batch=200)

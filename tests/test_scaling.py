@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from hspolymer import scaling, she
+from hspolymer.distributions import sample_inverse_gamma
 from hspolymer.rng import RngStream
-from hspolymer.stationary import scaled_initial_data, second_moment_analytic
+from hspolymer.stationary import (DiscreteStationaryParams, sample_zuv_path,
+                                  scaled_initial_data, second_moment_analytic)
 from hspolymer.stats import SampleSet, ks_two_sample
 
 
@@ -29,7 +31,7 @@ def test_process_is_the_matching_left_side(seed):
     proc = scaling.scaled_stationary_process(16, 0.6, -0.2, 0.5, [0.5],
                                              RngStream(seed).substream(1), R)
     lhs = scaling.matching_identity_check(4.5, 0.6, -0.2, 4, 2, R,
-                                          RngStream(seed))["lhs_log"]
+                                          RngStream(seed))[:, 0]
     assert np.array_equal(proc[:, 0], lhs)
 
 
@@ -122,9 +124,9 @@ def test_matching_identity_guards():
 def test_matching_identity_at_first_corner():
     out = scaling.matching_identity_check(2.0, 0.7, -0.3, 1, 0, 10000,
                                           RngStream(6103))
-    assert out["s_end"] == 0
-    res = ks_two_sample(SampleSet(out["lhs_log"], label="octant"),
-                        SampleSet(out["rhs_log"], label="framework"))
+    assert out.shape == (10000, 2)
+    res = ks_two_sample(SampleSet(out[:, 0], label="octant"),
+                        SampleSet(out[:, 1], label="framework"))
     assert res.passed, (res.statistic, res.threshold)
 
 
@@ -133,8 +135,42 @@ def test_matching_identity_reproducible():
                                         RngStream(6104))
     b = scaling.matching_identity_check(2.0, 0.7, -0.3, 2, 1, 500,
                                         RngStream(6104))
-    assert np.array_equal(a["lhs_log"], b["lhs_log"])
-    assert np.array_equal(a["rhs_log"], b["rhs_log"])
+    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("t,y", [(1, 0), (2, 1), (3, 2)])
+def test_matching_right_side_is_the_diagonal_initial_data_partition(t, y):
+    # one replica, its draws replayed in the right side's order: the z_{u,v}
+    # path, then per row the boundary factor and the bulk row, then the
+    # endpoint factor; the bulk enters she as omega = factor - 1 at beta = 1
+    alpha, u, v, seed = 2.0, 0.7, -0.3, 6105
+    rhs = scaling.matching_identity_check(alpha, u, v, t, y, 1,
+                                          RngStream(seed))[0, 1]
+    rng = RngStream(seed).substream(2)
+    bulk_scale = 2.0 * alpha - 1.0
+    bdry_scale = bulk_scale / 2.0
+    s_end, x_hi = scaling.diagonal_time(t, y), t + y - 1
+    log_zuv = sample_zuv_path(DiscreteStationaryParams(alpha=alpha, u=u, v=v),
+                              x_hi + 1, rng, n_replicas=1)[0]
+    init = {x: bdry_scale ** (x + 1) * math.exp(log_zuv[x + 1])
+            for x in range(x_hi + 1)}
+    cap = max(x_hi, y) + s_end    # she's truncation height
+    bdry, omega = np.empty(s_end), np.zeros((s_end, cap + 1))
+    for r in range(s_end):
+        bdry[r] = bdry_scale * sample_inverse_gamma(alpha + u, rng, size=1)[0]
+        omega[r, :s_end + 1] = bulk_scale * sample_inverse_gamma(
+            2.0 * alpha, rng, size=(1, s_end + 1))[0] - 1.0
+    z = she.partition_with_initial_data(
+        "diagonal", init, she.BoundaryWeights(0, bdry),
+        she.BulkWeights(0, omega, beta=1.0), s_end, y, x_truncation=x_hi)
+    if y == 0:
+        endpoint = bdry_scale * sample_inverse_gamma(alpha + u, rng, size=1)[0]
+        front = 0.0
+    else:
+        endpoint = bulk_scale * sample_inverse_gamma(2.0 * alpha, rng, size=1)[0]
+        front = math.log(0.5)
+    assert not z.truncated
+    assert rhs == pytest.approx(front + math.log(endpoint * z.value), rel=1e-12)
 
 
 _SHEET16 = she.ScalingParams(16, 0.0, 0.0)

@@ -246,7 +246,10 @@ def test_monotone_coupling_in_boundary():
     hi = she.BoundaryWeights.constant(1.5, 0, 5)
     rep = she.monotone_coupling_check(lo, mid, hi, bulk,
                                       {"s": 0, "t": 5, "x_max": 3})
-    assert rep["pass"] and rep["checked"] > 0 and rep["max_violation"] == 0.0
+    assert rep["pass"] and rep["max_violation"] == 0.0
+    # every start height 0..3 and end height up to 3 + (t2 - s2) of each pair
+    assert rep["checked"] == sum(4 * (4 + t2 - s2) for s2 in range(5)
+                                 for t2 in range(s2 + 1, 6))
     with pytest.raises(ValueError):
         she.monotone_coupling_check(mid, lo, hi, bulk,
                                     {"s": 0, "t": 5, "x_max": 3})
