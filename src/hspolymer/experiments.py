@@ -724,9 +724,9 @@ def exp_she(params: dict, seed: int, ctx: RunContext) -> dict:
         worst["composition"] = max(
             worst["composition"],
             she.composition_check(boundary, bulk, s, x, t, y) / scale)
-        total = sum(she.reflected_kernel(s, x, t, yy)
-                    for yy in range(x + t_span + 1))
-        worst["normalization"] = max(worst["normalization"], abs(total - 1.0))
+        p = she._run_dp(np.eye(x + t_span + 1)[x],  # the plain kernel from (s, x)
+                        she._factor_rows(s, t, x + t_span, None, None))
+        worst["normalization"] = max(worst["normalization"], abs(sum(p.tolist()) - 1.0))
     results = [
         _result("direct-vs-chaos", worst["chaos"], tol),
         _result("direct-vs-mild", worst["mild"], tol),
@@ -741,8 +741,7 @@ def exp_she(params: dict, seed: int, ctx: RunContext) -> dict:
     boundary, bulk, s, x, t, y = _random_instance(rng, t_span, x_max + t_span)
     lo = she.BoundaryWeights(s, 0.5 * boundary.values)
     hi = she.BoundaryWeights(s, 1.5 * boundary.values)
-    mono = she.monotone_coupling_check(lo, boundary, hi, bulk,
-                                       {"s": s, "t": t, "x_max": x_max})
+    mono = she.monotone_coupling_check(lo, boundary, hi, bulk, s, t, x_max)
     results.append(_result("boundary-monotonicity", mono["max_violation"], 0.0,
                            extra={"checked": mono["checked"]}))
     return _evaluate("she-identities", results, seed, ctx)

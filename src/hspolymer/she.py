@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -106,21 +106,6 @@ def _checked_cap(s: int, x: int, t: int, y: int) -> int:
     return max(x, y) + (t - s)
 
 
-def _step(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """One forward step of the reflected-walk DP.
-
-    f is the weighted mass over heights 0..cap on its last axis (leading
-    axes a batch), g the per-height factor at this time (boundary at 0,
-    halved bulk factor above); the result has their broadcast shape. Mass
-    at the cap moving up is dropped (absorbing truncation).
-    """
-    h = f * g
-    out = np.zeros_like(h)
-    out[..., 1:] += h[..., :-1]
-    out[..., :-1] += h[..., 1:]
-    return out
-
-
 def _factor_rows(s: int, t: int, cap: int, boundary, bulk) -> np.ndarray:
     """The DP factors g[r - s, w] over r in [s, t) and w = 0..cap: X(r), or
     1 without boundary weights, at the origin; 0.5 * (1 + beta*omega(r, w)),
@@ -132,19 +117,33 @@ def _factor_rows(s: int, t: int, cap: int, boundary, bulk) -> np.ndarray:
     return g
 
 
-def _run_dp(f: np.ndarray, rows, inject: np.ndarray | None = None) -> np.ndarray:
-    """The mass f, over heights 0..cap on its last axis and a batch on any
-    leading axes, after the factor rows (an array or an iterable that
-    broadcasts against f). inject[..., r] is added at height r before row r,
-    or after the last row when r is the row count; f may change in place."""
-    r, n_in = 0, (0 if inject is None else inject.shape[-1])
-    for row in rows:
+def _sweep(f: np.ndarray, rows, inject: np.ndarray | None = None):
+    """Yield the reflected-walk DP's mass at every time, the start first.
+
+    f holds the mass over heights 0..cap on its last axis, any leading axes
+    a batch, and may change in place. Each factor row (boundary factor at 0,
+    halved bulk factor above) broadcasts against f; mass at the cap moving
+    up is dropped. inject[..., r] is added at height r at time r, before
+    that state is yielded. A yielded state is never changed afterwards.
+    """
+    n_in = 0 if inject is None else inject.shape[-1]
+    if n_in:
+        f[..., 0] += inject[..., 0]
+    yield f
+    for r, row in enumerate(rows, 1):
+        h = f * row
+        f = np.zeros_like(h)
+        f[..., 1:] += h[..., :-1]
+        f[..., :-1] += h[..., 1:]
         if r < n_in:
             f[..., r] += inject[..., r]
-        f = _step(f, row)
-        r += 1
-    if r < n_in:
-        f[..., r] += inject[..., r]
+        yield f
+
+
+def _run_dp(f: np.ndarray, rows, inject: np.ndarray | None = None) -> np.ndarray:
+    """The last state of _sweep(f, rows, inject)."""
+    for f in _sweep(f, rows, inject):
+        pass
     return f
 
 
@@ -193,15 +192,12 @@ class KernelTable:
 
 def build_kernel_table(boundary: BoundaryWeights | None, s: int, t: int,
                        cap: int) -> KernelTable:
-    """Forward DPs from every start time, giving all p_X time pairs."""
+    """One forward sweep from every start time, giving all p_X time pairs."""
     g = _factor_rows(s, t, cap, boundary, None)
     tables = {}
     for r1 in range(s, t + 1):
-        cur = np.eye(cap + 1)
-        tables[(r1, r1)] = cur
-        for r2 in range(r1, t):
-            cur = _step(cur, g[r2 - s])
-            tables[(r1, r2 + 1)] = cur
+        for r2, mass in enumerate(_sweep(np.eye(cap + 1), g[r1 - s:]), r1):
+            tables[(r1, r2)] = mass
     return KernelTable(s=s, t=t, cap=cap, tables=tables)
 
 
@@ -278,20 +274,21 @@ def modified_partition_mild(boundary: BoundaryWeights, bulk: BulkWeights,
 def composition_check(boundary: BoundaryWeights, bulk: BulkWeights,
                       s: int, x: int, t: int, y: int) -> float:
     """Max absolute defect of z(s,x;t,y) = sum_w z(s,x;r,w) z(r,w;t,y)
-    over interior cut times r."""
-    whole = modified_partition_direct(boundary, bulk, s, x, t, y)
-    g = _factor_rows(s, t, x + (t - s), boundary, bulk)
+    over interior cut times r. One sweep from (s, x) gives every z(s,x;r,.)
+    and, per cut, one sweep from every height x reaches by r gives
+    z(r,.;t,y), both at the whole's cap, which no path from them reaches."""
+    cap = _checked_cap(s, x, t, y)
+    g = _factor_rows(s, t, cap, boundary, bulk)
+    lefts = list(_sweep(np.eye(cap + 1)[x], g))
+    whole = float(lefts[-1][y])
     worst = 0.0
     for r in range(s + 1, t):
-        cap = x + (r - s)
-        left = _run_dp(np.eye(cap + 1)[x], g[:r - s, :cap + 1])
+        left = lefts[r - s][:x + (r - s) + 1]
+        right = _run_dp(np.eye(cap + 1)[:left.size], g[r - s:])[:, y]
         glued = 0.0
-        for w in range(cap + 1):
-            if left[w] == 0.0:
-                continue
-            if not _parity_ok(r, w, t, y):
-                continue
-            glued += left[w] * modified_partition_direct(boundary, bulk, r, w, t, y)
+        for w in range(left.size):
+            if left[w] != 0.0 and _parity_ok(r, w, t, y):
+                glued += left[w] * right[w]
         worst = max(worst, abs(glued - whole))
     return worst
 
@@ -470,8 +467,8 @@ def scaled_sheet_table(params: ScalingParams, S: float, X: float | Sequence[floa
     beta_n = params.beta_n
     # one block of bulk rows over all replicas holds at most a quarter of one
     # replica's field, so the batch needs less memory than one whole field
-    rows = max(1, steps // (4 * n_rep))
-    om = np.empty((n_rep, rows, cap)) if params.beta != 0.0 else None
+    block = max(1, steps // (4 * n_rep))
+    om = np.empty((n_rep, block, cap)) if params.beta != 0.0 else None
     out = np.zeros((n_rep, len(xs), len(T_list), len(Y_list)))
     want = {}
     for a, t in enumerate(ts):
@@ -482,22 +479,20 @@ def scaled_sheet_table(params: ScalingParams, S: float, X: float | Sequence[floa
     g = np.full((n_rep, 1, cap + 1), 0.5)
     g[:, 0, 0] = params.boundary_level
 
-    def record(t):
+    def rows():
+        for k in range(steps):
+            if params.beta != 0.0:
+                if k % block == 0:
+                    _fill_bulk(om[:, :min(block, steps - k)], rngs)
+                # the halved bulk factor; without bulk noise g[..., 1:] stays 0.5
+                np.multiply(1.0 + beta_n * om[:, k % block], 0.5, out=g[:, 0, 1:])
+            yield g
+
+    for t, mass in enumerate(_sweep(f, rows()), s):
         for a in want.get(t, ()):
             for b, yy in enumerate(ys):
-                val = f[..., yy] if yy <= cap else 0.0
+                val = mass[..., yy] if yy <= cap else 0.0
                 out[..., a, b] = (rn / 2.0) * val * (2.0 if yy == 0 else 1.0)
-
-    record(s)
-    for r in range(s, t_max):
-        if params.beta != 0.0:
-            k = (r - s) % rows
-            if k == 0:
-                _fill_bulk(om[:, :min(rows, t_max - r)], rngs)
-            # the halved bulk factor; without bulk noise g[..., 1:] stays 0.5
-            np.multiply(1.0 + beta_n * om[:, k], 0.5, out=g[:, 0, 1:])
-        f = _step(f, g)
-        record(r + 1)
     out = out.reshape((n_rep,) + np.shape(X) + out.shape[2:])
     return out if batched else out[0]
 
@@ -585,14 +580,13 @@ def neumann_normalization_defect(tau: float = 0.7, x0: float = 0.9) -> float:
 def monotone_coupling_check(boundary_low: BoundaryWeights,
                             boundary_mid: BoundaryWeights,
                             boundary_high: BoundaryWeights,
-                            bulk: BulkWeights, window: dict) -> dict:
+                            bulk: BulkWeights, s: int, t: int, x_max: int) -> dict:
     """Exact pointwise monotonicity of z in the boundary weights.
 
-    window = {"s": .., "t": .., "x_max": ..}; checks z_low <= z_mid <=
-    z_high at every admissible (s', x; t', y) in the window, sharing the
+    Checks z_low <= z_mid <= z_high at every (s', x; t', y) with
+    s <= s' < t' <= t, x <= x_max and y <= x_max + (t' - s'), sharing the
     bulk field. The inputs must already be pointwise ordered.
     """
-    s, t, x_max = window["s"], window["t"], window["x_max"]
     boundaries = (boundary_low, boundary_mid, boundary_high)
     lo, mid, hi = (b.window(s, t) for b in boundaries)
     unordered = np.flatnonzero(~((lo <= mid) & (mid <= hi)))
@@ -600,15 +594,16 @@ def monotone_coupling_check(boundary_low: BoundaryWeights,
         raise ValueError(f"boundaries not ordered at time {s + unordered[0]}")
     # the factors at the window's largest cap as [time, boundary, 1, height],
     # so each row broadcasts over the three boundaries and every start height
-    gs = np.stack([_factor_rows(s, t, x_max + (t - s), b, bulk)
+    cap = x_max + (t - s)
+    gs = np.stack([_factor_rows(s, t, cap, b, bulk)
                    for b in boundaries], axis=1)[:, :, None, :]
     checked = 0
     worst = 0.0
     for s2 in range(s, t):
-        for t2 in range(s2 + 1, t + 1):
-            cap = x_max + (t2 - s2)
-            lo, mid, hi = _run_dp(np.eye(cap + 1)[:x_max + 1],
-                                  gs[s2 - s:t2 - s, ..., :cap + 1])
+        # one sweep per start time, each state read up to its own cap
+        states = _sweep(np.eye(cap + 1)[:x_max + 1], gs[s2 - s:])
+        for t2, mass in enumerate(islice(states, 1, None), s2 + 1):
+            lo, mid, hi = mass[..., :x_max + (t2 - s2) + 1]
             checked += lo.size
             worst = max(worst, float(np.max(lo - mid)), float(np.max(mid - hi)))
     return {"pass": worst == 0.0, "checked": checked, "max_violation": worst}

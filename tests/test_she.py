@@ -244,15 +244,13 @@ def test_monotone_coupling_in_boundary():
     lo = she.BoundaryWeights.constant(0.5, 0, 5)
     mid = she.BoundaryWeights.constant(1.0, 0, 5)
     hi = she.BoundaryWeights.constant(1.5, 0, 5)
-    rep = she.monotone_coupling_check(lo, mid, hi, bulk,
-                                      {"s": 0, "t": 5, "x_max": 3})
+    rep = she.monotone_coupling_check(lo, mid, hi, bulk, 0, 5, 3)
     assert rep["pass"] and rep["max_violation"] == 0.0
     # every start height 0..3 and end height up to 3 + (t2 - s2) of each pair
     assert rep["checked"] == sum(4 * (4 + t2 - s2) for s2 in range(5)
                                  for t2 in range(s2 + 1, 6))
     with pytest.raises(ValueError):
-        she.monotone_coupling_check(mid, lo, hi, bulk,
-                                    {"s": 0, "t": 5, "x_max": 3})
+        she.monotone_coupling_check(mid, lo, hi, bulk, 0, 5, 3)
 
 
 PARTITION_ROUTES = {
@@ -463,3 +461,182 @@ def test_scaled_sheet_converges_to_robin_kernel():
         got = she.scaled_sheet_table(p, 0.0, 0.0, [0.5], [0.5])[0, 0]
         want = she.robin_heat_kernel(mu, 0.0, 0.0, 0.5, 0.5)
         assert got == pytest.approx(want, rel=tol)
+
+
+# Oracles for the one-sweep readings: each check and table written out per
+# endpoint, each DP stepped by hand. The sweep readings must give the same
+# bits, since a wider cap adds only exact zeros that no path reaches.
+
+def _oracle_step(f, g):
+    """One reflected-walk step: multiply by the factor row, shift up, shift
+    down, dropping mass that leaves the cap."""
+    h = f * g
+    out = np.zeros_like(h)
+    out[..., 1:] += h[..., :-1]
+    out[..., :-1] += h[..., 1:]
+    return out
+
+
+def _oracle_walk(f, rows):
+    for row in rows:
+        f = _oracle_step(f, row)
+    return f
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(she, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(she, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_rows,n_in", [(0, 0), (0, 1), (4, 0), (4, 2), (4, 5),
+                                         (4, 7)])
+def test_sweep_yields_every_time(n_rows, n_in):
+    # n_in = n_rows + 1 injects at the row count, after the last row
+    rng = np.random.default_rng(5300 + 10 * n_rows + n_in)
+    cap = 6
+    f = rng.uniform(size=(2, cap + 1))
+    rows = rng.uniform(size=(n_rows, cap + 1))
+    inject = rng.uniform(size=(2, n_in)) if n_in else None
+    want, cur = [], f.copy()
+    for r in range(n_rows + 1):
+        if r < n_in:
+            cur = cur.copy()
+            cur[:, r] += inject[:, r]
+        want.append(cur)
+        if r < n_rows:
+            cur = _oracle_step(cur, rows[r])
+    got = [state.copy() for state in she._sweep(f.copy(), iter(rows), inject)]
+    assert len(got) == n_rows + 1
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert np.array_equal(she._run_dp(f.copy(), rows, inject), want[-1])
+
+
+def test_sweep_broadcasts_a_batch_of_factor_rows():
+    # rows laid out [time, boundary, 1, height] against a block of starts:
+    # each boundary's slice is that boundary's own sweep
+    rng = np.random.default_rng(5301)
+    cap = 5
+    f = np.eye(cap + 1)[:3]
+    rows = rng.uniform(size=(4, 2, 1, cap + 1))
+    states = list(she._sweep(f, rows))
+    assert [a.shape for a in states] == [(3, cap + 1)] + [(2, 3, cap + 1)] * 4
+    for i in range(2):
+        alone = list(she._sweep(f, rows[:, i, 0]))
+        assert all(np.array_equal(a[i], b) for a, b in zip(states[1:], alone[1:]))
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_kernel_table_is_the_step_by_step_table(case, monkeypatch):
+    rng = RngStream(5302 + case)
+    s = int(rng.gen.integers(0, 3))
+    t = s + int(rng.gen.integers(1, 7))
+    cap = int(rng.gen.integers(1, 9))
+    boundary = (None if case % 2 else
+                she.BoundaryWeights(s, np.exp(0.4 * rng.gen.standard_normal(t - s))))
+    g = she._factor_rows(s, t, cap, boundary, None)
+    want = {}
+    for r1 in range(s, t + 1):
+        cur = np.eye(cap + 1)
+        want[(r1, r1)] = cur
+        for r2 in range(r1, t):
+            cur = _oracle_step(cur, g[r2 - s])
+            want[(r1, r2 + 1)] = cur
+    sweeps = _count_calls(monkeypatch, "_sweep")
+    kt = she.build_kernel_table(boundary, s, t, cap)
+    assert len(sweeps) == t - s + 1  # one sweep per start time
+    assert kt.tables.keys() == want.keys()
+    assert all(np.array_equal(kt.matrix(*k), want[k]) for k in want)
+
+
+def _composition_per_endpoint(boundary, bulk, s, x, t, y):
+    """Max defect of the composition law with one left DP per cut, at that
+    cut's own cap, and one direct DP per right factor, glued in increasing
+    height order."""
+    whole = she.modified_partition_direct(boundary, bulk, s, x, t, y)
+    g = she._factor_rows(s, t, x + (t - s), boundary, bulk)
+    worst = 0.0
+    for r in range(s + 1, t):
+        cap = x + (r - s)
+        left = _oracle_walk(np.eye(cap + 1)[x], g[:r - s, :cap + 1])
+        glued = 0.0
+        for w in range(cap + 1):
+            if left[w] != 0.0 and (r + w) % 2 == (t + y) % 2:
+                glued += left[w] * she.modified_partition_direct(
+                    boundary, bulk, r, w, t, y)
+        worst = max(worst, abs(glued - whole))
+    return worst
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_composition_is_the_per_endpoint_glue(case, monkeypatch):
+    rng = RngStream(5303 + case)
+    if case == 0:
+        # t - s = 1: no interior cut
+        boundary, bulk, s, x, t, y = _random_instance(rng, 1)
+    elif case == 1:
+        # y = 7 lies beyond x + (t - s) = 5: every term vanishes
+        boundary = she.BoundaryWeights(1, np.exp(0.4 * rng.gen.standard_normal(4)))
+        bulk = she.BulkWeights.sample(1, 5, 11, 0.3, rng)
+        s, x, t, y = 1, 1, 5, 7
+    else:
+        boundary, bulk, s, x, t, y = _random_instance(rng, int(rng.gen.integers(2, 8)))
+    want = _composition_per_endpoint(boundary, bulk, s, x, t, y)
+    partitions = _count_calls(monkeypatch, "_partition")
+    assert she.composition_check(boundary, bulk, s, x, t, y) == want
+    assert partitions == []  # no DP restarts for an endpoint
+
+
+def _monotone_per_pair(boundaries, bulk, s, t, x_max):
+    """The monotone check with one DP per time pair (s2, t2), truncated at
+    that pair's own cap x_max + (t2 - s2)."""
+    gs = [she._factor_rows(s, t, x_max + (t - s), b, bulk) for b in boundaries]
+    checked, worst = 0, 0.0
+    for s2 in range(s, t):
+        for t2 in range(s2 + 1, t + 1):
+            cap = x_max + (t2 - s2)
+            lo, mid, hi = (_oracle_walk(np.eye(cap + 1)[:x_max + 1],
+                                        g[s2 - s:t2 - s, :cap + 1]) for g in gs)
+            checked += lo.size
+            worst = max(worst, float(np.max(lo - mid)), float(np.max(mid - hi)))
+    return {"pass": worst == 0.0, "checked": checked, "max_violation": worst}
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_monotone_check_is_the_per_pair_check(case):
+    rng = RngStream(5304 + case)
+    s = int(rng.gen.integers(0, 3))
+    t = s + int(rng.gen.integers(1, 7))
+    x_max = int(rng.gen.integers(0, 4))
+    mid = np.exp(0.4 * rng.gen.standard_normal(t - s))
+    boundaries = [she.BoundaryWeights(s, k * mid) for k in (0.5, 1.0, 1.5)]
+    bulk = she.BulkWeights.sample(s, t, x_max + (t - s), 0.3, rng)
+    got = she.monotone_coupling_check(*boundaries, bulk, s, t, x_max)
+    assert got == _monotone_per_pair(boundaries, bulk, s, t, x_max)
+
+
+def test_normalization_reads_every_end_height_off_one_dp(monkeypatch):
+    from hspolymer import experiments
+
+    seed, instances = 20260801, 6
+    want = 0.0
+    for i in range(instances):
+        rng = RngStream(seed, experiments._stable_base("she") + i)
+        t_span = int(rng.gen.integers(2, 11))
+        _, _, s, x, t, _ = experiments._random_instance(rng, t_span)
+        total = sum(she.reflected_kernel(s, x, t, yy) for yy in range(x + t_span + 1))
+        want = max(want, abs(total - 1.0))
+    partitions = _count_calls(monkeypatch, "_partition")
+    rep = experiments.run_experiment("she-identities", {"instances": instances},
+                                     [seed], experiments.RunContext())
+    got = {r["test"]: r for r in rep["results"]}["kernel-normalization"]
+    assert got["statistic"] == want
+    # one direct partition per instance; composition, normalization and
+    # monotonicity read their endpoints off sweeps
+    assert len(partitions) == instances
