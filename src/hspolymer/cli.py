@@ -86,7 +86,12 @@ def run(config, seed_override, workers, out):
                      workers=workers,
                      emit_csv=cfg.get("emit_csv", False))
     if ctx.out_dir is not None:
-        ctx.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            ctx.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            click.echo(f"error: cannot create output directory {out_dir!r}: "
+                       f"{exc.strerror}", err=True)
+            sys.exit(2)
     start = time.monotonic()
     try:
         report = run_experiment(cfg["experiment"], cfg["params"], seeds, ctx)

@@ -760,7 +760,7 @@ def exp_sheet(params: dict, seed: int, ctx: RunContext) -> dict:
     for mu in mus:
         sp = she.ScalingParams(n=n, mu=mu, beta=0.0)
         sup_diff, sup_ref = 0.0, 0.0
-        tables = she.scaled_sheet_table(sp, 0.0, Xs, Ts, Ys)
+        tables = she.scaled_sheet_table(sp, 0.0, Xs, Ts, Ys)[0]
         for X, table in zip(Xs, tables):
             for a, T in enumerate(Ts):
                 for b, Y in enumerate(Ys):
@@ -790,7 +790,7 @@ def exp_sheet(params: dict, seed: int, ctx: RunContext) -> dict:
         rngs = [RngStream(seed, _stable_base(f"sheet_var{nn}") + i)
                 for i in range(reps)]
         vals = she.scaled_sheet_table(she.ScalingParams(n=nn, mu=0.0, beta=1.0),
-                                      0.0, 0.0, [1.0], [0.0], rngs)[:, 0, 0]
+                                      0.0, [0.0], [1.0], [0.0], rngs)[:, 0, 0, 0]
         var_study[nn] = float(np.var(vals))
     _write_csv(ctx, "sheet_kernels.csv", ["s", "x", "t", "y", "value"],
                ([S, repr(X), repr(T), repr(Y), repr(got)]

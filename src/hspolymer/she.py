@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -42,10 +42,6 @@ class BoundaryWeights:
             k = bad[0]
             raise ValueError(f"boundary weight at {self.start + k} is negative: "
                              f"{self.values[k]}")
-
-    @classmethod
-    def constant(cls, gamma: float, s: int, t: int) -> "BoundaryWeights":
-        return cls(start=s, values=np.full(t - s, float(gamma)))
 
     def window(self, s: int, t: int) -> np.ndarray:
         """X(i) for i in [s, t); ValueError unless the weights cover it."""
@@ -70,15 +66,6 @@ class BulkWeights:
             a, b = bad[0]
             raise ValueError(
                 f"1 + beta*omega < 0 at {(self.start + int(a), int(b) + 1)}")
-
-    @classmethod
-    def sample(cls, s: int, t: int, x_max: int, beta: float,
-               rng: RngStream) -> "BulkWeights":
-        """Fill the rectangle [s,t) x [1,x_max] with i.i.d. Uniform(-sqrt3,
-        sqrt3) draws (centered, unit variance, bounded)."""
-        om = np.empty((1, t - s, x_max))
-        _fill_bulk(om, [rng])
-        return cls(start=s, values=om[0], beta=beta)
 
     def window(self, s: int, t: int, cap: int) -> np.ndarray:
         """omega(r, w) as a (t - s, cap + 1) array over r in [s, t) and
@@ -225,24 +212,25 @@ def modified_partition_chaos(boundary: BoundaryWeights, bulk: BulkWeights,
     if not _parity_ok(s, x, t, y):
         return 0.0
     beta = bulk.beta
-    total = kt.value(s, x, t, y)
-    if beta == 0.0:
-        return float(total)
-    times = list(range(s, t))
-    for k in range(1, t - s + 1):
-        coeff = beta ** k
-        for rvec in combinations(times, k):
-            vec = kt.matrix(s, rvec[0])[x, :] * omega[rvec[0] - s, :]
-            alive = np.any(vec)
-            for j in range(1, k):
-                if not alive:
-                    break
-                vec = vec @ kt.matrix(rvec[j - 1], rvec[j])
-                vec = vec * omega[rvec[j] - s, :]
-                alive = np.any(vec)
-            if alive:
-                total += coeff * float(vec @ kt.matrix(rvec[-1], t)[:, y])
-    return float(total)
+    # terms[k] holds the order-k chains' terms, each chain after its prefix
+    terms = [[kt.value(s, x, t, y)]] + [[] for _ in range(s, t)]
+
+    def extend(r: int, vec: np.ndarray, k: int) -> None:
+        """Record the chain ending at r, whose mass after omega(r, .) is
+        vec, then every chain extending it; a vanishing vec ends them all."""
+        if not vec.any():
+            return
+        terms[k].append(beta ** k * float(vec @ kt.matrix(r, t)[:, y]))
+        for r2 in range(r + 1, t):
+            extend(r2, (vec @ kt.matrix(r, r2)) * omega[r2 - s, :], k + 1)
+
+    for r in range(s, t):
+        extend(r, kt.matrix(s, r)[x, :] * omega[r - s, :], 1)
+    # ascending order, each order's chains in lexicographic order
+    total = 0.0
+    for term in chain.from_iterable(terms):
+        total += term
+    return total
 
 
 def modified_partition_mild(boundary: BoundaryWeights, bulk: BulkWeights,
@@ -395,7 +383,7 @@ def _scaled_lattice_points(params: ScalingParams, S, X, T_list, Y_list):
     integer, every end after s and every point on the even sublattice."""
     n, rn = params.n, params.sqrt_n
     s = _lattice_index(n, S, "nS")
-    xs = [_lattice_index(rn, x, "sqrt(n)X") for x in np.ravel(X)]
+    xs = [_lattice_index(rn, x, "sqrt(n)X") for x in X]
     ts = [_lattice_index(n, T, "nT") for T in T_list]
     ys = [_lattice_index(rn, Y, "sqrt(n)Y") for Y in Y_list]
     if min(ts) <= s:
@@ -420,25 +408,23 @@ def _fill_bulk(om: np.ndarray, rngs) -> None:
     om += low
 
 
-def scaled_sheet_table(params: ScalingParams, S: float, X: float | Sequence[float],
+def scaled_sheet_table(params: ScalingParams, S: float, X: Sequence[float],
                        T_list, Y_list,
-                       rng: RngStream | Sequence[RngStream | None] | None = None
-                       ) -> np.ndarray:
+                       rng: Sequence[RngStream | None] | None = None) -> np.ndarray:
     """The scaled sheet (sqrt(n)/2) z(nS, sqrt(n)X; nT, sqrt(n)Y) 2^{1{Y=0}}
-    on a (T, Y) grid from a single forward DP sweep.
+    on a (replica, X, T, Y) grid from a single forward DP sweep.
 
     The sheet has one environment: the constant boundary level 1 - mu/sqrt(n)
     and i.i.d. Uniform(-sqrt3, sqrt3) bulk noise at beta_n. The matching
     inverse-gamma laws are drawn and checked in scaling, not here. beta = 0
-    is fully deterministic; otherwise rng is required.
+    is fully deterministic; otherwise every replica needs a stream.
 
-    X is one start height or a 1-D sequence of them. All starts ride the
+    X is a nonempty 1-D sequence of start heights. All starts ride the
     same sweep in one environment: each stream's bulk weights are shared by
-    every start, which is the sheet's joint law in X. rng is one RngStream
-    (or None when nothing is random) or a sequence of streams, one per
-    replica; replica i is exactly the table a call with rng[i] alone gives.
-    The table has shape np.shape(X) + (len(T_list), len(Y_list)), behind a
-    leading replica axis when rng is a sequence.
+    every start, which is the sheet's joint law in X. rng is None (nothing
+    random: one replica) or a nonempty sequence of streams, one per
+    replica; replica i is exactly the table a call with [rng[i]] alone
+    gives. The table has shape (replicas, len(X), len(T_list), len(Y_list)).
 
     The truncation height is cap = min(max(x, y) + ceil(8 sqrt(n (T - S))),
     x + n (T - S)) with x the largest scaled start, y the largest scaled Y
@@ -449,12 +435,13 @@ def scaled_sheet_table(params: ScalingParams, S: float, X: float | Sequence[floa
 
     Each stream draws its bulk rows in blocks of consecutive rows.
     """
-    batched = rng is not None and not isinstance(rng, RngStream)
-    rngs = list(rng) if batched else [rng]
+    if rng is not None and not isinstance(rng, Sequence):
+        raise ValueError("rng must be None or a sequence of streams")
+    rngs = [None] if rng is None else list(rng)
     if not rngs:
         raise ValueError("need at least one rng stream")
-    if np.ndim(X) > 1 or np.size(X) == 0:
-        raise ValueError("X must be a start height or a nonempty 1-D sequence")
+    if np.ndim(X) != 1 or np.size(X) == 0:
+        raise ValueError("X must be a nonempty 1-D sequence of start heights")
     rn = params.sqrt_n
     s, xs, ts, ys = _scaled_lattice_points(params, S, X, T_list, Y_list)
     x_top, t_max, y_max = max(xs), max(ts), max(ys)
@@ -493,8 +480,7 @@ def scaled_sheet_table(params: ScalingParams, S: float, X: float | Sequence[floa
             for b, yy in enumerate(ys):
                 val = mass[..., yy] if yy <= cap else 0.0
                 out[..., a, b] = (rn / 2.0) * val * (2.0 if yy == 0 else 1.0)
-    out = out.reshape((n_rep,) + np.shape(X) + out.shape[2:])
-    return out if batched else out[0]
+    return out
 
 
 def robin_heat_kernel(mu: float, S: float, X: float, T: float, Y: float) -> float:
@@ -525,8 +511,7 @@ def robin_heat_kernel(mu: float, S: float, X: float, T: float, Y: float) -> floa
     return base - corr
 
 
-def robin_kernel_property_report(mu: float, tau: float = 0.5, x0: float = 0.7,
-                                 h: float = 1e-3) -> dict:
+def robin_kernel_property_report(mu: float) -> dict:
     """Certify the closed-form Robin kernel against its defining properties.
 
     Three numerical checks: the heat-equation residual dP/dT - (1/2)
@@ -536,6 +521,7 @@ def robin_kernel_property_report(mu: float, tau: float = 0.5, x0: float = 0.7,
     mean, variance of Y under P(tau; x0, .)). Residuals scale with the
     stencil order; callers assert against discretization-order thresholds.
     """
+    tau, x0, h = 0.5, 0.7, 1e-3
     ys = [0.2, 0.5, 0.9, 1.4]
     pde = 0.0
     for y in ys:
@@ -568,10 +554,11 @@ def robin_kernel_property_report(mu: float, tau: float = 0.5, x0: float = 0.7,
     }
 
 
-def neumann_normalization_defect(tau: float = 0.7, x0: float = 0.9) -> float:
+def neumann_normalization_defect() -> float:
     """|integral of the mu = 0 kernel over the half-line - 1|."""
     from scipy.integrate import quad
 
+    tau, x0 = 0.7, 0.9
     val, _ = quad(lambda y: robin_heat_kernel(0.0, 0.0, x0, tau, y),
                   0.0, x0 + 40.0 * math.sqrt(tau), limit=200)
     return abs(val - 1.0)

@@ -207,6 +207,27 @@ def test_empty_sheet_and_moment_axes_exit_2(runner, tmp_path, experiment, params
     assert not (tmp_path / "o" / f"{experiment}_report.json").exists()
 
 
+@pytest.mark.parametrize("via", ["config", "--out"])
+def test_an_output_directory_below_a_file_exits_2(runner, tmp_path, monkeypatch,
+                                                   via):
+    # mkdir used to raise NotADirectoryError out of `polymer run`, exit 1
+    # ("failed"), with a traceback
+    def no_draw(*args):
+        raise AssertionError("a sampler ran")
+
+    monkeypatch.setattr(experiments, "_run_batch", no_draw)
+    (tmp_path / "f").write_text("")
+    out = str(tmp_path / "f" / "out")
+    if via == "config":
+        res = runner.invoke(main, ["run", _write_config(tmp_path / "c.json",
+                                                        out_dir=out)])
+    else:
+        res = runner.invoke(main, ["run", _write_config(tmp_path / "c.json"),
+                                   "--out", out])
+    assert res.exit_code == 2, res.output
+    assert f"cannot create output directory {out!r}" in res.output
+
+
 def test_missing_config_file(runner, tmp_path):
     res = runner.invoke(main, ["run", str(tmp_path / "absent.json")])
     assert res.exit_code == 2

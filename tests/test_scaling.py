@@ -181,48 +181,51 @@ def _kpz16(T, X_list):
 
 
 # every refusal of a scaled coordinate or lattice level reached through a
-# public caller, at n = 16 (sqrt(n) = 4)
+# public caller, at n = 16 (sqrt(n) = 4), with the message it must give
 SCALED_REFUSALS = {
-    "sheet-X-not-integral": lambda: she.scaled_sheet_table(
-        _SHEET16, 0.0, 0.3, [0.5], [0.25]),
-    "sheet-Y-not-integral": lambda: she.scaled_sheet_table(
-        _SHEET16, 0.0, 0.0, [0.5], [0.3]),
-    "sheet-T-not-integral": lambda: she.scaled_sheet_table(
-        _SHEET16, 0.0, 0.0, [0.51], [0.0]),
-    "sheet-S-not-integral": lambda: she.scaled_sheet_table(
-        _SHEET16, 0.01, 0.0, [0.5], [0.0]),
-    "sheet-X-negative": lambda: she.scaled_sheet_table(
-        _SHEET16, 0.0, -0.5, [0.5], [0.0]),
-    "sheet-Y-negative": lambda: she.scaled_sheet_table(
-        _SHEET16, 0.0, 0.0, [0.5], [-0.5]),
-    "sheet-T-not-after-S": lambda: she.scaled_sheet_table(
-        _SHEET16, 0.5, 0.0, [0.5], [0.0]),
-    "sheet-start-off-sublattice": lambda: she.scaled_sheet_table(
-        _SHEET16, 0.0, 0.25, [0.5], [0.0]),
-    "sheet-end-off-sublattice": lambda: she.scaled_sheet_table(
-        _SHEET16, 0.0, 0.0, [0.5], [0.25]),
-    "sheet-one-start-off-sublattice": lambda: she.scaled_sheet_table(
-        _SHEET16, 0.0, [0.0, 0.25], [0.5], [0.0]),
-    "sheet-n-not-square": lambda: she.ScalingParams(10, 0.0, 0.0),
-    "sheet-n-below-4": lambda: she.ScalingParams(1, 0.0, 0.0),
-    "kpz-n-not-square": lambda: scaling.scaled_stationary_process(
-        10, 0.6, -0.2, 0.0, [0.0], RngStream(0)),
-    "kpz-n-below-4": lambda: scaling.scaled_stationary_process(
-        1, 0.6, -0.2, 0.0, [0.0], RngStream(0)),
-    "kpz-T-not-integral": lambda: _kpz16(0.3, [0.0]),
-    "kpz-T-negative": lambda: _kpz16(-0.25, [0.0]),
-    "kpz-X-not-integral": lambda: _kpz16(0.0, [0.0, 0.3]),
-    "kpz-X-negative": lambda: _kpz16(0.0, [-0.25]),
-    "init-X-not-integral": lambda: scaled_initial_data(
-        16, 0.6, 0.2, [0.0, 0.3], RngStream(0)),
-    "init-X-negative": lambda: scaled_initial_data(
-        16, 0.6, 0.2, [-0.25], RngStream(0)),
-    "moment-X-not-integral": lambda: second_moment_analytic(100, 0.5, 0.2, 0.123),
-    "moment-X-negative": lambda: second_moment_analytic(100, 0.5, 0.2, -0.1),
+    "sheet-X-not-integral": (r"sqrt\(n\)X = 1.2 ", lambda: she.scaled_sheet_table(
+        _SHEET16, 0.0, [0.3], [0.5], [0.25])),
+    "sheet-Y-not-integral": (r"sqrt\(n\)Y = 1.2 ", lambda: she.scaled_sheet_table(
+        _SHEET16, 0.0, [0.0], [0.5], [0.3])),
+    "sheet-T-not-integral": (r"nT = 8.16 ", lambda: she.scaled_sheet_table(
+        _SHEET16, 0.0, [0.0], [0.51], [0.0])),
+    "sheet-S-not-integral": (r"nS = 0.16 ", lambda: she.scaled_sheet_table(
+        _SHEET16, 0.01, [0.0], [0.5], [0.0])),
+    "sheet-X-negative": (r"sqrt\(n\)X = -2.0 ", lambda: she.scaled_sheet_table(
+        _SHEET16, 0.0, [-0.5], [0.5], [0.0])),
+    "sheet-Y-negative": (r"sqrt\(n\)Y = -2.0 ", lambda: she.scaled_sheet_table(
+        _SHEET16, 0.0, [0.0], [0.5], [-0.5])),
+    "sheet-T-not-after-S": ("need T > S", lambda: she.scaled_sheet_table(
+        _SHEET16, 0.5, [0.0], [0.5], [0.0])),
+    "sheet-start-off-sublattice": ("even sublattice", lambda: she.scaled_sheet_table(
+        _SHEET16, 0.0, [0.25], [0.5], [0.0])),
+    "sheet-end-off-sublattice": ("even sublattice", lambda: she.scaled_sheet_table(
+        _SHEET16, 0.0, [0.0], [0.5], [0.25])),
+    "sheet-one-start-off-sublattice": ("even sublattice", lambda: she.scaled_sheet_table(
+        _SHEET16, 0.0, [0.0, 0.25], [0.5], [0.0])),
+    "sheet-n-not-square": ("perfect square", lambda: she.ScalingParams(10, 0.0, 0.0)),
+    "sheet-n-below-4": ("perfect square", lambda: she.ScalingParams(1, 0.0, 0.0)),
+    "kpz-n-not-square": ("perfect square", lambda: scaling.scaled_stationary_process(
+        10, 0.6, -0.2, 0.0, [0.0], RngStream(0))),
+    "kpz-n-below-4": ("perfect square", lambda: scaling.scaled_stationary_process(
+        1, 0.6, -0.2, 0.0, [0.0], RngStream(0))),
+    "kpz-T-not-integral": (r"nT/2 = 2.4 ", lambda: _kpz16(0.3, [0.0])),
+    "kpz-T-negative": (r"nT/2 = -2.0 ", lambda: _kpz16(-0.25, [0.0])),
+    "kpz-X-not-integral": (r"sqrt\(n\) X = 1.2 ", lambda: _kpz16(0.0, [0.0, 0.3])),
+    "kpz-X-negative": (r"sqrt\(n\) X = -1.0 ", lambda: _kpz16(0.0, [-0.25])),
+    "init-X-not-integral": (r"sqrt\(n\) X = 1.2 ", lambda: scaled_initial_data(
+        16, 0.6, 0.2, [0.0, 0.3], RngStream(0))),
+    "init-X-negative": (r"sqrt\(n\) X = -1.0 ", lambda: scaled_initial_data(
+        16, 0.6, 0.2, [-0.25], RngStream(0))),
+    "moment-X-not-integral": (r"sqrt\(n\) X = 1.23 ",
+                              lambda: second_moment_analytic(100, 0.5, 0.2, 0.123)),
+    "moment-X-negative": (r"sqrt\(n\) X = -1.0 ",
+                          lambda: second_moment_analytic(100, 0.5, 0.2, -0.1)),
 }
 
 
-@pytest.mark.parametrize("call", SCALED_REFUSALS.values(), ids=SCALED_REFUSALS.keys())
-def test_scaled_coordinates_are_refused(call):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("message, call", SCALED_REFUSALS.values(),
+                         ids=SCALED_REFUSALS.keys())
+def test_scaled_coordinates_are_refused(message, call):
+    with pytest.raises(ValueError, match=message):
         call()

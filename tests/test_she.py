@@ -35,6 +35,18 @@ def _enumerate_partition(boundary, bulk, s, x, t, y):
     return total
 
 
+def _constant_boundary(gamma, s, t):
+    return she.BoundaryWeights(s, np.full(t - s, float(gamma)))
+
+
+def _uniform_bulk(s, t, x_max, beta, rng):
+    """Bulk field over [s, t) x [1, x_max] of i.i.d. Uniform(-sqrt3, sqrt3)
+    draws, the bits the sheet's in-place fill gives (see
+    test_in_place_bulk_fills_match_per_stream_draws)."""
+    return she.BulkWeights(s, rng.gen.uniform(-math.sqrt(3.0), math.sqrt(3.0),
+                                              size=(t - s, x_max)), beta)
+
+
 def _random_instance(rng, t_span):
     s = int(rng.gen.integers(0, 3))
     t = s + t_span
@@ -45,7 +57,7 @@ def _random_instance(rng, t_span):
     boundary = she.BoundaryWeights(s, np.exp(0.4 * rng.gen.standard_normal(t_span)))
     beta = float(rng.gen.uniform(0.05, 0.5))
     x_max = max(x, y) + t_span
-    bulk = she.BulkWeights.sample(s, t, x_max, beta, rng)
+    bulk = _uniform_bulk(s, t, x_max, beta, rng)
     return boundary, bulk, s, x, t, y
 
 
@@ -100,10 +112,66 @@ def test_chaos_zero_coupling_is_boundary_kernel():
 
 
 def test_chaos_series_guard():
-    boundary = she.BoundaryWeights.constant(1.0, 0, 14)
-    bulk = she.BulkWeights.sample(0, 14, 16, 0.2, RngStream(5201))
+    boundary = _constant_boundary(1.0, 0, 14)
+    bulk = _uniform_bulk(0, 14, 16, 0.2, RngStream(5201))
     with pytest.raises(ValueError):
         she.modified_partition_chaos(boundary, bulk, 0, 0, 14, 0)
+
+
+def _chaos_by_tuples(boundary, bulk, s, x, t, y):
+    """Oracle: the chaos series as a walk over every increasing time tuple,
+    each multiplied out from its first time, a tuple dropped once its vector
+    vanishes; orders ascending, tuples in lexicographic order."""
+    from itertools import combinations
+
+    cap = she._checked_cap(s, x, t, y)
+    kt = she.build_kernel_table(boundary, s, t, cap)
+    omega = bulk.window(s, t, cap)
+    if not she._parity_ok(s, x, t, y):
+        return 0.0
+    beta = bulk.beta
+    total = kt.value(s, x, t, y)
+    if beta == 0.0:
+        return float(total)
+    times = list(range(s, t))
+    for k in range(1, t - s + 1):
+        coeff = beta ** k
+        for rvec in combinations(times, k):
+            vec = kt.matrix(s, rvec[0])[x, :] * omega[rvec[0] - s, :]
+            alive = np.any(vec)
+            for j in range(1, k):
+                if not alive:
+                    break
+                vec = vec @ kt.matrix(rvec[j - 1], rvec[j])
+                vec = vec * omega[rvec[j] - s, :]
+                alive = np.any(vec)
+            if alive:
+                total += coeff * float(vec @ kt.matrix(rvec[-1], t)[:, y])
+    return float(total)
+
+
+def _chaos_instance(case):
+    """Random instance for the chaos oracle: every tenth at beta = 0, every
+    tenth (offset 1) with a zero bulk row, so every chain through that time
+    vanishes, and every fiftieth (offset 2) at t - s = CHAOS_GUARD."""
+    rng = RngStream(5400 + case)
+    t_span = she.CHAOS_GUARD if case % 50 == 2 else int(rng.gen.integers(1, 8))
+    boundary, bulk, s, x, t, y = _random_instance(rng, t_span)
+    values = bulk.values.copy()
+    if case % 10 == 1:
+        values[int(rng.gen.integers(0, t_span))] = 0.0
+    beta = 0.0 if case % 10 == 0 else bulk.beta
+    return boundary, she.BulkWeights(s, values, beta), s, x, t, y
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_chaos_extends_chains_from_their_prefixes(block):
+    # 240 instances: the prefix recursion adds the tuple walk's terms in
+    # its order, so the two sums are the same float
+    for case in range(60 * block, 60 * (block + 1)):
+        instance = _chaos_instance(case)
+        assert she.modified_partition_chaos(*instance) == \
+            _chaos_by_tuples(*instance), f"case {case}"
 
 
 def test_composition_over_cut_times():
@@ -129,8 +197,8 @@ def test_kernel_table_entries():
 def test_initial_data_and_kernel_table_refuse_negative_heights():
     # a negative height used to index the DP vector from its end: the
     # vertical start -2 seeded height cap - 1, and w1 = -1 read height 8
-    boundary = she.BoundaryWeights.constant(1.0, 0, 4)
-    bulk = she.BulkWeights.sample(0, 4, 10, 0.2, RngStream(5212))
+    boundary = _constant_boundary(1.0, 0, 4)
+    bulk = _uniform_bulk(0, 4, 10, 0.2, RngStream(5212))
     for kind in ("vertical", "diagonal"):
         for init, y in [({-2: 1.0}, 4), ({0: 1.0}, -2)]:
             with pytest.raises(ValueError, match="nonnegative"):
@@ -166,7 +234,7 @@ def test_weights_validation():
     # the origin keeps its boundary factor; above it the bulk factor is halved
     g = she._factor_rows(3, 4, 2, she.BoundaryWeights(3, [0.7]), b)
     assert g[0] == pytest.approx([0.7, 0.55, 0.45], rel=1e-15)
-    bw = she.BoundaryWeights.constant(0.8, 2, 5)
+    bw = _constant_boundary(0.8, 2, 5)
     assert np.array_equal(bw.window(2, 5), [0.8, 0.8, 0.8])
     assert np.array_equal(bw.window(3, 4), [0.8])
     for s, t in [(2, 6), (0, 5)]:
@@ -175,17 +243,17 @@ def test_weights_validation():
 
 
 def test_bulk_sample_laws():
-    rng = RngStream(5203)
-    uni = she.BulkWeights.sample(0, 4, 3, 0.2, rng)
-    assert uni.values.shape == (4, 3)
-    assert np.all(np.abs(uni.values) <= math.sqrt(3.0))
+    # the sheet's bulk fill: centered, bounded by sqrt3
+    om = np.empty((2, 4, 3))
+    she._fill_bulk(om, [RngStream(5203, i) for i in range(2)])
+    assert np.all(np.abs(om) <= math.sqrt(3.0))
 
 
 def test_initial_data_vertical_is_linear():
     rng = RngStream(5204)
     boundary, bulk, _, _, t, _ = _random_instance(rng, 6)
-    boundary = she.BoundaryWeights.constant(boundary.values[0], 0, 6)
-    bulk = she.BulkWeights.sample(0, 6, 12, 0.3, rng)
+    boundary = _constant_boundary(boundary.values[0], 0, 6)
+    bulk = _uniform_bulk(0, 6, 12, 0.3, rng)
     init = {0: 2.0, 2: 1.0, 4: 0.25}
     res = she.partition_with_initial_data("vertical", init, boundary, bulk,
                                           6, 2, x_truncation=6)
@@ -196,8 +264,8 @@ def test_initial_data_vertical_is_linear():
 
 
 def test_initial_data_vertical_truncation_reported():
-    boundary = she.BoundaryWeights.constant(1.0, 0, 4)
-    bulk = she.BulkWeights.sample(0, 4, 10, 0.2, RngStream(5205))
+    boundary = _constant_boundary(1.0, 0, 4)
+    bulk = _uniform_bulk(0, 4, 10, 0.2, RngStream(5205))
     init = {0: 1.0, 6: 5.0}
     res = she.partition_with_initial_data("vertical", init, boundary, bulk,
                                           4, 0, x_truncation=4)
@@ -213,7 +281,7 @@ def test_initial_data_vertical_truncation_reported():
 def test_initial_data_diagonal_is_linear():
     rng = RngStream(5206)
     boundary = she.BoundaryWeights(0, np.exp(0.3 * rng.gen.standard_normal(6)))
-    bulk = she.BulkWeights.sample(0, 6, 12, 0.3, rng)
+    bulk = _uniform_bulk(0, 6, 12, 0.3, rng)
     init = {0: 1.0, 2: 0.5}
     res = she.partition_with_initial_data("diagonal", init, boundary, bulk,
                                           6, 2, x_truncation=6)
@@ -226,8 +294,8 @@ def test_initial_data_diagonal_is_linear():
 
 
 def test_initial_data_diagonal_endpoint_term():
-    boundary = she.BoundaryWeights.constant(1.0, 0, 3)
-    bulk = she.BulkWeights.sample(0, 3, 8, 0.2, RngStream(5207))
+    boundary = _constant_boundary(1.0, 0, 3)
+    bulk = _uniform_bulk(0, 3, 8, 0.2, RngStream(5207))
     res = she.partition_with_initial_data("diagonal", {3: 2.0}, boundary, bulk,
                                           3, 3, x_truncation=4)
     assert res.value == pytest.approx(2.0, rel=1e-14)
@@ -240,10 +308,10 @@ def test_gaussian_envelope_value():
 
 
 def test_monotone_coupling_in_boundary():
-    bulk = she.BulkWeights.sample(0, 5, 8, 0.3, RngStream(5208))
-    lo = she.BoundaryWeights.constant(0.5, 0, 5)
-    mid = she.BoundaryWeights.constant(1.0, 0, 5)
-    hi = she.BoundaryWeights.constant(1.5, 0, 5)
+    bulk = _uniform_bulk(0, 5, 8, 0.3, RngStream(5208))
+    lo = _constant_boundary(0.5, 0, 5)
+    mid = _constant_boundary(1.0, 0, 5)
+    hi = _constant_boundary(1.5, 0, 5)
     rep = she.monotone_coupling_check(lo, mid, hi, bulk, 0, 5, 3)
     assert rep["pass"] and rep["max_violation"] == 0.0
     # every start height 0..3 and end height up to 3 + (t2 - s2) of each pair
@@ -268,8 +336,8 @@ FIVE_ROUTES = {
 @pytest.mark.parametrize("route", FIVE_ROUTES.values(), ids=FIVE_ROUTES.keys())
 def test_negative_heights_are_refused(route):
     # a negative start height used to index the DP vector from its end
-    boundary = she.BoundaryWeights.constant(1.0, 0, 4)
-    bulk = she.BulkWeights.sample(0, 4, 8, 0.3, RngStream(5210))
+    boundary = _constant_boundary(1.0, 0, 4)
+    bulk = _uniform_bulk(0, 4, 8, 0.3, RngStream(5210))
     for x, y in [(-1, 1), (1, -1)]:
         with pytest.raises(ValueError, match="nonnegative"):
             route(boundary, bulk, 0, x, 4, y)
@@ -280,8 +348,8 @@ def test_negative_heights_are_refused(route):
 def test_under_covering_bulk_is_refused(route):
     # the DP from height 0 over four steps reads heights 1..4, the field
     # holds 1..2: every route refuses instead of reading the rest as 0
-    boundary = she.BoundaryWeights.constant(1.0, 0, 4)
-    bulk = she.BulkWeights.sample(0, 4, 2, 0.3, RngStream(5211))
+    boundary = _constant_boundary(1.0, 0, 4)
+    bulk = _uniform_bulk(0, 4, 2, 0.3, RngStream(5211))
     with pytest.raises(ValueError, match="bulk weights must cover"):
         route(boundary, bulk, 0, 0, 4, 0)
 
@@ -299,31 +367,32 @@ def test_scaling_params():
 
 def test_scaled_lattice_point_rejects_bad_grids():
     p = she.ScalingParams(16, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        she.scaled_sheet_table(p, 0.0, 0.3, [0.5], [0.25])  # sqrt(n) X not integral
-    with pytest.raises(ValueError):
-        she.scaled_sheet_table(p, 0.5, 0.0, [0.5], [0.0])   # T = S
-    with pytest.raises(ValueError):
-        she.scaled_sheet_table(p, 0.0, 0.25, [0.5], [0.0])  # off the even sublattice
+    with pytest.raises(ValueError, match="sqrt"):
+        she.scaled_sheet_table(p, 0.0, [0.3], [0.5], [0.25])  # sqrt(n) X not integral
+    with pytest.raises(ValueError, match="need T > S"):
+        she.scaled_sheet_table(p, 0.5, [0.0], [0.5], [0.0])   # T = S
+    with pytest.raises(ValueError, match="even sublattice"):
+        she.scaled_sheet_table(p, 0.0, [0.25], [0.5], [0.0])  # off the even sublattice
     # a negative S is refused like the other coordinates
     with pytest.raises(ValueError, match="nS"):
-        she.scaled_sheet_table(p, -0.5, 0.0, [0.5], [0.0])
+        she.scaled_sheet_table(p, -0.5, [0.0], [0.5], [0.0])
 
 
 def test_scaled_sheet_needs_rng_for_randomness():
     p = she.ScalingParams(64, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        she.scaled_sheet_table(p, 0.0, 0.0, [0.25], [0.0])
+    with pytest.raises(ValueError, match="positive beta needs an rng"):
+        she.scaled_sheet_table(p, 0.0, [0.0], [0.25], [0.0])
 
 
 def test_scaled_sheet_table_matches_single_points():
     p = she.ScalingParams(64, 0.4, 0.0)
-    tab = she.scaled_sheet_table(p, 0.0, 0.25, [0.25, 0.5], [0.25, 0.75])
+    tab = she.scaled_sheet_table(p, 0.0, [0.25], [0.25, 0.5], [0.25, 0.75])
+    assert tab.shape == (1, 1, 2, 2)
     for a, T in enumerate([0.25, 0.5]):
         for b, Y in enumerate([0.25, 0.75]):
-            one = she.scaled_sheet_table(p, 0.0, 0.25, [T], [Y])
-            assert one.shape == (1, 1)
-            assert tab[a, b] == pytest.approx(one[0, 0], rel=1e-12)
+            one = she.scaled_sheet_table(p, 0.0, [0.25], [T], [Y])
+            assert one.shape == (1, 1, 1, 1)
+            assert tab[0, 0, a, b] == pytest.approx(one[0, 0, 0, 0], rel=1e-12)
 
 
 @pytest.mark.parametrize("n_rep", [1, 3])
@@ -337,11 +406,11 @@ def test_batched_sheet_table_matches_single_streams(beta, n_rep):
     def streams():
         return [RngStream(8117, i) for i in range(n_rep)]
 
-    batched = she.scaled_sheet_table(p, 0.0, 0.0, Ts, Ys, streams())
-    assert batched.shape == (n_rep, len(Ts), len(Ys))
+    batched = she.scaled_sheet_table(p, 0.0, [0.0], Ts, Ys, streams())
+    assert batched.shape == (n_rep, 1, len(Ts), len(Ys))
     for i, one in enumerate(streams()):
-        single = she.scaled_sheet_table(p, 0.0, 0.0, Ts, Ys, one)
-        assert np.array_equal(batched[i], single)
+        single = she.scaled_sheet_table(p, 0.0, [0.0], Ts, Ys, [one])
+        assert np.array_equal(batched[i], single[0])
     if n_rep > 1:
         assert not np.array_equal(batched[0], batched[1])
 
@@ -362,22 +431,34 @@ def test_start_axis_matches_per_start_calls(beta, n_rep):
     joint = she.scaled_sheet_table(p, 0.0, Xs, Ts, Ys, streams())
     assert joint.shape == (n_rep, len(Xs), len(Ts), len(Ys))
     for j, X in enumerate(Xs):
-        alone = she.scaled_sheet_table(p, 0.0, X, Ts, Ys, streams())
-        assert alone.shape == (n_rep, len(Ts), len(Ys))
-        assert np.array_equal(joint[:, j], alone)
-        assert np.array_equal(np.signbit(joint[:, j]), np.signbit(alone))
-    single = she.scaled_sheet_table(p, 0.0, Xs, Ts, Ys, streams()[0])
-    assert single.shape == (len(Xs), len(Ts), len(Ys))
-    assert np.array_equal(single, joint[0])
+        alone = she.scaled_sheet_table(p, 0.0, [X], Ts, Ys, streams())
+        assert alone.shape == (n_rep, 1, len(Ts), len(Ys))
+        assert np.array_equal(joint[:, j], alone[:, 0])
+        assert np.array_equal(np.signbit(joint[:, j]), np.signbit(alone[:, 0]))
+    single = she.scaled_sheet_table(p, 0.0, Xs, Ts, Ys, streams()[:1])
+    assert single.shape == (1, len(Xs), len(Ts), len(Ys))
+    assert np.array_equal(single, joint[:1])
 
 
 def test_start_axis_validates_starts():
     p = she.ScalingParams(64, 0.0, 0.0)
-    assert she.scaled_sheet_table(p, 0.0, 0.25, [0.25], [0.0, 0.25]).shape == (1, 2)
+    assert she.scaled_sheet_table(p, 0.0, [0.25], [0.25],
+                                  [0.0, 0.25]).shape == (1, 1, 1, 2)
     for bad in ([], [0.0, 0.3], [0.0, 0.125], [[0.0], [0.25]]):
         # empty, sqrt(n) X not integral, off the even sublattice, not 1-D
         with pytest.raises(ValueError):
             she.scaled_sheet_table(p, 0.0, bad, [0.25], [0.0])
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_sheet_has_one_call_shape(beta):
+    # a scalar start and a bare stream are refused, not read as one start
+    # or one replica with a table of fewer axes
+    p = she.ScalingParams(64, 0.0, beta)
+    with pytest.raises(ValueError, match="X must be a nonempty 1-D sequence"):
+        she.scaled_sheet_table(p, 0.0, 0.25, [0.25], [0.0], [RngStream(3)])
+    with pytest.raises(ValueError, match="rng must be None or a sequence"):
+        she.scaled_sheet_table(p, 0.0, [0.25], [0.25], [0.0], RngStream(3))
 
 
 @pytest.mark.parametrize("rows, block, cap", [(1, 1, 7), (2, 2, 5), (9, 4, 33)])
@@ -399,14 +480,14 @@ def test_in_place_bulk_fills_match_per_stream_draws(rows, block, cap):
 def test_batched_sheet_table_validates_streams():
     p = she.ScalingParams(64, 0.0, 1.0)
     with pytest.raises(ValueError):
-        she.scaled_sheet_table(p, 0.0, 0.0, [0.25], [0.0], rng=[])
+        she.scaled_sheet_table(p, 0.0, [0.0], [0.25], [0.0], rng=[])
     with pytest.raises(ValueError):
-        she.scaled_sheet_table(p, 0.0, 0.0, [0.25], [0.0],
+        she.scaled_sheet_table(p, 0.0, [0.0], [0.25], [0.0],
                                rng=[RngStream(1), None])
     # nothing random: a sequence of None gives identical replicas
     q = she.ScalingParams(64, 0.0, 0.0)
-    tab = she.scaled_sheet_table(q, 0.0, 0.0, [0.25], [0.0], rng=[None, None])
-    assert tab.shape == (2, 1, 1) and tab[0, 0, 0] == tab[1, 0, 0]
+    tab = she.scaled_sheet_table(q, 0.0, [0.0], [0.25], [0.0], rng=[None, None])
+    assert tab.shape == (2, 1, 1, 1) and tab[0, 0, 0, 0] == tab[1, 0, 0, 0]
 
 
 def test_robin_kernel_neumann_case_is_reflection():
@@ -458,7 +539,7 @@ def test_neumann_kernel_normalized():
 def test_scaled_sheet_converges_to_robin_kernel():
     for mu, tol in [(0.0, 2e-3), (0.7, 5e-2)]:
         p = she.ScalingParams(1024, mu, 0.0)
-        got = she.scaled_sheet_table(p, 0.0, 0.0, [0.5], [0.5])[0, 0]
+        got = she.scaled_sheet_table(p, 0.0, [0.0], [0.5], [0.5])[0, 0, 0, 0]
         want = she.robin_heat_kernel(mu, 0.0, 0.0, 0.5, 0.5)
         assert got == pytest.approx(want, rel=tol)
 
@@ -583,7 +664,7 @@ def test_composition_is_the_per_endpoint_glue(case, monkeypatch):
     elif case == 1:
         # y = 7 lies beyond x + (t - s) = 5: every term vanishes
         boundary = she.BoundaryWeights(1, np.exp(0.4 * rng.gen.standard_normal(4)))
-        bulk = she.BulkWeights.sample(1, 5, 11, 0.3, rng)
+        bulk = _uniform_bulk(1, 5, 11, 0.3, rng)
         s, x, t, y = 1, 1, 5, 7
     else:
         boundary, bulk, s, x, t, y = _random_instance(rng, int(rng.gen.integers(2, 8)))
@@ -616,7 +697,7 @@ def test_monotone_check_is_the_per_pair_check(case):
     x_max = int(rng.gen.integers(0, 4))
     mid = np.exp(0.4 * rng.gen.standard_normal(t - s))
     boundaries = [she.BoundaryWeights(s, k * mid) for k in (0.5, 1.0, 1.5)]
-    bulk = she.BulkWeights.sample(s, t, x_max + (t - s), 0.3, rng)
+    bulk = _uniform_bulk(s, t, x_max + (t - s), 0.3, rng)
     got = she.monotone_coupling_check(*boundaries, bulk, s, t, x_max)
     assert got == _monotone_per_pair(boundaries, bulk, s, t, x_max)
 
