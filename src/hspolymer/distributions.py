@@ -12,7 +12,7 @@ Gamma(theta) on x > 0, i.e. the law of 1/G for G ~ Gamma(theta, 1).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaincc
+from scipy.special import gammaincc, ndtr
 
 from .rng import RngStream
 
@@ -106,7 +106,5 @@ def exponential_cdf(x, a):
 
 def normal_cdf(x, mean=0.0, sd=1.0):
     """Gaussian CDF, used as the reference law for Brownian marginals."""
-    from scipy.special import ndtr
-
     _check_positive("sd", sd)
     return ndtr((np.asarray(x, dtype=float) - mean) / sd)

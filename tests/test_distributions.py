@@ -111,3 +111,40 @@ def test_invalid_parameters_rejected(fn, args):
     with pytest.raises(ValueError):
         fn(*args, RngStream(0), size=3)
 
+
+def _catalog_cdfs():
+    """Every reference CDF the catalog's one-sample checks use at their
+    defaults, with a sampler of its law."""
+    from hspolymer.experiments import EXPERIMENTS
+
+    burke, one_row, zuv, huv, lpp = (EXPERIMENTS[name].defaults for name in [
+        "burke", "one-row-stationarity", "zuv-properties", "huv-properties",
+        "lpp-stationarity"])
+    thetas = {one_row["alpha"] - one_row["u"], zuv["alpha"] - abs(zuv["v_pra"])}
+    for alpha in burke["alpha_grid"]:
+        for u_spec in burke["u_spec"]:
+            u = 0.5 * alpha if u_spec == "half" else float(u_spec)
+            thetas |= {alpha + u, alpha - u, 2.0 * alpha}
+    cases = [pytest.param(lambda x, t=t: d.inverse_gamma_cdf(x, t),
+                          lambda rng, n, t=t: d.sample_inverse_gamma(t, rng, size=n),
+                          id=f"inverse-gamma:{t}")
+             for t in sorted(thetas)]
+    ub = huv["u_brownian"]
+    cases += [pytest.param(lambda x, X=X: d.normal_cdf(x, ub * X, np.sqrt(X)),
+                           lambda rng, n, X=X: rng.gen.normal(ub * X, np.sqrt(X), size=n),
+                           id=f"normal:X={X}")
+              for X in huv["xs"]]
+    rate = lpp["a"] - lpp["exp_u"]
+    cases.append(pytest.param(lambda x: d.exponential_cdf(x, rate),
+                              lambda rng, n: d.sample_exponential(rate, rng, size=n),
+                              id=f"exponential:{rate}"))
+    return cases
+
+
+@pytest.mark.parametrize("cdf, sample", _catalog_cdfs())
+def test_catalog_cdfs_are_nondecreasing_on_every_sorted_draw(cdf, sample):
+    # ks_one_sample checks monotonicity only at the points it evaluates, so
+    # every reference it is given must be nondecreasing at all of them
+    f = cdf(np.sort(sample(RngStream(107), 10 ** 6)))
+    assert np.all((f >= 0.0) & (f <= 1.0))
+    assert np.diff(f).min() >= -1e-12

@@ -448,6 +448,18 @@ def test_a_failed_monotonicity_guard_stores_no_statistic(tmp_path, monkeypatch):
         assert list((tmp_path / "checkpoints").glob("burke_*.npy"))
 
 
+def _nan_cdf(x, theta):
+    """Not a CDF: NaN everywhere."""
+    return np.full(np.shape(x), np.nan)
+
+
+def test_a_nan_cdf_stores_no_statistic(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "inverse_gamma_cdf", _nan_cdf)
+    with pytest.raises(ValueError, match="NaN or outside"):
+        run_experiment("burke", BURKE_SMALL, [7], RunContext(out_dir=tmp_path))
+    assert _ks_files(tmp_path) == []
+
+
 def test_a_run_without_out_dir_writes_nothing(tmp_path, monkeypatch):
     def no_write(*args):
         raise AssertionError("a file was written")

@@ -1,9 +1,12 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hspolymer.distributions import (exponential_cdf, inverse_gamma_cdf,
+                                     normal_cdf, sample_inverse_gamma)
 from hspolymer.rng import RngStream
 from hspolymer.stats import (KsResult, KsSuite, SampleSet, ks_one_sample,
                              ks_threshold, ks_two_sample, moment_compare)
@@ -31,14 +34,88 @@ def test_one_sample_exact_d_uniform():
 
 
 def test_one_sample_rejects_nonmonotone_cdf():
-    with pytest.raises(ValueError):
-        ks_one_sample(SampleSet(np.array([0.1, 0.9])), lambda x: -x)
+    with pytest.raises(ValueError, match="not monotone"):
+        ks_one_sample(SampleSet(np.array([0.1, 0.9])), lambda x: 1.0 - x)
+
+
+def _ks_one_sample_full(a, cdf):
+    """D from F at every sorted point: the oracle for the sparse evaluation
+    of ks_one_sample. Also returns the index of the largest term."""
+    x = np.sort(a.values)
+    n = x.size
+    f = np.asarray(cdf(x), dtype=float)
+    if np.any(np.diff(f) < -1e-12):
+        raise ValueError("cdf is not monotone on the sample range")
+    grid = np.arange(n, dtype=float)
+    d_plus = np.max((grid + 1.0) / n - f)
+    d_minus = np.max(f - grid / n)
+    worst = int(np.argmax(np.maximum((grid + 1.0) / n - f, f - grid / n)))
+    return float(max(d_plus, d_minus)), worst
+
+
+def _ig(theta, n, seed=11, shift=0.0):
+    x = sample_inverse_gamma(theta, RngStream(seed), size=n) - shift
+    return x, functools.partial(inverse_gamma_cdf, theta=theta)
+
+
+def _uniform(n, lo, seed=12):
+    """U(lo, lo + 1/2) draws against U(0, 1): D sits at the first point for
+    lo = 1/2 and at the last point for lo = 0."""
+    return lo + 0.5 * RngStream(seed).gen.random(n), lambda t: np.clip(t, 0.0, 1.0)
+
+
+ORACLE_CASES = {
+    **{f"n={n}": _ig(1.8, n) for n in [1, 2, 511, 512, 513, 200000]},
+    # burke's V' at u = alpha / 2 for alpha = 1.5: a heavy right tail
+    "heavy-tail": _ig(0.75, 200000),
+    "ties": (np.round(RngStream(13).gen.normal(size=100000), 1), normal_cdf),
+    # a third of the points at x <= 0, where F is flat at 0
+    "flat-at-zero": _ig(1.8, 100000, shift=0.3),
+    "wrong-law": (_ig(1.8, 200000)[0], functools.partial(inverse_gamma_cdf, theta=2.4)),
+    "exponential": (RngStream(14).gen.exponential(size=20000) / 1.1,
+                    functools.partial(exponential_cdf, a=1.1)),
+    "first-point": _uniform(100003, 0.5),
+    "last-point": _uniform(100003, 0.0),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_sparse_ks_gives_the_full_evaluations_double(case):
+    x, cdf = ORACLE_CASES[case]
+    d, worst = _ks_one_sample_full(SampleSet(x), cdf)
+    if case == "first-point":
+        assert worst == 0
+    if case == "last-point":
+        assert worst == x.size - 1
+    assert ks_one_sample(SampleSet(x), cdf).statistic == d
+
+
+def test_sparse_ks_evaluates_at_most_a_tenth_of_the_points():
+    x, cdf = _ig(1.8, 200000)
+    seen = []
+
+    def counted(t):
+        seen.append(np.size(t))
+        return cdf(t)
+
+    ks_one_sample(SampleSet(x), counted)
+    assert len(seen) <= 2 and sum(seen) <= 20000
+
+
+@pytest.mark.parametrize("bad", [lambda t: np.full(np.shape(t), np.nan),
+                                 lambda t: np.clip(t, 0.0, 1.0) + 0.5,
+                                 lambda t: np.clip(t, 0.0, 1.0) - 0.5],
+                         ids=["nan", "above-1", "below-0"])
+def test_one_sample_rejects_a_cdf_outside_the_unit_interval(bad):
+    x = RngStream(15).gen.random(2000)
+    with pytest.raises(ValueError, match="NaN or outside"):
+        ks_one_sample(SampleSet(x), bad)
 
 
 def _p_at(lam):
-    """p-value of a KS test whose statistic is lam at n = 1: one point at
-    1 - lam against F(x) = x."""
-    return ks_one_sample(SampleSet([1.0 - lam]), lambda x: x).p_approx
+    """p-value of a KS test whose statistic is lam: four tied points at
+    lam / 2 > 1/2 against F(x) = x give D = lam / 2 at n = 4."""
+    return ks_one_sample(SampleSet([lam / 2.0] * 4), lambda x: x).p_approx
 
 
 def test_kolmogorov_sf_reference_values():
