@@ -55,14 +55,15 @@ def _s_two_row(rng, n, alpha, u, v, m, offsets):
 
 def _s_zuv(rng, n, alpha, u, v, ks):
     p = stationary.DiscreteStationaryParams(alpha=alpha, u=u, v=v)
-    path = stationary.sample_zuv_path(p, max(ks), rng, n_replicas=n)
-    return path[:, list(ks)]
+    return stationary.sample_zuv_path(p, max(ks, default=0), rng, n_replicas=n,
+                                      k_record=ks)
 
 
 def _s_zuv_pra(rng, n, alpha, u, v, ks):
     p = stationary.DiscreteStationaryParams(alpha=alpha, u=u, v=v)
-    pra = stationary.sample_zuv_pra(p, max(ks), rng, n_replicas=n)
-    return pra.log_z[:, list(ks)]
+    k_max = max(ks, default=0)
+    ks = stationary._recorded_ks(k_max, ks)
+    return stationary.sample_zuv_pra(p, k_max, rng, n_replicas=n).log_z[:, ks]
 
 
 def _s_zuv_a(rng, n, alpha, u, v, k):
@@ -71,7 +72,7 @@ def _s_zuv_a(rng, n, alpha, u, v, k):
 
 
 def _s_ig_walk(rng, n, theta, ks):
-    return stationary._log_ig_walk(theta, max(ks), rng, n)[:, list(ks)]
+    return stationary._log_ig_walk(theta, max(ks, default=0), rng, n, ks)
 
 
 def _s_gamma_limit(rng, n, u, v):

@@ -183,8 +183,9 @@ def matching_identity_check(alpha: float, u: float, v: float, t: int, y: int,
     # where z-tilde(x) is scale^{x+1} z_{u,v}(x+1) in law
     rng = rng.substream(2)
     log_zuv = sample_zuv_path(DiscreteStationaryParams(alpha=alpha, u=u, v=v),
-                              x_hi + 1, rng, n_replicas=R)
-    init = np.exp(np.arange(1, x_hi + 2) * math.log(bdry_scale) + log_zuv[:, 1:])
+                              x_hi + 1, rng, n_replicas=R,
+                              k_record=range(1, x_hi + 2))
+    init = np.exp(np.arange(1, x_hi + 2) * math.log(bdry_scale) + log_zuv)
     cap = s_end + 1
 
     def rows():

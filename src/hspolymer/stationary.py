@@ -16,6 +16,7 @@ a degenerate weight.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,29 +61,97 @@ class ContinuumStationaryParams:
             raise ValueError("need v <= u")
 
 
-# doubles per gamma block: the walks draw this many at a time, replica rows
-# in order, so peak memory is the returned paths plus one block
+# doubles per gamma block: a z_{u,v} draw holds its walks this many doubles
+# at a time, replica rows in order, so its peak memory is what it returns
+# plus about one block
 _GAMMA_BLOCK = 1 << 18
 
 
+def _block_rows(k: int, walks: int = 1) -> int:
+    """Replica rows per block when `walks` walks of k steps share one block."""
+    return max(1, _GAMMA_BLOCK // (walks * max(k, 1)))
+
+
+def _row_blocks(n: int, rows: int):
+    """(r0, r1) for the row blocks of n replica rows, `rows` at a time."""
+    for r0 in range(0, n, rows):
+        yield r0, min(r0 + rows, n)
+
+
 def _fill_neg_log_gamma(gen: np.random.Generator, theta: float,
-                        dest: np.ndarray) -> None:
-    """Write -log Gamma(theta) draws into dest (rows, k), a block of rows at a
-    time. Successive row blocks draw the same numbers as one dest.shape call."""
-    rows = max(1, _GAMMA_BLOCK // max(dest.shape[1], 1))
-    for r0 in range(0, dest.shape[0], rows):
-        block = dest[r0:r0 + rows]
-        np.log(gen.standard_gamma(theta, size=block.shape), out=block)
-        np.negative(block, out=block)
+                        block: np.ndarray) -> None:
+    """Write -log Gamma(theta) draws into the C-contiguous block, in row order."""
+    gen.standard_gamma(theta, out=block)
+    np.log(block, out=block)
+    np.negative(block, out=block)
 
 
-def _log_ig_walk(theta: float, k_max: int, rng: RngStream, n: int) -> np.ndarray:
-    """Log of an inverse-gamma multiplicative walk: (n, k_max+1), column 0 = 0."""
-    out = np.empty((n, k_max + 1))
-    out[:, 0] = 0.0
-    steps = out[:, 1:]
-    _fill_neg_log_gamma(rng.gen, theta, steps)
-    np.cumsum(steps, axis=1, out=steps)
+def _skip_gamma(gen: np.random.Generator, theta: float, n: int) -> None:
+    """Advance gen past n Gamma(theta) draws, one block at a time."""
+    buf = np.empty(min(n, _GAMMA_BLOCK))
+    for i in range(0, n, _GAMMA_BLOCK):
+        gen.standard_gamma(theta, out=buf[:n - i])
+
+
+def _step_blocks(gen: np.random.Generator, theta: float, n: int, k: int,
+                 rows: int):
+    """Yield (r0, r1, steps): -log Gamma(theta) draws for rows r0:r1 of an
+    (n, k) array, in one reused buffer. Successive blocks draw the same
+    numbers as one (n, k) call; a walk with no steps yields no block."""
+    if k == 0:
+        return
+    buf = np.empty((min(rows, n), k))
+    for r0, r1 in _row_blocks(n, rows):
+        steps = buf[:r1 - r0]
+        _fill_neg_log_gamma(gen, theta, steps)
+        yield r0, r1, steps
+
+
+def _fill_steps(gen: np.random.Generator, theta: float, dest: np.ndarray,
+                rows: int) -> None:
+    """Write -log Gamma(theta) draws into dest (n, k), which need not be
+    contiguous, through one block buffer that is gone on return."""
+    for r0, r1, steps in _step_blocks(gen, theta, *dest.shape, rows):
+        dest[r0:r1] = steps
+
+
+def _recorded_ks(k_max: int, k_record) -> list:
+    """The recorded ks as a list (default 0..k_max); ValueError unless each
+    is an int in 0..k_max."""
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
+    if k_record is None:
+        return list(range(k_max + 1))
+    ks = list(k_record)
+    if not ks:
+        raise ValueError("k_record is empty")
+    for k in ks:
+        if not isinstance(k, (int, np.integer)):
+            raise ValueError(f"recorded k = {k!r} is not an int")
+        if k < 0:
+            raise ValueError("recorded k must be nonnegative")
+        if k > k_max:
+            raise ValueError("recorded k beyond k_max")
+    return [int(k) for k in ks]
+
+
+def _take(walk: np.ndarray, ks: list, dest: np.ndarray) -> None:
+    """dest[:, j] = column ks[j] of a walk block whose column k - 1 holds
+    walk column k; columns with k = 0 are left for the caller to set."""
+    np.take(walk, [max(k - 1, 0) for k in ks], axis=1, out=dest, mode="clip")
+
+
+def _log_ig_walk(theta: float, k_max: int, rng: RngStream, n: int,
+                 k_record=None) -> np.ndarray:
+    """Log of an inverse-gamma multiplicative walk from 1 (column 0 = 0):
+    the columns k_record (default 0..k_max) in request order, (n, len),
+    holding one gamma block of the walk at a time."""
+    ks = _recorded_ks(k_max, k_record)
+    out = np.zeros((n, len(ks)))
+    for r0, r1, w in _step_blocks(rng.gen, theta, n, k_max, _block_rows(k_max)):
+        np.cumsum(w, axis=1, out=w)
+        _take(w, ks, out[r0:r1])
+    out[:, [j for j, k in enumerate(ks) if k == 0]] = 0.0
     return out
 
 
@@ -94,28 +163,45 @@ def _log_varpi(u: float, v: float, rng: RngStream, n: int) -> np.ndarray | None:
 
 
 def sample_zuv_path(params: DiscreteStationaryParams, k_max: int, rng: RngStream,
-                    n_replicas: int = 1) -> np.ndarray:
+                    n_replicas: int = 1, k_record=None) -> np.ndarray:
     """Sample log z_{u,v}(k) for k = 0..k_max, replicated.
 
     z(k) = r2(k) + (1/varpi) sum_{l=1}^{k} r1(l) r2(k) / r2(l-1), where r1
     and r2 are independent IG(alpha+v) and IG(alpha-v) multiplicative walks
     from 1 and varpi ~ IG(u-v) is independent of both. For u = v the sum
-    term is dropped. Returned shape: (n_replicas, k_max+1).
+    term is dropped. Returns the columns k_record (default 0..k_max) in
+    request order: shape (n_replicas, len(k_record)).
+
+    The draws are r2's steps, then r1's, then varpi, replica rows in order.
+    The walks are held one row block at a time: r2 is replayed from a copy
+    of the generator in lockstep with r1, after the original has skipped
+    past r2's draws.
     """
     a, u, v = params.alpha, params.u, params.v
-    R = n_replicas
-    out = _log_ig_walk(a - v, k_max, rng, R)
     if u == v:
-        return out
-    # w runs through log r1(l), then t_l = r1(l)/r2(l-1), then the cumulative
-    # logsumexp over l = 1..k, then log(1 + lse/varpi)
-    w = _log_ig_walk(a + v, k_max, rng, R)[:, 1:]
-    log_varpi = _log_varpi(u, v, rng, R)
-    np.subtract(w, out[:, :-1], out=w)
-    np.logaddexp.accumulate(w, axis=1, out=w)
-    np.subtract(w, log_varpi[:, None], out=w)
-    np.logaddexp(0.0, w, out=w)
-    np.add(out[:, 1:], w, out=out[:, 1:])
+        return _log_ig_walk(a - v, k_max, rng, n_replicas, k_record)
+    ks = _recorded_ks(k_max, k_record)
+    R, gen = n_replicas, rng.gen
+    r2_gen = copy.deepcopy(gen)
+    _skip_gamma(gen, a - v, R * k_max)
+    out = np.zeros((R, len(ks)))
+    lse = np.zeros((R, len(ks)))
+    rows = _block_rows(k_max, walks=2)
+    # w runs through log r1(l), then t_l = r1(l)/r2(l-1) (r2(0) = 1), then
+    # the cumulative logsumexp over l = 1..k
+    for (r0, r1, w2), (_, _, w) in zip(_step_blocks(r2_gen, a - v, R, k_max, rows),
+                                       _step_blocks(gen, a + v, R, k_max, rows)):
+        np.cumsum(w2, axis=1, out=w2)
+        np.cumsum(w, axis=1, out=w)
+        np.subtract(w[:, 1:], w2[:, :-1], out=w[:, 1:])
+        np.logaddexp.accumulate(w, axis=1, out=w)
+        _take(w2, ks, out[r0:r1])
+        _take(w, ks, lse[r0:r1])
+    # log(1 + lse/varpi), added to log r2
+    np.subtract(lse, _log_varpi(u, v, rng, R)[:, None], out=lse)
+    np.logaddexp(0.0, lse, out=lse)
+    np.add(out, lse, out=out)
+    out[:, [j for j, k in enumerate(ks) if k == 0]] = 0.0
     return out
 
 
@@ -132,39 +218,36 @@ class PraPath:
         return self.log_p + self.log_a
 
 
-def _pra_log_a(params: DiscreteStationaryParams, rng: RngStream,
-               log_xi: np.ndarray, log_a: np.ndarray, log_r=None) -> None:
-    """The a-branch of the p/r/a decomposition over the xi steps log_xi (R, k).
+def _pra_log_a(params: DiscreteStationaryParams, rng: RngStream, k: int, rows: int,
+               xi_blocks, log_a: np.ndarray, log_r=None) -> None:
+    """The a-branch of the p/r/a decomposition over the xi steps, read one
+    row block at a time.
 
-    Draws zeta_1..zeta_k ~ IG(alpha+v) a block of replica rows at a time,
-    forms log r(j) = log zeta_1 + sum_{i=2}^{j} (log zeta_i - log xi_{i-1})
-    and its running logsumexp over j, then draws varpi ~ IG(u-v) and writes
+    xi_blocks yields (r0, r1, log xi (r1-r0, k)) in row order, `rows` rows
+    a block. For each block it draws zeta_1..zeta_k ~ IG(alpha+v), forms
+    log r(j) = log zeta_1 + sum_{i=2}^{j} (log zeta_i - log xi_{i-1}) and
+    its running logsumexp over j; then it draws varpi ~ IG(u-v) and writes
     log a(j) = log(1 + (1/varpi) sum_{i<=j} r(i)) into log_a: for every j
     when log_a is (R, k), for j = k alone when it is (R, 1). log r goes to
     log_r (R, k) when given. Each row block reads its log xi before writing
-    its log a, so log_a may share memory with log_xi.
+    its log a, so log_a may share memory with the xi blocks.
     """
-    R, k = log_xi.shape
-    gen = rng.gen
-    rows = max(1, _GAMMA_BLOCK // max(k, 1))
-    buf = np.empty((min(rows, R), k))
-    for r0 in range(0, R, rows):
-        r1 = min(r0 + rows, R)
-        z = buf[:r1 - r0]
-        gen.standard_gamma(params.alpha + params.v, out=z)
-        np.log(z, out=z)
-        w = z if log_r is None else log_r[r0:r1]
-        np.negative(z, out=w)
+    zeta = _step_blocks(rng.gen, params.alpha + params.v, log_a.shape[0], k, rows)
+    # w runs through -log zeta, then log r, then (for log a(k) alone) the
+    # running logsumexp
+    for (r0, r1, log_xi), (_, _, w) in zip(xi_blocks, zeta):
         tail = w[:, 1:]
-        np.subtract(tail, log_xi[r0:r1, :-1], out=tail)
+        np.subtract(tail, log_xi[:, :-1], out=tail)
         np.cumsum(tail, axis=1, out=tail)
         np.add(tail, w[:, :1], out=tail)
+        if log_r is not None:
+            log_r[r0:r1] = w
         if log_a.shape[1] == k:
             np.logaddexp.accumulate(w, axis=1, out=log_a[r0:r1])
         else:
-            np.logaddexp.accumulate(w, axis=1, out=z)
-            log_a[r0:r1, 0] = z[:, -1]
-    log_varpi = _log_varpi(params.u, params.v, rng, R)
+            np.logaddexp.accumulate(w, axis=1, out=w)
+            log_a[r0:r1, 0] = w[:, -1]
+    log_varpi = _log_varpi(params.u, params.v, rng, log_a.shape[0])
     np.subtract(log_a, log_varpi[:, None], out=log_a)
     np.logaddexp(0.0, log_a, out=log_a)
 
@@ -182,34 +265,42 @@ def sample_zuv_pra(params: DiscreteStationaryParams, k_max: int, rng: RngStream,
     if params.u == params.v:
         raise ValueError("the p/r/a decomposition needs u > v")
     R = n_replicas
+    rows = _block_rows(k_max)
     log_p = np.empty((R, k_max + 1))
     log_r = np.empty((R, k_max + 1))
     log_a = np.empty((R, k_max + 1))
     # log_a[:, 1:] holds log xi until the a-branch overwrites it, row block
     # by row block
     log_xi = log_a[:, 1:]
-    _fill_neg_log_gamma(rng.gen, params.alpha - params.v, log_xi)
+    _fill_steps(rng.gen, params.alpha - params.v, log_xi, rows)
     log_p[:, 0] = 0.0
     np.cumsum(log_xi, axis=1, out=log_p[:, 1:])
     log_r[:, 0] = -np.inf
     log_a[:, 0] = 0.0
-    _pra_log_a(params, rng, log_xi, log_a[:, 1:], log_r[:, 1:])
+    _pra_log_a(params, rng, k_max, rows,
+               ((r0, r1, log_xi[r0:r1]) for r0, r1 in _row_blocks(R, rows)),
+               log_a[:, 1:], log_r[:, 1:])
     return PraPath(log_p=log_p, log_r=log_r, log_a=log_a)
 
 
 def _sample_log_a(params: DiscreteStationaryParams, k: int, rng: RngStream,
                   n_replicas: int = 1) -> np.ndarray:
     """log a(k) of sample_zuv_pra alone: the same draws in the same order and
-    the same bits as its log_a[:, k], holding one (R, k) log xi array and
-    one gamma block instead of the three paths. Needs u > v and k >= 1."""
+    the same bits as its log_a[:, k], holding one gamma block of xi and zeta
+    at a time: xi is replayed from a copy of the generator in lockstep with
+    zeta, after the original has skipped past xi's draws. Needs u > v and
+    k >= 1."""
     if params.u == params.v:
         raise ValueError("the p/r/a decomposition needs u > v")
     if k < 1:
         raise ValueError("need k >= 1")
-    log_xi = np.empty((n_replicas, k))
-    _fill_neg_log_gamma(rng.gen, params.alpha - params.v, log_xi)
-    log_a = np.empty((n_replicas, 1))
-    _pra_log_a(params, rng, log_xi, log_a)
+    R, gen = n_replicas, rng.gen
+    xi_gen = copy.deepcopy(gen)
+    _skip_gamma(gen, params.alpha - params.v, R * k)
+    rows = _block_rows(k, walks=2)
+    log_a = np.empty((R, 1))
+    _pra_log_a(params, rng, k, rows,
+               _step_blocks(xi_gen, params.alpha - params.v, R, k, rows), log_a)
     return log_a[:, 0]
 
 
@@ -314,8 +405,8 @@ def scaled_initial_data(n: int, u: float, v: float, x_grid, rng: RngStream,
     sqrt_n = np.sqrt(n)
     ks = [_lattice_index(sqrt_n, x, "sqrt(n) X") for x in x_grid]
     params = DiscreteStationaryParams(alpha=0.5 + sqrt_n, u=u, v=v)
-    log_z = sample_zuv_path(params, max(ks), rng, n_replicas)
-    return np.array(ks) * (0.5 * np.log(n)) + log_z[:, ks]
+    log_z = sample_zuv_path(params, max(ks, default=0), rng, n_replicas, k_record=ks)
+    return np.array(ks) * (0.5 * np.log(n)) + log_z
 
 
 def second_moment_analytic(n: int, u: float, v: float, x: float) -> float:

@@ -255,6 +255,19 @@ def test_huv_unsorted_xs_label_their_own_columns():
                          for r in rep["results"] if not r["pass"]]
 
 
+@pytest.mark.parametrize("sampler,kw", [
+    ("zuv", {"alpha": 1.5, "u": 0.8, "v": 0.2}),
+    ("zuv", {"alpha": 1.5, "u": 0.4, "v": 0.4}),
+    ("zuv_pra", {"alpha": 1.5, "u": 0.8, "v": 0.2}),
+    ("ig_walk", {"theta": 1.3}),
+], ids=["zuv_gt", "zuv_eq", "zuv_pra", "ig_walk"])
+@pytest.mark.parametrize("ks", [[-1, 2], [], [2.0, 3]], ids=["neg", "empty", "float"])
+def test_walk_samplers_refuse_bad_ks(sampler, kw, ks):
+    # numpy's negative indexing returned column k = 2 twice for ks = [-1, 2]
+    with pytest.raises(ValueError):
+        experiments.SAMPLERS[sampler](RngStream(0), 5, ks=ks, **kw)
+
+
 def test_huv_delta_halving_reads_the_suite_statistic(monkeypatch):
     calls = []
     real = experiments.ks_one_sample

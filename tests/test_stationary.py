@@ -84,18 +84,42 @@ def _same_bits(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
+# R for each replica kind: the last replica block ends short at one block
+# plus 3 rows (two blocks plus 3 when two walks share a block), and at five
+# blocks plus 3 of a block shrunk to _SMALL_BLOCK doubles, which runs the
+# block loop many times at a small cost
+_SMALL_BLOCK = 512
+
+
+def _replicas(r_kind, k, monkeypatch):
+    if r_kind == "blocks_plus_3":
+        monkeypatch.setattr(stationary, "_GAMMA_BLOCK", _SMALL_BLOCK)
+    return {"one": 1, "seven": 7,
+            "block_plus_3": stationary._GAMMA_BLOCK // k + 3,
+            "blocks_plus_3": 5 * max(1, _SMALL_BLOCK // k) + 3}[r_kind]
+
+
+def _records(k_max):
+    # [k_max], [k_max - 1, k_max], [0, 3], unsorted, repeated
+    return [[k_max], [k_max - 1, k_max], [0, min(3, k_max)],
+            [k_max, 0, k_max // 2], [k_max, 1, k_max, 1]]
+
+
 @pytest.mark.parametrize("k_max", [1, 2, 5, 400])
-@pytest.mark.parametrize("r_kind", ["one", "seven", "block_plus_3"])
+@pytest.mark.parametrize("r_kind", ["one", "seven", "block_plus_3", "blocks_plus_3"])
 @pytest.mark.parametrize("u,v", [(0.4, 0.4), (-0.3, -0.3), (0.8, 0.2), (0.5, -0.5)],
                          ids=["eq_pos", "eq_neg", "gt_pos", "gt_neg"])
-def test_in_place_zuv_samplers_match_oracle(k_max, r_kind, u, v):
-    # the last replica block ends short at one block plus 3 rows
-    R = {"one": 1, "seven": 7,
-         "block_plus_3": stationary._GAMMA_BLOCK // k_max + 3}[r_kind]
+def test_in_place_zuv_samplers_match_oracle(k_max, r_kind, u, v, monkeypatch):
+    R = _replicas(r_kind, k_max, monkeypatch)
     params = _p(1.5, u, v)
     seed = 3100 + k_max
+    expect = _oracle_zuv(params, k_max, RngStream(seed), R)
     assert _same_bits(stationary.sample_zuv_path(params, k_max, RngStream(seed), R),
-                      _oracle_zuv(params, k_max, RngStream(seed), R))
+                      expect)
+    for ks in _records(k_max):
+        got = stationary.sample_zuv_path(params, k_max, RngStream(seed), R,
+                                         k_record=ks)
+        assert _same_bits(got, expect[:, ks]), ks
     assert _same_bits(stationary._log_ig_walk(1.5 + v, k_max, RngStream(seed), R),
                       _oracle_walk(1.5 + v, k_max, RngStream(seed), R))
     if u > v:
@@ -104,6 +128,37 @@ def test_in_place_zuv_samplers_match_oracle(k_max, r_kind, u, v):
         for g, e in zip((got.log_p, got.log_r, got.log_a), expect):
             assert g.shape == (R, k_max + 1)
             assert _same_bits(g, e)
+
+
+def test_zuv_path_leaves_the_stream_where_the_oracle_does():
+    # the replayed r2 copy is dropped; the caller's generator ends past varpi
+    params = _p(1.5, 0.8, 0.2)
+    a, b = RngStream(11), RngStream(11)
+    stationary.sample_zuv_path(params, 7, a, 30, k_record=[7])
+    _oracle_zuv(params, 7, b, 30)
+    assert a.gen.random() == b.gen.random()
+
+
+def test_zuv_path_at_k_max_zero_draws_only_varpi():
+    params = _p(1.5, 0.8, 0.2)
+    a, b = RngStream(12), RngStream(12)
+    assert _same_bits(stationary.sample_zuv_path(params, 0, a, 5), np.zeros((5, 1)))
+    _oracle_varpi(0.8, 0.2, b, 5)
+    assert a.gen.random() == b.gen.random()
+
+
+@pytest.mark.parametrize("k_max,k_record,match", [
+    (-1, None, "k_max must be nonnegative"),
+    (5, [], "k_record is empty"),
+    (5, [-1, 2], "must be nonnegative"),
+    (5, [2, 6], "beyond k_max"),
+    (5, [2.0], "not an int"),
+], ids=["neg_k_max", "empty", "neg_k", "beyond", "float_k"])
+@pytest.mark.parametrize("u,v", [(0.4, 0.4), (0.8, 0.2)], ids=["eq", "gt"])
+def test_zuv_path_refuses_bad_ks(k_max, k_record, match, u, v):
+    with pytest.raises(ValueError, match=match):
+        stationary.sample_zuv_path(_p(1.5, u, v), k_max, RngStream(0), 3,
+                                   k_record=k_record)
 
 
 def _traced_peak(fn):
@@ -135,9 +190,9 @@ def test_zuv_samplers_peak_memory(name, limit):
 
 
 @pytest.mark.parametrize("k", [1, 2, 400])
-@pytest.mark.parametrize("r_kind", ["one", "seven", "block_plus_3"])
-def test_a_limit_draw_matches_pra_column(k, r_kind):
-    R = {"one": 1, "seven": 7, "block_plus_3": stationary._GAMMA_BLOCK // k + 3}[r_kind]
+@pytest.mark.parametrize("r_kind", ["one", "seven", "block_plus_3", "blocks_plus_3"])
+def test_a_limit_draw_matches_pra_column(k, r_kind, monkeypatch):
+    R = _replicas(r_kind, k, monkeypatch)
     params, seed = _p(1.5, 0.8, 0.2), 3200 + k
     got = np.exp(stationary._sample_log_a(params, k, RngStream(seed), R))
     pra = stationary.sample_zuv_pra(params, k, RngStream(seed), R)
@@ -145,8 +200,9 @@ def test_a_limit_draw_matches_pra_column(k, r_kind):
 
 
 def test_a_limit_draw_peak_memory():
-    # the one (R, k) array of log xi plus a gamma block; drawing the whole
-    # p/r/a decomposition for its last column took about 9 such arrays
+    # one gamma block shared by the replayed xi rows and the zeta rows, and
+    # the (R,) results; drawing the whole p/r/a decomposition for its last
+    # column took about 9 (R, k) arrays, and holding the whole log xi walk 1
     R, k = 2000, 400
     params = _p(1.5, 0.8, 0.2)
 
@@ -155,7 +211,25 @@ def test_a_limit_draw_peak_memory():
 
     draw()  # lazy set-up stays out of the peak
     arrays = _traced_peak(draw) / (R * k * 8)
-    assert arrays <= 1.5, arrays
+    assert arrays <= 0.5, arrays
+
+
+@pytest.mark.parametrize("name", ["tail", "a_limit"])
+def test_zuv_tail_and_a_limit_draws_hold_a_few_blocks(name):
+    # traced peak in gamma blocks, at an R where one whole walk is over 10
+    # blocks: holding it (or the tail's (R, 202) path and (R, 201) r1 walk)
+    # would take more than 10
+    params = _p(1.5, 0.8, 0.2)
+    fn, k = {
+        "tail": (lambda R: stationary.sample_zuv_path(
+            params, 201, RngStream(5), R, k_record=[200, 201]), 201),
+        "a_limit": (lambda R: stationary._sample_log_a(params, 400, RngStream(5), R),
+                    400),
+    }[name]
+    R = 10 * stationary._GAMMA_BLOCK // k + 1
+    fn(R)  # lazy set-up stays out of the peak
+    blocks = _traced_peak(lambda: fn(R)) / (stationary._GAMMA_BLOCK * 8)
+    assert blocks <= 4, blocks
 
 
 def test_a_limit_draw_rejects_bad_input():
