@@ -61,14 +61,14 @@ def _s_zuv(rng, n, alpha, u, v, ks):
 
 def _s_zuv_pra(rng, n, alpha, u, v, ks):
     p = stationary.DiscreteStationaryParams(alpha=alpha, u=u, v=v)
-    k_max = max(ks, default=0)
-    ks = stationary._recorded_ks(k_max, ks)
-    return stationary.sample_zuv_pra(p, k_max, rng, n_replicas=n).log_z[:, ks]
+    return stationary.sample_zuv_pra(p, max(ks, default=0), rng, n_replicas=n,
+                                     k_record=ks).log_z
 
 
 def _s_zuv_a(rng, n, alpha, u, v, k):
     p = stationary.DiscreteStationaryParams(alpha=alpha, u=u, v=v)
-    return np.exp(stationary._sample_log_a(p, k, rng, n_replicas=n))
+    return np.exp(stationary.sample_zuv_pra(p, k, rng, n_replicas=n,
+                                            k_record=[k]).log_a[:, 0])
 
 
 def _s_ig_walk(rng, n, theta, ks):
@@ -569,6 +569,9 @@ ALIMIT_TOL_MULT = 1.5
 def exp_zuv(params: dict, seed: int, ctx: RunContext) -> dict:
     alpha = params["alpha"]
     n = int(params["n_samples"])
+    n_alim = int(params["n_alim"])
+    if n_alim < 1:
+        raise ValueError(f"zuv-properties needs n_alim >= 1, got {n_alim}")
 
     def zuv(tag, u, v, ks, sampler="zuv"):
         return _Draw(sampler, {"alpha": alpha, "u": u, "v": v, "ks": ks}, tag, n)
@@ -599,7 +602,6 @@ def exp_zuv(params: dict, seed: int, ctx: RunContext) -> dict:
                    lambda t: TAIL_TOL_MULT * t))
     # boundary series limit 1 + G_{u-v}/G_{2v} for positive v
     u3, v3 = params["u_alim"], params["v_alim"]
-    n_alim = int(params["n_alim"])
     a_n = _Draw("zuv_a", {"alpha": alpha, "u": u3, "v": v3, "k": n_alim},
                 "zuv_alim", n)
     limit = _Draw("gamma_limit", {"u": u3, "v": v3}, "zuv_alim_ref", n)

@@ -3,11 +3,15 @@
 Two families live here. The discrete process z_{u,v}(k) is built from two
 independent inverse-gamma multiplicative walks r1, r2 and an independent
 boundary weight; its law matches the two-row lattice ratio process, which is
-what the cross-checks in the test-suite exercise. The continuum process
-H_{u,v}(X) is the Brownian analogue, sampled on a delta-grid two different
-ways (the defining formula and the Pitman-transform form) that must agree in
-law; one streaming loop serves both routes. The scaled initial data at
-lattice level n are log z_{u,v} plus a deterministic shift.
+what the cross-checks in the test-suite exercise. It is sampled two ways,
+the direct functional and the product decomposition z = p a; each records
+only the requested columns k and replays its first walk from a copied
+generator in lockstep with the second, one row block at a time. The
+continuum process H_{u,v}(X) is the Brownian analogue, sampled on a
+delta-grid two different ways (the defining formula and the
+Pitman-transform form) that must agree in law; one streaming loop serves
+both routes. The scaled initial data at lattice level n are log z_{u,v}
+plus a deterministic shift.
 
 Conventions: walks start at 1 (log 0); when u = v the boundary term is
 dropped entirely, matching the 1/varpi := 0 convention, rather than sampling
@@ -107,12 +111,14 @@ def _step_blocks(gen: np.random.Generator, theta: float, n: int, k: int,
         yield r0, r1, steps
 
 
-def _fill_steps(gen: np.random.Generator, theta: float, dest: np.ndarray,
-                rows: int) -> None:
-    """Write -log Gamma(theta) draws into dest (n, k), which need not be
-    contiguous, through one block buffer that is gone on return."""
-    for r0, r1, steps in _step_blocks(gen, theta, *dest.shape, rows):
-        dest[r0:r1] = steps
+def _replayed_blocks(gen: np.random.Generator, theta: float, n: int, k: int,
+                     rows: int):
+    """The _step_blocks of an (n, k) walk, drawn from a copy of gen; gen
+    itself skips past those n * k draws, so what it draws next can be read
+    in lockstep with the replayed blocks."""
+    replay = copy.deepcopy(gen)
+    _skip_gamma(gen, theta, n * k)
+    return _step_blocks(replay, theta, n, k, rows)
 
 
 def _recorded_ks(k_max: int, k_record) -> list:
@@ -182,14 +188,12 @@ def sample_zuv_path(params: DiscreteStationaryParams, k_max: int, rng: RngStream
         return _log_ig_walk(a - v, k_max, rng, n_replicas, k_record)
     ks = _recorded_ks(k_max, k_record)
     R, gen = n_replicas, rng.gen
-    r2_gen = copy.deepcopy(gen)
-    _skip_gamma(gen, a - v, R * k_max)
     out = np.zeros((R, len(ks)))
     lse = np.zeros((R, len(ks)))
     rows = _block_rows(k_max, walks=2)
     # w runs through log r1(l), then t_l = r1(l)/r2(l-1) (r2(0) = 1), then
     # the cumulative logsumexp over l = 1..k
-    for (r0, r1, w2), (_, _, w) in zip(_step_blocks(r2_gen, a - v, R, k_max, rows),
+    for (r0, r1, w2), (_, _, w) in zip(_replayed_blocks(gen, a - v, R, k_max, rows),
                                        _step_blocks(gen, a + v, R, k_max, rows)):
         np.cumsum(w2, axis=1, out=w2)
         np.cumsum(w, axis=1, out=w)
@@ -218,90 +222,53 @@ class PraPath:
         return self.log_p + self.log_a
 
 
-def _pra_log_a(params: DiscreteStationaryParams, rng: RngStream, k: int, rows: int,
-               xi_blocks, log_a: np.ndarray, log_r=None) -> None:
-    """The a-branch of the p/r/a decomposition over the xi steps, read one
-    row block at a time.
-
-    xi_blocks yields (r0, r1, log xi (r1-r0, k)) in row order, `rows` rows
-    a block. For each block it draws zeta_1..zeta_k ~ IG(alpha+v), forms
-    log r(j) = log zeta_1 + sum_{i=2}^{j} (log zeta_i - log xi_{i-1}) and
-    its running logsumexp over j; then it draws varpi ~ IG(u-v) and writes
-    log a(j) = log(1 + (1/varpi) sum_{i<=j} r(i)) into log_a: for every j
-    when log_a is (R, k), for j = k alone when it is (R, 1). log r goes to
-    log_r (R, k) when given. Each row block reads its log xi before writing
-    its log a, so log_a may share memory with the xi blocks.
-    """
-    zeta = _step_blocks(rng.gen, params.alpha + params.v, log_a.shape[0], k, rows)
-    # w runs through -log zeta, then log r, then (for log a(k) alone) the
-    # running logsumexp
-    for (r0, r1, log_xi), (_, _, w) in zip(xi_blocks, zeta):
-        tail = w[:, 1:]
-        np.subtract(tail, log_xi[:, :-1], out=tail)
-        np.cumsum(tail, axis=1, out=tail)
-        np.add(tail, w[:, :1], out=tail)
-        if log_r is not None:
-            log_r[r0:r1] = w
-        if log_a.shape[1] == k:
-            np.logaddexp.accumulate(w, axis=1, out=log_a[r0:r1])
-        else:
-            np.logaddexp.accumulate(w, axis=1, out=w)
-            log_a[r0:r1, 0] = w[:, -1]
-    log_varpi = _log_varpi(params.u, params.v, rng, log_a.shape[0])
-    np.subtract(log_a, log_varpi[:, None], out=log_a)
-    np.logaddexp(0.0, log_a, out=log_a)
-
-
 def sample_zuv_pra(params: DiscreteStationaryParams, k_max: int, rng: RngStream,
-                   n_replicas: int = 1) -> PraPath:
+                   n_replicas: int = 1, k_record=None) -> PraPath:
     """Sample the alternative decomposition z(k) = p(k) a(k).
 
-    p(k) is an IG(alpha-v) multiplicative walk; r(k) = zeta_1 prod_{i=2}^{k}
-    zeta_i/xi_{i-1} is a beta-prime multiplicative walk started from an
-    IG(alpha+v) variate; a(k) = 1 + (1/varpi) sum_{j<=k} r(j). The product
-    has the same law as the direct z_{u,v} sampler, path by path in k. The
-    a-branch needs u > v. log_r column 0 is -inf (r starts at k=1).
+    p(k) is an IG(alpha-v) multiplicative walk with steps xi; r(k) = zeta_1
+    prod_{i=2}^{k} zeta_i/xi_{i-1} is a beta-prime multiplicative walk
+    started from an IG(alpha+v) variate; a(k) = 1 + (1/varpi) sum_{j<=k}
+    r(j). The product has the same law as the direct z_{u,v} sampler, path
+    by path in k. Needs u > v. Returns the columns k_record (default
+    0..k_max) in request order; at k = 0, log_p and log_a are 0 and log_r
+    is -inf (r starts at k = 1).
+
+    The draws are xi, then zeta, then varpi, replica rows in order. The
+    walks are held one row block at a time: xi is replayed from a copy of
+    the generator in lockstep with zeta, after the original has skipped
+    past xi's draws.
     """
     if params.u == params.v:
         raise ValueError("the p/r/a decomposition needs u > v")
-    R = n_replicas
-    rows = _block_rows(k_max)
-    log_p = np.empty((R, k_max + 1))
-    log_r = np.empty((R, k_max + 1))
-    log_a = np.empty((R, k_max + 1))
-    # log_a[:, 1:] holds log xi until the a-branch overwrites it, row block
-    # by row block
-    log_xi = log_a[:, 1:]
-    _fill_steps(rng.gen, params.alpha - params.v, log_xi, rows)
-    log_p[:, 0] = 0.0
-    np.cumsum(log_xi, axis=1, out=log_p[:, 1:])
-    log_r[:, 0] = -np.inf
-    log_a[:, 0] = 0.0
-    _pra_log_a(params, rng, k_max, rows,
-               ((r0, r1, log_xi[r0:r1]) for r0, r1 in _row_blocks(R, rows)),
-               log_a[:, 1:], log_r[:, 1:])
+    ks = _recorded_ks(k_max, k_record)
+    a, v, R, gen = params.alpha, params.v, n_replicas, rng.gen
+    log_p = np.zeros((R, len(ks)))
+    log_r = np.zeros((R, len(ks)))
+    log_a = np.zeros((R, len(ks)))
+    rows = _block_rows(k_max, walks=2)
+    # w runs through log zeta, then log r(j) = log zeta_1 + sum_{i=2}^{j}
+    # (log zeta_i - log xi_{i-1}), then its running logsumexp; x runs
+    # through log xi, then log p
+    for (r0, r1, x), (_, _, w) in zip(_replayed_blocks(gen, a - v, R, k_max, rows),
+                                      _step_blocks(gen, a + v, R, k_max, rows)):
+        tail = w[:, 1:]
+        np.subtract(tail, x[:, :-1], out=tail)
+        np.cumsum(tail, axis=1, out=tail)
+        np.add(tail, w[:, :1], out=tail)
+        np.cumsum(x, axis=1, out=x)
+        _take(x, ks, log_p[r0:r1])
+        _take(w, ks, log_r[r0:r1])
+        np.logaddexp.accumulate(w, axis=1, out=w)
+        _take(w, ks, log_a[r0:r1])
+    # log a = log(1 + lse/varpi)
+    np.subtract(log_a, _log_varpi(params.u, v, rng, R)[:, None], out=log_a)
+    np.logaddexp(0.0, log_a, out=log_a)
+    at_0 = [j for j, k in enumerate(ks) if k == 0]
+    log_p[:, at_0] = 0.0
+    log_r[:, at_0] = -np.inf
+    log_a[:, at_0] = 0.0
     return PraPath(log_p=log_p, log_r=log_r, log_a=log_a)
-
-
-def _sample_log_a(params: DiscreteStationaryParams, k: int, rng: RngStream,
-                  n_replicas: int = 1) -> np.ndarray:
-    """log a(k) of sample_zuv_pra alone: the same draws in the same order and
-    the same bits as its log_a[:, k], holding one gamma block of xi and zeta
-    at a time: xi is replayed from a copy of the generator in lockstep with
-    zeta, after the original has skipped past xi's draws. Needs u > v and
-    k >= 1."""
-    if params.u == params.v:
-        raise ValueError("the p/r/a decomposition needs u > v")
-    if k < 1:
-        raise ValueError("need k >= 1")
-    R, gen = n_replicas, rng.gen
-    xi_gen = copy.deepcopy(gen)
-    _skip_gamma(gen, params.alpha - params.v, R * k)
-    rows = _block_rows(k, walks=2)
-    log_a = np.empty((R, 1))
-    _pra_log_a(params, rng, k, rows,
-               _step_blocks(xi_gen, params.alpha - params.v, R, k, rows), log_a)
-    return log_a[:, 0]
 
 
 def _huv_stream(params: ContinuumStationaryParams, rng: RngStream,

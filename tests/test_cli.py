@@ -193,6 +193,23 @@ def test_a_bad_lim_eps_is_refused_before_any_draw(runner, tmp_path, monkeypatch)
     assert not (tmp_path / "o" / "lpp-stationarity_report.json").exists()
 
 
+@pytest.mark.parametrize("n_alim", [0, -3])
+def test_a_bad_n_alim_is_refused_before_any_draw(runner, tmp_path, monkeypatch,
+                                                 n_alim):
+    # n_alim = 0 used to be refused only by the a-limit draw, after the seven
+    # earlier draws, in an error that named no parameter
+    def no_draw(*args):
+        raise AssertionError("a sampler ran")
+
+    monkeypatch.setattr(experiments, "_run_batch", no_draw)
+    cfg = _write_config(tmp_path / "c.json", experiment="zuv-properties",
+                        params={"n_alim": n_alim, "n_samples": 2000})
+    res = runner.invoke(main, ["run", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "n_alim" in res.output
+    assert not (tmp_path / "o" / "zuv-properties_report.json").exists()
+
+
 @pytest.mark.parametrize("experiment,params", [
     ("moments", {"moment_ns": [], "mc_samples": 2000}),
     ("sheet-convergence", {"mus": [], "var_ns": [16], "var_replicas": 2}),

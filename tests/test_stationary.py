@@ -128,6 +128,11 @@ def test_in_place_zuv_samplers_match_oracle(k_max, r_kind, u, v, monkeypatch):
         for g, e in zip((got.log_p, got.log_r, got.log_a), expect):
             assert g.shape == (R, k_max + 1)
             assert _same_bits(g, e)
+        for ks in _records(k_max):
+            got = stationary.sample_zuv_pra(params, k_max, RngStream(seed), R,
+                                            k_record=ks)
+            for g, e in zip((got.log_p, got.log_r, got.log_a), expect):
+                assert _same_bits(g, e[:, ks]), ks
 
 
 def test_zuv_path_leaves_the_stream_where_the_oracle_does():
@@ -136,6 +141,15 @@ def test_zuv_path_leaves_the_stream_where_the_oracle_does():
     a, b = RngStream(11), RngStream(11)
     stationary.sample_zuv_path(params, 7, a, 30, k_record=[7])
     _oracle_zuv(params, 7, b, 30)
+    assert a.gen.random() == b.gen.random()
+
+
+def test_zuv_pra_leaves_the_stream_where_the_oracle_does():
+    # the replayed xi copy is dropped; the caller's generator ends past varpi
+    params = _p(1.5, 0.8, 0.2)
+    a, b = RngStream(11), RngStream(11)
+    stationary.sample_zuv_pra(params, 7, a, 30, k_record=[7])
+    _oracle_pra(params, 7, b, 30)
     assert a.gen.random() == b.gen.random()
 
 
@@ -154,11 +168,15 @@ def test_zuv_path_at_k_max_zero_draws_only_varpi():
     (5, [2, 6], "beyond k_max"),
     (5, [2.0], "not an int"),
 ], ids=["neg_k_max", "empty", "neg_k", "beyond", "float_k"])
-@pytest.mark.parametrize("u,v", [(0.4, 0.4), (0.8, 0.2)], ids=["eq", "gt"])
-def test_zuv_path_refuses_bad_ks(k_max, k_record, match, u, v):
+@pytest.mark.parametrize("sampler,u,v", [
+    ("sample_zuv_path", 0.4, 0.4),
+    ("sample_zuv_path", 0.8, 0.2),
+    ("sample_zuv_pra", 0.8, 0.2),
+], ids=["eq", "gt", "pra_gt"])
+def test_zuv_path_refuses_bad_ks(k_max, k_record, match, sampler, u, v):
     with pytest.raises(ValueError, match=match):
-        stationary.sample_zuv_path(_p(1.5, u, v), k_max, RngStream(0), 3,
-                                   k_record=k_record)
+        getattr(stationary, sampler)(_p(1.5, u, v), k_max, RngStream(0), 3,
+                                     k_record=k_record)
 
 
 def _traced_peak(fn):
@@ -189,12 +207,17 @@ def test_zuv_samplers_peak_memory(name, limit):
     assert paths <= limit, paths
 
 
+def _log_a_at(params, k, rng, R):
+    # the a-limit draw of zuv-properties: log a(k) alone
+    return stationary.sample_zuv_pra(params, k, rng, R, k_record=[k]).log_a[:, 0]
+
+
 @pytest.mark.parametrize("k", [1, 2, 400])
 @pytest.mark.parametrize("r_kind", ["one", "seven", "block_plus_3", "blocks_plus_3"])
 def test_a_limit_draw_matches_pra_column(k, r_kind, monkeypatch):
     R = _replicas(r_kind, k, monkeypatch)
     params, seed = _p(1.5, 0.8, 0.2), 3200 + k
-    got = np.exp(stationary._sample_log_a(params, k, RngStream(seed), R))
+    got = np.exp(_log_a_at(params, k, RngStream(seed), R))
     pra = stationary.sample_zuv_pra(params, k, RngStream(seed), R)
     assert _same_bits(got, np.exp(pra.log_a[:, k]))
 
@@ -207,7 +230,7 @@ def test_a_limit_draw_peak_memory():
     params = _p(1.5, 0.8, 0.2)
 
     def draw():
-        return stationary._sample_log_a(params, k, RngStream(5), R)
+        return _log_a_at(params, k, RngStream(5), R)
 
     draw()  # lazy set-up stays out of the peak
     arrays = _traced_peak(draw) / (R * k * 8)
@@ -223,8 +246,7 @@ def test_zuv_tail_and_a_limit_draws_hold_a_few_blocks(name):
     fn, k = {
         "tail": (lambda R: stationary.sample_zuv_path(
             params, 201, RngStream(5), R, k_record=[200, 201]), 201),
-        "a_limit": (lambda R: stationary._sample_log_a(params, 400, RngStream(5), R),
-                    400),
+        "a_limit": (lambda R: _log_a_at(params, 400, RngStream(5), R), 400),
     }[name]
     R = 10 * stationary._GAMMA_BLOCK // k + 1
     fn(R)  # lazy set-up stays out of the peak
@@ -233,10 +255,8 @@ def test_zuv_tail_and_a_limit_draws_hold_a_few_blocks(name):
 
 
 def test_a_limit_draw_rejects_bad_input():
-    with pytest.raises(ValueError):
-        stationary._sample_log_a(_p(1.5, 0.4, 0.4), 5, RngStream(0))
-    with pytest.raises(ValueError):
-        stationary._sample_log_a(_p(1.5, 0.8, 0.2), 0, RngStream(0))
+    with pytest.raises(ValueError, match="needs u > v"):
+        _log_a_at(_p(1.5, 0.4, 0.4), 5, RngStream(0), 1)
 
 
 def test_zuv_boundary_free_case_is_plain_walk():
