@@ -71,10 +71,6 @@ def _s_zuv_a(rng, n, alpha, u, v, k):
                                             k_record=[k]).log_a[:, 0])
 
 
-def _s_ig_walk(rng, n, theta, ks):
-    return stationary._log_ig_walk(theta, max(ks, default=0), rng, n, ks)
-
-
 def _s_gamma_limit(rng, n, u, v):
     top = sample_gamma(u - v, rng, size=n)
     bot = sample_gamma(2.0 * v, rng, size=n)
@@ -122,7 +118,6 @@ SAMPLERS = {
     "zuv": _s_zuv,
     "zuv_pra": _s_zuv_pra,
     "zuv_a": _s_zuv_a,
-    "ig_walk": _s_ig_walk,
     "gamma_limit": _s_gamma_limit,
     "huv": _s_huv,
     "scaled_init": _s_scaled_init,
@@ -576,10 +571,12 @@ def exp_zuv(params: dict, seed: int, ctx: RunContext) -> dict:
     def zuv(tag, u, v, ks, sampler="zuv"):
         return _Draw(sampler, {"alpha": alpha, "u": u, "v": v, "ks": ks}, tag, n)
 
-    # antisymmetric point u = -v: the process is an inverse-gamma walk
+    # antisymmetric point u = -v: the process is an inverse-gamma walk; the
+    # reference is z at u = v = u0, which sample_zuv_path draws as that
+    # IG(alpha - u0) walk alone, with no varpi and no sum term
     u0 = params["u_walk"]
     walk = zuv("zuv_walk", u0, -u0, [1, 5])
-    ig = _Draw("ig_walk", {"theta": alpha - u0, "ks": [1, 5]}, "zuv_walk_ref", n)
+    ig = zuv("zuv_walk_ref", u0, u0, [1, 5])
     checks = [(f"uv-antisymmetric:k={k}", (walk, ci), (ig, ci))
               for ci, k in enumerate([1, 5])]
     # sign symmetry in v
@@ -713,8 +710,26 @@ def exp_she(params: dict, seed: int, ctx: RunContext) -> dict:
     if instances < 1:
         raise ValueError(f"she-identities needs instances >= 1, got {instances}")
     tol = 1e-12
-    worst = {"chaos": 0.0, "mild": 0.0, "composition": 0.0, "normalization": 0.0}
+    worst = {"polymer": 0.0, "lpp": 0.0, "chaos": 0.0, "mild": 0.0,
+             "composition": 0.0, "normalization": 0.0}
     for i in range(instances):
+        # octant recurrences against path enumeration on a small octant:
+        # n, m, the polymer field, then the last-passage weights
+        rng = RngStream(seed, 100 + i)
+        n = int(rng.gen.integers(1, 12))
+        m = int(rng.gen.integers(1, min(n, 12 - n) + 1))
+        octant = lattice.OctantParams(float(rng.gen.uniform(0.2, 1.0)),
+                                      rng.gen.uniform(0.6, 2.0, size=n))
+        weights = lattice.sample_weight_field(octant, rng)
+        log_z = lattice.partition_recurrence(weights, n, n).log_z[n, m]
+        bf = lattice.partition_bruteforce(weights, n, m)
+        worst["polymer"] = max(worst["polymer"], abs(log_z - bf) / max(abs(bf), 1e-10))
+        ep = lpp.LppExpParams(float(rng.gen.uniform(0.2, 1.0)),
+                              tuple(rng.gen.uniform(0.6, 2.0, size=n)))
+        w = lpp.sample_lpp_weights(ep, n, rng)
+        g, gb = lpp.lpp_recurrence(w, n).times[n, m], lpp.lpp_bruteforce(w, n, m)
+        worst["lpp"] = max(worst["lpp"], abs(g - gb) / max(abs(gb), 1.0))
+        # reflected-walk partition functions on a random instance
         rng = RngStream(seed, _stable_base("she") + i)
         t_span = int(rng.gen.integers(2, 11))
         boundary, bulk, s, x, t, y = _random_instance(rng, t_span)
@@ -731,6 +746,8 @@ def exp_she(params: dict, seed: int, ctx: RunContext) -> dict:
                         she._factor_rows(s, t, x + t_span, None, None))
         worst["normalization"] = max(worst["normalization"], abs(sum(p.tolist()) - 1.0))
     results = [
+        _result("octant-recurrence", worst["polymer"], 1e-10),
+        _result("lpp-recurrence", worst["lpp"], 1e-10),
         _result("direct-vs-chaos", worst["chaos"], tol),
         _result("direct-vs-mild", worst["mild"], tol),
         _result("composition-law", worst["composition"], tol),
@@ -937,24 +954,39 @@ class Experiment:
     verifies: str
     func: object
     defaults: dict = field(default_factory=dict)
+    # the overrides of defaults that the acceptance test runs at
+    acceptance: dict = field(default_factory=dict)
 
 
+# entry k is acceptance criterion k, tested as criterion_k in
+# tests/test_acceptance.py: CI's -k list of criteria depends on this order
 EXPERIMENTS = {
     e.name: e for e in [
+        Experiment(
+            "she-identities",
+            "exact identities: the polymer and last-passage octant "
+            "recurrences equal path enumeration; reflected-walk partition "
+            "functions: direct, chaos-series, and mild evaluations agree "
+            "exactly; composition law; kernel normalization; boundary "
+            "monotonicity",
+            exp_she,
+            {"instances": 100}),
         Experiment(
             "burke",
             "fixed point of the local partition update: the updated triple "
             "keeps its inverse-gamma marginals",
             exp_burke,
             {"alpha_grid": [0.8, 1.5, 3.0], "u_spec": [-0.3, 0.0, "half"],
-             "n_samples": 100000}),
+             "n_samples": 100000},
+            {"n_samples": 1000000}),
         Experiment(
             "one-row-stationarity",
             "one-row stationary grid: increment laws do not depend on the "
             "base diagonal point; ratios are inverse-gamma",
             exp_one_row,
             {"alpha": 1.5, "u": 0.3, "m_list": [1, 2, 4], "offsets": [1, 3, 6],
-             "n_samples": 50000}),
+             "n_samples": 50000},
+            {"n_samples": 200000}),
         Experiment(
             "two-row-stationarity",
             "two-row stationary grid: ratio-process law independent of the "
@@ -962,7 +994,8 @@ EXPERIMENTS = {
             "process",
             exp_two_row,
             {"alpha": 1.5, "u": 0.6, "v": -0.4, "m_list": [2, 3, 5],
-             "offsets": [1, 3, 6], "n_samples": 50000}),
+             "offsets": [1, 3, 6], "n_samples": 50000},
+            {"n_samples": 200000}),
         Experiment(
             "permutation-symmetry",
             "row partition vector is invariant under permutations of the "
@@ -970,7 +1003,8 @@ EXPERIMENTS = {
             exp_permutation,
             {"alphas": [0.9, 1.6, 2.2], "alpha_circ": 0.4, "bulk_alpha": 1.5,
              "m": 3, "offsets": [0, 1, 2], "perms": [[3, 2, 1], [2, 3, 1]],
-             "n_samples": 50000}),
+             "n_samples": 50000},
+            {"n_samples": 200000}),
         Experiment(
             "zuv-properties",
             "boundary process special cases: inverse-gamma walk at u = -v, "
@@ -979,15 +1013,8 @@ EXPERIMENTS = {
             exp_zuv,
             {"alpha": 1.5, "u_walk": 0.5, "u_sym": 0.5, "v_sym": 0.4,
              "u_pra": 0.5, "v_pra": -0.4, "k_tail": 200, "u_alim": 1.0,
-             "v_alim": 0.5, "n_alim": 400, "n_samples": 50000}),
-        Experiment(
-            "huv-properties",
-            "continuum boundary process: Brownian marginals at u = -v, sign "
-            "symmetry in v, Pitman-transform route, grid-resolution "
-            "stability",
-            exp_huv,
-            {"u_brownian": 0.5, "u_sym": 1.0, "v_sym": 0.5,
-             "xs": [0.5, 1.0, 2.0], "delta": 2.0 ** -10, "n_samples": 50000}),
+             "v_alim": 0.5, "n_alim": 400, "n_samples": 50000},
+            {"n_samples": 100000}),
         Experiment(
             "lpp-stationarity",
             "four stationary last-passage specializations: increment laws "
@@ -999,14 +1026,30 @@ EXPERIMENTS = {
              "m_one": [1, 2, 4], "m_two": [2, 3, 5], "offsets": [1, 3, 6],
              "lim_a_circ": 0.5, "lim_a_s": [1.0, 1.0, 1.0, 1.0],
              "lim_eps": [0.1, 0.03, 0.01], "lim_n": 4, "lim_m": 3,
-             "lim_samples": 30000, "n_samples": 50000}),
+             "lim_samples": 30000, "n_samples": 50000},
+            {"n_samples": 200000}),
         Experiment(
-            "she-identities",
-            "reflected-walk partition functions: direct, chaos-series, and "
-            "mild evaluations agree exactly; composition law; kernel "
-            "normalization; boundary monotonicity",
-            exp_she,
-            {"instances": 100}),
+            "huv-properties",
+            "continuum boundary process: Brownian marginals at u = -v, sign "
+            "symmetry in v, Pitman-transform route, grid-resolution "
+            "stability",
+            exp_huv,
+            {"u_brownian": 0.5, "u_sym": 1.0, "v_sym": 0.5,
+             "xs": [0.5, 1.0, 2.0], "delta": 2.0 ** -10, "n_samples": 50000},
+            {"n_samples": 200000}),
+        Experiment(
+            "moments",
+            "closed-form second moment of the scaled initial data vs Monte "
+            "Carlo; exact moment expansions of the matching weight laws",
+            exp_moments,
+            {"second_moment_points": [[1024, 1.0, -0.5, 0.5],
+                                      [1024, 0.5, 0.5, 0.5],
+                                      [4096, 1.0, -0.25, 0.25],
+                                      [1024, 2.0, 0.0, 0.5],
+                                      [256, 1.5, -1.0, 0.5]],
+             "mc_samples": 400000, "moment_ns": [100, 10000, 1000000],
+             "boundary_u": 1.0, "mc8_n": 10000, "mc8_draws": 2000000},
+            {"mc_samples": 1000000, "mc8_draws": 10000000}),
         Experiment(
             "sheet-convergence",
             "noiseless scaled sheet approaches the Robin heat kernel; "
@@ -1025,26 +1068,16 @@ EXPERIMENTS = {
             exp_kpz,
             {"n": 256, "u": 0.5, "v": -0.5, "Ts": [0.0, 0.5],
              "Xs": [0.25, 0.5, 1.0], "n_samples": 30000,
-             "resolution_check": True, "res_samples": 20000}),
+             "resolution_check": True, "res_samples": 20000},
+            {"n_samples": 200000}),
         Experiment(
             "matching-identity",
             "normalized octant partition equals the reflected-walk partition "
             "with boundary-process initial data, in law",
             exp_matching,
             {"alpha": 2.0, "u": 1.0, "v": -0.5, "points": [[1, 0], [3, 2]],
-             "n_samples": 50000}),
-        Experiment(
-            "moments",
-            "closed-form second moment of the scaled initial data vs Monte "
-            "Carlo; exact moment expansions of the matching weight laws",
-            exp_moments,
-            {"second_moment_points": [[1024, 1.0, -0.5, 0.5],
-                                      [1024, 0.5, 0.5, 0.5],
-                                      [4096, 1.0, -0.25, 0.25],
-                                      [1024, 2.0, 0.0, 0.5],
-                                      [256, 1.5, -1.0, 0.5]],
-             "mc_samples": 400000, "moment_ns": [100, 10000, 1000000],
-             "boundary_u": 1.0, "mc8_n": 10000, "mc8_draws": 2000000}),
+             "n_samples": 50000},
+            {"n_samples": 200000}),
     ]
 }
 

@@ -1,134 +1,29 @@
 """Full-scale acceptance gate.
 
-Each test runs one catalog experiment at its production sample size, prints
-a single ACCEPTANCE line, and asserts the aggregate verdict. Run with -s to
-see the lines stream; plain pytest shows them for failing criteria. The
-whole module takes a few minutes.
+Criterion k runs the k-th catalog experiment at its acceptance sizes,
+prints a single ACCEPTANCE line, and asserts the aggregate verdict. Run
+with -s to see the lines stream; plain pytest shows them for failing
+criteria. The whole module takes a few minutes.
 """
 
 import time
 
-import numpy as np
 import pytest
 
-from hspolymer import lattice, lpp
-from hspolymer.experiments import RunContext, run_experiment
-from hspolymer.rng import RngStream
+from hspolymer.experiments import EXPERIMENTS, RunContext, run_experiment
 
 SEED = 20260801
 
 pytestmark = pytest.mark.acceptance
 
 
-def _gate(k, label, ok, t0):
-    verdict = "PASS" if ok else "FAIL"
-    print(f"ACCEPTANCE {k} {label}: {verdict} ({time.monotonic() - t0:.1f}s)")
-    assert ok, f"criterion {k} ({label}) failed"
-
-
-def _run(name, params):
-    return run_experiment(name, params, [SEED], RunContext())
-
-
-def test_criterion_01_exact_identities():
+@pytest.mark.parametrize("k,name", [
+    pytest.param(k, name, id=f"criterion_{k:02d}")
+    for k, name in enumerate(EXPERIMENTS, start=1)])
+def test_criterion(k, name):
     t0 = time.monotonic()
-    ok = True
-    for i in range(100):
-        rng = RngStream(SEED, 100 + i)
-        n = int(rng.gen.integers(1, 12))
-        m = int(rng.gen.integers(1, min(n, 12 - n) + 1))
-        params = lattice.OctantParams(
-            float(rng.gen.uniform(0.2, 1.0)),
-            rng.gen.uniform(0.6, 2.0, size=n))
-        field = lattice.sample_weight_field(params, rng)
-        grid = lattice.partition_recurrence(field, n, n)
-        bf = lattice.partition_bruteforce(field, n, m)
-        scale = max(abs(bf), 1e-10)
-        if abs(grid.log_z[n, m] - bf) / scale > 1e-10:
-            ok = False
-        ep = lpp.LppExpParams(float(rng.gen.uniform(0.2, 1.0)),
-                              tuple(rng.gen.uniform(0.6, 2.0, size=n)))
-        w = lpp.sample_lpp_weights(ep, n, rng)
-        g = lpp.lpp_recurrence(w, n)
-        gb = lpp.lpp_bruteforce(w, n, m)
-        if abs(g.times[n, m] - gb) > 1e-10 * max(abs(gb), 1.0):
-            ok = False
-    rep = _run("she-identities", {"instances": 100})
-    ok = ok and rep["pass"]
-    _gate(1, "recurrences vs enumeration, three partition routes", ok, t0)
-
-
-def test_criterion_02_local_update_fixed_point():
-    t0 = time.monotonic()
-    rep = _run("burke", {"n_samples": 1000000})
-    _gate(2, "local update preserves its marginals at one million samples",
-          rep["pass"], t0)
-
-
-def test_criterion_03_one_row_stationarity():
-    t0 = time.monotonic()
-    rep = _run("one-row-stationarity", {"n_samples": 200000})
-    _gate(3, "one-row increment law independent of base point", rep["pass"], t0)
-
-
-def test_criterion_04_two_row_stationarity():
-    t0 = time.monotonic()
-    rep = _run("two-row-stationarity", {"n_samples": 200000})
-    _gate(4, "two-row ratio process stationary and matches direct sampler",
-          rep["pass"], t0)
-
-
-def test_criterion_05_permutation_symmetry():
-    t0 = time.monotonic()
-    rep = _run("permutation-symmetry", {"n_samples": 200000})
-    _gate(5, "row partition law invariant under parameter permutations",
-          rep["pass"], t0)
-
-
-def test_criterion_06_boundary_process_properties():
-    t0 = time.monotonic()
-    rep = _run("zuv-properties", {"n_samples": 100000})
-    _gate(6, "boundary process walk case, symmetry, tail ratio, series limit",
-          rep["pass"], t0)
-
-
-def test_criterion_07_lpp_stationarity():
-    t0 = time.monotonic()
-    rep = _run("lpp-stationarity", {"n_samples": 200000})
-    _gate(7, "four stationary last-passage kinds and zero-temperature limit",
-          rep["pass"], t0)
-
-
-def test_criterion_08_continuum_boundary_process():
-    t0 = time.monotonic()
-    rep = _run("huv-properties", {"n_samples": 200000})
-    _gate(8, "continuum process Brownian case, symmetry, route agreement",
-          rep["pass"], t0)
-
-
-def test_criterion_09_moment_formulas():
-    t0 = time.monotonic()
-    rep = _run("moments", {"mc_samples": 1000000, "mc8_draws": 10000000})
-    _gate(9, "closed-form moments vs Monte Carlo and limit rates",
-          rep["pass"], t0)
-
-
-def test_criterion_10_sheet_to_robin_kernel():
-    t0 = time.monotonic()
-    rep = _run("sheet-convergence", {})
-    _gate(10, "noiseless sheet within 2 percent of the Robin kernel",
-          rep["pass"], t0)
-
-
-def test_criterion_11_scaled_time_invariance():
-    t0 = time.monotonic()
-    rep = _run("kpz-scaling", {"n_samples": 200000})
-    _gate(11, "scaled increment law identical at admissible times",
-          rep["pass"], t0)
-
-
-def test_criterion_12_matching_identity():
-    t0 = time.monotonic()
-    rep = _run("matching-identity", {"n_samples": 200000})
-    _gate(12, "octant partition equals framework partition in law",
-          rep["pass"], t0)
+    rep = run_experiment(name, EXPERIMENTS[name].acceptance, [SEED], RunContext())
+    ok = rep["pass"]
+    print(f"ACCEPTANCE {k} {name}: {'PASS' if ok else 'FAIL'} "
+          f"({time.monotonic() - t0:.1f}s)")
+    assert ok, f"criterion {k} ({name}) failed"

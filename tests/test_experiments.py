@@ -1,10 +1,12 @@
 import functools
+import importlib.util
 import multiprocessing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hspolymer import experiments
+from hspolymer import experiments, lattice, lpp
 from hspolymer.experiments import RunContext, collect_samples, run_experiment
 from hspolymer.rng import RngStream
 from hspolymer.stats import KsSuite
@@ -192,11 +194,20 @@ def test_stable_base_is_stable():
 
 
 def test_catalog_entries_are_complete():
-    assert len(experiments.EXPERIMENTS) == 12
+    # entry k is acceptance criterion k
+    assert list(experiments.EXPERIMENTS) == [
+        "she-identities", "burke", "one-row-stationarity", "two-row-stationarity",
+        "permutation-symmetry", "zuv-properties", "lpp-stationarity",
+        "huv-properties", "moments", "sheet-convergence", "kpz-scaling",
+        "matching-identity"]
     for name, exp in experiments.EXPERIMENTS.items():
         assert exp.name == name
         assert exp.verifies
         assert isinstance(exp.defaults, dict)
+        # an acceptance size overrides a parameter, with the default's type
+        for key, value in exp.acceptance.items():
+            assert key in exp.defaults, (name, key)
+            assert type(value) is type(exp.defaults[key]), (name, key)
 
 
 def test_run_experiment_validates_inputs():
@@ -259,8 +270,7 @@ def test_huv_unsorted_xs_label_their_own_columns():
     ("zuv", {"alpha": 1.5, "u": 0.8, "v": 0.2}),
     ("zuv", {"alpha": 1.5, "u": 0.4, "v": 0.4}),
     ("zuv_pra", {"alpha": 1.5, "u": 0.8, "v": 0.2}),
-    ("ig_walk", {"theta": 1.3}),
-], ids=["zuv_gt", "zuv_eq", "zuv_pra", "ig_walk"])
+], ids=["zuv_gt", "zuv_eq", "zuv_pra"])
 @pytest.mark.parametrize("ks", [[-1, 2], [], [2.0, 3]], ids=["neg", "empty", "float"])
 def test_walk_samplers_refuse_bad_ks(sampler, kw, ks):
     # numpy's negative indexing returned column k = 2 twice for ks = [-1, 2]
@@ -305,6 +315,35 @@ def test_she_monotonicity_field_covers_its_window():
     mono = rep["results"][-1]
     assert mono["test"] == "boundary-monotonicity"
     assert mono["pass"] and mono["checked"] > 0
+
+
+@pytest.mark.parametrize("module,oracle,broken,intact", [
+    (lattice, "partition_bruteforce", "octant-recurrence", "lpp-recurrence"),
+    (lpp, "lpp_bruteforce", "lpp-recurrence", "octant-recurrence"),
+], ids=["polymer", "lpp"])
+def test_a_planted_enumeration_defect_fails_its_own_gate(monkeypatch, module,
+                                                         oracle, broken, intact):
+    real = getattr(module, oracle)
+    monkeypatch.setattr(module, oracle, lambda *a: real(*a) * (1.0 + 1e-9))
+    rep = run_experiment("she-identities", {"instances": 2}, [20260801],
+                         RunContext())
+    results = {r["test"]: r for r in rep["results"]}
+    assert not rep["pass"]
+    assert not results[broken]["pass"] and results[intact]["pass"]
+
+
+def test_octant_gates_equal_the_benchmark_loop():
+    # the exact-dp workload keeps its own copy of the octant loop; the two
+    # must give the same worst errors
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    want = workloads.criterion_1(20260801)
+    rep = run_experiment("she-identities", {}, [20260801], RunContext())
+    results = {r["test"]: r for r in rep["results"]}
+    assert results["octant-recurrence"]["statistic"] == want["worst_polymer_rel_err"]
+    assert results["lpp-recurrence"]["statistic"] == want["worst_lpp_rel_err"]
 
 
 # the nine experiments gated by a KS suite, at small sizes

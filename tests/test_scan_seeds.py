@@ -25,7 +25,8 @@ def test_scan_of_she_identities_passes(capsys):
     out = capsys.readouterr().out
     assert code == 0, out
     lines = _gate_lines(out)
-    assert set(lines) == {"direct-vs-chaos", "direct-vs-mild", "composition-law",
+    assert set(lines) == {"octant-recurrence", "lpp-recurrence", "direct-vs-chaos",
+                          "direct-vs-mild", "composition-law",
                           "kernel-normalization", "boundary-monotonicity"}
     assert all("failures 0  retries 0" in line for line in lines.values())
     # the monotone gate's threshold is 0: its worst statistic, not a ratio
