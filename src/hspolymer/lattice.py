@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from math import comb
 
@@ -156,29 +158,58 @@ def replicated_rows(row_logw, max_n: int, max_m: int, n_replicas: int, record,
     held as [column, replica], so each step of that running plus is one
     contiguous vector operation; it is the same sequence of operations as
     plus.accumulate along the column axis, so every value is bit-identical.
+
+    With n_replicas > 1, row n + 1 is drawn on one helper thread while row
+    n is swept (numpy releases the GIL in the draws and the ufuncs). Each
+    row is still requested exactly once, rows 1..max_n in order, so a
+    provider's generator sees the same calls in the same order; a provider
+    must not overwrite an array it has returned. A provider that raises
+    stops the sweep with its exception, and the thread is joined before
+    this returns. One replica (the dense oracles, whose provider only
+    slices) stays on the calling thread.
     """
     out = {}
     prev = np.full((max_m + 1, n_replicas), -np.inf)
-    for n in range(1, max_n + 1):
-        m_hi = min(n, max_m)
-        lw = np.ascontiguousarray(row_logw(n).T)
-        cur = np.full((max_m + 1, n_replicas), -np.inf)
-        if n == 1:
-            cur[1] = lw[1]
-        else:
-            c = np.empty((m_hi + 1, n_replicas))
-            c[0] = 0.0
-            c[1] = lw[1]
-            for m in range(2, m_hi + 1):
-                np.add(c[m - 1], lw[m], out=c[m])
-            y = prev[1 : m_hi + 1] - c[:m_hi]
-            for m in range(1, m_hi):
-                plus(y[m - 1], y[m], out=y[m])
-            np.add(y, c[1:], out=cur[1 : m_hi + 1])
-        for m in record.get(n, ()):
-            out[(n, m)] = cur[m].copy()
-        prev = cur
+    with (ThreadPoolExecutor(max_workers=1) if n_replicas > 1
+          else nullcontext()) as pool:
+        for n, lw in zip(range(1, max_n + 1), _rows_ahead(row_logw, max_n, pool)):
+            m_hi = min(n, max_m)
+            lw = np.ascontiguousarray(lw.T)
+            cur = np.full((max_m + 1, n_replicas), -np.inf)
+            if n == 1:
+                cur[1] = lw[1]
+            else:
+                c = np.empty((m_hi + 1, n_replicas))
+                c[0] = 0.0
+                c[1] = lw[1]
+                for m in range(2, m_hi + 1):
+                    np.add(c[m - 1], lw[m], out=c[m])
+                # the running plus runs in cur itself, so the row drawn
+                # ahead costs no more memory than the temporary it replaces
+                y = cur[1 : m_hi + 1]
+                np.subtract(prev[1 : m_hi + 1], c[:m_hi], out=y)
+                for m in range(1, m_hi):
+                    plus(y[m - 1], y[m], out=y[m])
+                y += c[1:]
+            for m in record.get(n, ()):
+                out[(n, m)] = cur[m].copy()
+            prev = cur
     return out
+
+
+def _rows_ahead(row_logw, max_n: int, pool):
+    """row_logw(1..max_n), each called once and in order. With a pool, row
+    n + 1 is submitted to its thread before row n is handed out, and no row
+    is submitted after one that raised."""
+    if pool is None:
+        yield from map(row_logw, range(1, max_n + 1))
+        return
+    ahead = pool.submit(row_logw, 1)
+    for n in range(1, max_n + 1):
+        lw = ahead.result()
+        if n < max_n:
+            ahead = pool.submit(row_logw, n + 1)
+        yield lw
 
 
 def _sweep_grid(w: np.ndarray, max_n: int, max_m: int, plus=np.logaddexp,

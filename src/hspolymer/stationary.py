@@ -289,6 +289,8 @@ def _huv_stream(params: ContinuumStationaryParams, rng: RngStream,
     xs = [params.x_max] if x_record is None else [float(x) for x in x_record]
     if not xs:
         raise ValueError("x_record is empty")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("recorded X must be finite")
     if min(xs) < 0:
         raise ValueError("recorded X must be nonnegative")
     targets = [int(round(x / d)) for x in xs]

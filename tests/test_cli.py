@@ -139,6 +139,18 @@ def test_empty_axis_exit_2(runner, tmp_path, experiment, params):
     assert not (tmp_path / "o" / f"{experiment}_report.json").exists()
 
 
+@pytest.mark.parametrize("x", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_a_non_finite_huv_x_exits_2(runner, tmp_path, x):
+    # an infinite X used to end in an OverflowError (exit 1, "failed"), and
+    # a NaN in an exit 2 whose message named no parameter
+    cfg = _write_config(tmp_path / "c.json", experiment="huv-properties",
+                        params={"xs": [0.5, x], "n_samples": 2000})
+    res = runner.invoke(main, ["run", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "recorded X must be finite" in res.output
+    assert not (tmp_path / "o" / "huv-properties_report.json").exists()
+
+
 @pytest.mark.parametrize("experiment,params", [
     ("burke", {"alpha_grid": 1.5}),
     ("burke", {"u_spec": "half"}),

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -242,6 +245,81 @@ def test_replicated_rows_is_bit_identical_to_replica_major_sweep(plus, n_replica
         for site in want:
             assert got[site].shape == (n_replicas,)
             assert np.array_equal(got[site], want[site]), site
+
+
+def _recording(provider, raise_at=None):
+    """provider wrapped to log (row, thread id) per call, raising at row
+    raise_at instead of drawing it."""
+    calls = []
+
+    def row(n):
+        calls.append((n, threading.get_ident()))
+        if n == raise_at:
+            raise RuntimeError(f"row {n}")
+        return provider(n)
+
+    return row, calls
+
+
+@pytest.mark.parametrize("n_replicas", [1, 2, 7])
+def test_replicated_rows_requests_each_row_once_in_order(n_replicas):
+    # rows are drawn one ahead on a helper thread when R > 1, and on the
+    # calling thread when R = 1
+    max_n, max_m = 9, 5
+    params = lattice.two_row_params(1.5, -0.3, -0.4, max_n)
+    row, calls = _recording(
+        lattice.make_row_logw(params, max_m, n_replicas, RngStream(3)))
+    threads = threading.active_count()
+    lattice.replicated_rows(row, max_n, max_m, n_replicas, {max_n: [max_m]})
+    assert threading.active_count() == threads
+    assert [n for n, _ in calls] == list(range(1, max_n + 1))
+    idents = {ident for _, ident in calls}
+    if n_replicas == 1:
+        assert idents == {threading.get_ident()}
+    else:
+        assert len(idents) == 1 and threading.get_ident() not in idents
+
+
+@pytest.mark.parametrize("plus", [np.logaddexp, np.maximum],
+                         ids=["logaddexp", "maximum"])
+@pytest.mark.parametrize("n_replicas", [2, 7])
+def test_prefetched_sweep_equals_the_inline_provider(plus, n_replicas):
+    # the same values and the same captured weights as the provider called
+    # row by row on the calling thread, with thread switches forced often
+    max_n, max_m = 9, 5
+    every = {n: range(1, min(n, max_m) + 1) for n in range(1, max_n + 1)}
+    params = lattice.two_row_params(1.5, -0.3, -0.4, max_n)
+    assert params.exemptions == {(1, 1), (2, 1)}
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for sweep in (lattice.replicated_rows, _sweep_replica_major):
+            capture = {(1, 1): None, (2, 2): None, (4, 3): None}
+            provider = lattice.make_row_logw(params, max_m, n_replicas,
+                                             RngStream(3), capture=capture)
+            runs.append((sweep(provider, max_n, max_m, n_replicas, every, plus),
+                         capture))
+    finally:
+        sys.setswitchinterval(interval)
+    (got, got_capture), (want, want_capture) = runs
+    assert got.keys() == want.keys()
+    for site in want:
+        assert np.array_equal(got[site], want[site]), site
+    assert np.array_equal(got_capture[(1, 1)], np.zeros(n_replicas))
+    for site in want_capture:
+        assert np.array_equal(got_capture[site], want_capture[site]), site
+
+
+def test_a_raising_provider_stops_the_prefetched_sweep():
+    params = lattice.one_row_params(1.5, 0.3, 6)
+    row, calls = _recording(lattice.make_row_logw(params, 4, 3, RngStream(5)),
+                            raise_at=3)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="row 3"):
+        lattice.replicated_rows(row, 6, 4, 3, {6: [4]})
+    assert [n for n, _ in calls] == [1, 2, 3]
+    assert threading.active_count() == threads
 
 
 def test_make_row_logw_capture_and_pinning():
