@@ -70,7 +70,7 @@ def list_experiments():
               help="Replace the seed list from the config with one seed.")
 @click.option("--workers", type=click.IntRange(min=1), default=1,
               show_default=True,
-              help="Worker processes for sample batches.")
+              help="Worker threads for sample batches.")
 @click.option("--out", type=click.Path(file_okay=False), default=None,
               help="Directory for the report, checkpoints and CSV dumps.")
 def run(config, seed_override, workers, out):

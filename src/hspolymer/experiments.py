@@ -1,10 +1,11 @@
 """Experiment catalog: named, seeded suites behind the command line runner.
 
 Each experiment draws its Monte Carlo samples through a registry of
-module-level sampler functions so batches can be checkpointed and spread
-over a worker pool; batch i of a sampler always uses the stream
-(seed, base + i), which makes reruns reproducible regardless of worker
-scheduling. Aggregation and KS evaluation happen in the parent process.
+named sampler functions so batches can be checkpointed and spread over a
+thread pool; batch i of a sampler always uses the stream (seed, base + i),
+which makes reruns reproducible regardless of thread scheduling.
+Aggregation, checkpoint writes and KS evaluation happen on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -32,7 +33,7 @@ from .stats import KsResult, KsSuite, SampleSet, ks_one_sample, ks_result, \
     ks_threshold, ks_two_sample, moment_compare
 
 # ---------------------------------------------------------------------------
-# sampler registry (module-level for picklability)
+# sampler registry; its names key the checkpoints
 
 def _s_burke(rng, n, alpha, u):
     U = sample_inverse_gamma(alpha + u, rng, size=n)
@@ -133,38 +134,16 @@ _DEFAULT_BATCH = 50_000
 
 @dataclass
 class RunContext:
-    """Where a run writes and how many processes draw its batches.
-
-    With workers > 1 the context owns one process pool for the whole run:
-    the first draw that needs it starts it, and leaving the context (as
-    `run_experiment` does) shuts it down. A context used again after that
-    starts a new pool when it next needs one."""
+    """Where a run writes and how many threads draw its batches."""
     out_dir: Path | None = None
     workers: int = 1
     emit_csv: bool = False
-    _pool: ProcessPoolExecutor | None = field(default=None, init=False,
-                                              repr=False, compare=False)
 
     def __post_init__(self):
         if (isinstance(self.workers, bool) or not isinstance(self.workers, int)
                 or self.workers < 1):
             raise ValueError(f"workers must be an int of at least 1, "
                              f"got {self.workers!r}")
-
-    def __enter__(self) -> RunContext:
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        # on an error, batches still queued are not started; running ones
-        # finish, so no child outlives the run
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(cancel_futures=exc_type is not None)
-
-    def _executor(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
 
     def checkpoint_dir(self) -> Path | None:
         if self.out_dir is None:
@@ -222,9 +201,10 @@ def collect_samples(sampler: str, kwargs: dict, seed: int, n_total: int,
                     ctx: RunContext, tag: str | None = None,
                     batch: int = _DEFAULT_BATCH) -> np.ndarray:
     """Draw n_total samples in deterministic batches, optionally in parallel
-    on the context's pool, and with per-batch checkpoints under the run's
-    output directory. Each batch is checkpointed as it lands, so a batch
-    that raises loses only itself and the batches not yet drawn."""
+    on a pool of ctx.workers threads, and with per-batch checkpoints under
+    the run's output directory. Each batch is checkpointed by the calling
+    thread as it lands, so a batch that raises loses only itself and the
+    batches not yet drawn."""
     tag = tag or sampler
     base = _stable_base(tag)
     n_batches = -(-n_total // batch)
@@ -251,22 +231,27 @@ def collect_samples(sampler: str, kwargs: dict, seed: int, n_total: int,
             _save_atomic(ckpt / f"{tag}_{dig}_{i:04d}.npy", part)
 
     if ctx.workers > 1 and len(missing) > 1:
-        pool = ctx._executor()
-        futs = {pool.submit(_run_batch, sampler, kwargs, seed, base + i,
-                            sizes[i]): i for i in missing}
-        error = None
-        for fut in as_completed(futs):
-            if fut.cancelled():
-                continue
-            if fut.exception() is None:
-                land(futs[fut], fut.result())
-            elif error is None:
-                # start no queued batch; keep the ones already running
-                error = fut.exception()
-                for queued in futs:
-                    queued.cancel()
-        if error is not None:
-            raise error
+        pool = ThreadPoolExecutor(max_workers=ctx.workers)
+        try:
+            futs = {pool.submit(_run_batch, sampler, kwargs, seed, base + i,
+                                sizes[i]): i for i in missing}
+            error = None
+            for fut in as_completed(futs):
+                if fut.cancelled():
+                    continue
+                if fut.exception() is None:
+                    land(futs[fut], fut.result())
+                elif error is None:
+                    # start no queued batch; keep the ones already running
+                    error = fut.exception()
+                    for queued in futs:
+                        queued.cancel()
+            if error is not None:
+                raise error
+        finally:
+            # on any exit, KeyboardInterrupt included, no queued batch
+            # starts and no thread outlives the call
+            pool.shutdown(cancel_futures=True)
     else:
         for i in missing:
             land(i, _run_batch(sampler, kwargs, seed, base + i, sizes[i]))
@@ -611,6 +596,10 @@ def exp_huv(params: dict, seed: int, ctx: RunContext) -> dict:
     n = int(params["n_samples"])
     delta = float(params["delta"])
     xs = list(params["xs"])
+    # brownian(X) takes sqrt(X) before any draw could refuse X
+    if not all(math.isfinite(X) and X >= 0 for X in xs):
+        raise ValueError(f"huv-properties: parameter 'xs': recorded X must be "
+                         f"finite and nonnegative, got {xs}")
     x_max = max(xs)
 
     def huv(tag, u, v, route="direct", delta=delta, xs=xs):
@@ -1099,7 +1088,6 @@ def run_experiment(name: str, params: dict, seeds: list, ctx: RunContext) -> dic
             raise ValueError(f"{name}: parameter {k!r} must be a nonempty list, "
                              f"got {v!r}")
         merged[k] = v
-    with ctx:
-        result = exp.func(merged, seeds[0], ctx)
+    result = exp.func(merged, seeds[0], ctx)
     return {"experiment": name, "verifies": exp.verifies, "params": merged,
             "seeds": list(seeds), **result}

@@ -1,5 +1,4 @@
 import json
-import multiprocessing
 
 import pytest
 from click.testing import CliRunner
@@ -139,14 +138,21 @@ def test_empty_axis_exit_2(runner, tmp_path, experiment, params):
     assert not (tmp_path / "o" / f"{experiment}_report.json").exists()
 
 
-@pytest.mark.parametrize("x", [float("inf"), float("nan")], ids=["inf", "nan"])
-def test_a_non_finite_huv_x_exits_2(runner, tmp_path, x):
-    # an infinite X used to end in an OverflowError (exit 1, "failed"), and
-    # a NaN in an exit 2 whose message named no parameter
+@pytest.mark.parametrize("x", [float("inf"), float("nan"), -1.0, float("-inf")],
+                         ids=["inf", "nan", "negative", "-inf"])
+def test_a_non_finite_huv_x_exits_2(runner, tmp_path, monkeypatch, x):
+    # an infinite X used to end in an OverflowError (exit 1, "failed"), a
+    # NaN in an exit 2 whose message named no parameter, and a negative X
+    # in "math domain error" from the reference CDF's sqrt(X)
+    def no_draw(*args):
+        raise AssertionError("a sampler ran")
+
+    monkeypatch.setattr(experiments, "_run_batch", no_draw)
     cfg = _write_config(tmp_path / "c.json", experiment="huv-properties",
                         params={"xs": [0.5, x], "n_samples": 2000})
     res = runner.invoke(main, ["run", cfg, "--out", str(tmp_path / "o")])
     assert res.exit_code == 2, res.output
+    assert "'xs'" in res.output
     assert "recorded X must be finite" in res.output
     assert not (tmp_path / "o" / "huv-properties_report.json").exists()
 
@@ -275,20 +281,44 @@ def _polymer(*args):
     return exc.value.code
 
 
-def test_run_starts_one_pool_and_a_warm_run_none(tmp_path, counted_pools):
+def test_run_starts_a_pool_per_draw_and_a_warm_run_none(tmp_path, counted_pools,
+                                                        no_worker_left):
     cfg = _pooled_config(tmp_path / "c.json")
     out = tmp_path / "out"
     assert _polymer(cfg, "--workers", "2", "--out", str(out)) == 0
-    assert counted_pools.started == 1
-    assert multiprocessing.active_children() == []
+    assert counted_pools.started == 2
+    no_worker_left()
     cold = json.loads((out / "burke_report.json").read_text())
-    # every batch is checkpointed, so the rerun reads them and forks nothing
+    # every batch is checkpointed, so the rerun reads them and starts no pool
     assert _polymer(cfg, "--workers", "2", "--out", str(out)) == 0
-    assert counted_pools.started == 1
-    assert multiprocessing.active_children() == []
+    assert counted_pools.started == 2
+    no_worker_left()
     warm = json.loads((out / "burke_report.json").read_text())
     cold["wallclock_s"] = warm["wallclock_s"] = None
     assert cold == warm
+    # a draw with one batch missing draws it on the calling thread
+    sorted((out / "checkpoints").glob("*_0000.npy"))[0].unlink()
+    assert _polymer(cfg, "--workers", "2", "--out", str(out)) == 0
+    assert counted_pools.started == 2
+
+
+@pytest.mark.parametrize("experiment,params", [
+    ("burke", {"alpha_grid": [1.5], "u_spec": [0.0, "half"], "n_samples": 50001}),
+    ("one-row-stationarity", {"m_list": [1, 2], "n_samples": 50001}),
+])
+def test_two_workers_give_the_one_worker_report(tmp_path, counted_pools,
+                                                experiment, params):
+    # 50001 samples are two batches per draw, so two workers draw on a pool
+    cfg = _write_config(tmp_path / "c.json", experiment=experiment, params=params)
+    texts = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert _polymer(cfg, "--workers", workers, "--out", str(out)) == 0
+        text = (out / f"{experiment}_report.json").read_text()
+        texts.append([line for line in text.splitlines()
+                      if '"wallclock_s"' not in line])
+    assert counted_pools.started > 0
+    assert texts[0] == texts[1]
 
 
 def test_a_larger_rerun_into_one_out_redraws_the_tail_batch(tmp_path):
@@ -346,19 +376,18 @@ _REAL_RUN_BATCH = experiments._run_batch
 
 
 def _fail_second_tail_batch(sampler, kwargs, seed, stream_id, size):
-    """Raises on the one-sample tail batch of the second draw (u = "half").
-    Module level, so that a pool child can unpickle it."""
+    """Raises on the one-sample tail batch of the second draw (u = "half")."""
     if size == 1 and kwargs["u"] != 0.0:
         raise RuntimeError("tail batch failed")
     return _REAL_RUN_BATCH(sampler, kwargs, seed, stream_id, size)
 
 
 def test_error_in_a_pool_child_reaches_the_caller(tmp_path, monkeypatch,
-                                                  counted_pools):
+                                                  counted_pools, no_worker_left):
     monkeypatch.setattr(experiments, "_run_batch", _fail_second_tail_batch)
     cfg = _pooled_config(tmp_path / "c.json")
     with pytest.raises(RuntimeError, match="tail batch failed"):
         main(["run", cfg, "--workers", "2", "--out", str(tmp_path / "out")],
              prog_name="polymer")
-    assert counted_pools.started == 1
-    assert multiprocessing.active_children() == []
+    assert counted_pools.started == 2
+    no_worker_left()

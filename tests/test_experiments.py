@@ -1,6 +1,5 @@
 import functools
 import importlib.util
-import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -113,8 +112,8 @@ def test_collect_refuses_more_batches_than_streams():
 def test_collect_parallel_equals_serial(tmp_path):
     serial = collect_samples("burke", BURKE_KW, 11, 800, RunContext(),
                              batch=200)
-    with RunContext(out_dir=tmp_path, workers=4) as ctx:
-        par = collect_samples("burke", BURKE_KW, 11, 800, ctx, batch=200)
+    par = collect_samples("burke", BURKE_KW, 11, 800,
+                          RunContext(out_dir=tmp_path, workers=4), batch=200)
     assert np.array_equal(serial, par)
 
 
@@ -122,21 +121,23 @@ _REAL_RUN_BATCH = experiments._run_batch
 
 
 def _fail_third_batch(sampler, kwargs, seed, stream_id, size):
-    """_run_batch, except that batch 2 of the tag "burke" raises. Module
-    level, so that a pool child can unpickle it."""
+    """_run_batch, except that batch 2 of the tag "burke" raises."""
     if stream_id == experiments._stable_base("burke") + 2:
         raise RuntimeError("batch 2 failed")
     return _REAL_RUN_BATCH(sampler, kwargs, seed, stream_id, size)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_each_batch_is_checkpointed_as_it_lands(tmp_path, monkeypatch, workers):
+def test_each_batch_is_checkpointed_as_it_lands(tmp_path, monkeypatch, workers,
+                                                no_worker_left):
     fresh = collect_samples("burke", BURKE_KW, 7, 800, RunContext(), batch=200)
     with monkeypatch.context() as m:
         m.setattr(experiments, "_run_batch", _fail_third_batch)
         with pytest.raises(RuntimeError, match="batch 2 failed"):
-            with RunContext(out_dir=tmp_path, workers=workers) as ctx:
-                collect_samples("burke", BURKE_KW, 7, 800, ctx, batch=200)
+            collect_samples("burke", BURKE_KW, 7, 800,
+                            RunContext(out_dir=tmp_path, workers=workers),
+                            batch=200)
+    no_worker_left()
     saved = {int(p.stem[-4:])
              for p in (tmp_path / "checkpoints").glob("burke_*.npy")}
     # the batches drawn before the failure survive it; a pool also keeps a
@@ -155,25 +156,6 @@ def test_each_batch_is_checkpointed_as_it_lands(tmp_path, monkeypatch, workers):
                             RunContext(out_dir=tmp_path), batch=200)
     assert sorted(drawn) == sorted({0, 1, 2, 3} - saved)
     assert np.array_equal(again, fresh)
-
-
-def test_one_pool_serves_a_context_until_it_closes(counted_pools):
-    ctx = RunContext(workers=2)
-    with ctx:
-        a = collect_samples("burke", BURKE_KW, 3, 600, ctx, batch=200)
-        b = collect_samples("burke", BURKE_KW, 4, 600, ctx, batch=200)
-        # a draw of one batch runs in the parent
-        collect_samples("burke", BURKE_KW, 5, 200, ctx, batch=200)
-        assert counted_pools.started == 1
-    assert multiprocessing.active_children() == []
-    # a context used again after it closed starts a new pool
-    with ctx:
-        assert np.array_equal(
-            collect_samples("burke", BURKE_KW, 3, 600, ctx, batch=200), a)
-    assert counted_pools.started == 2
-    assert multiprocessing.active_children() == []
-    assert np.array_equal(
-        b, collect_samples("burke", BURKE_KW, 4, 600, RunContext(), batch=200))
 
 
 @pytest.mark.parametrize("workers", [0, -2, 2.5, 2.0, True, "2", None])
