@@ -1,15 +1,16 @@
 """Experiment catalog: named, seeded suites behind the command line runner.
 
 Each experiment draws its Monte Carlo samples through a registry of
-named sampler functions so batches can be checkpointed and spread over a
-thread pool; batch i of a sampler always uses the stream (seed, base + i),
-which makes reruns reproducible regardless of thread scheduling.
-Aggregation, checkpoint writes and KS evaluation happen on the calling
-thread.
+named sampler functions so batches can be checkpointed and drawn ahead on
+one thread pool per suite; batch i of a sampler always uses the stream
+(seed, base + i), which makes reruns reproducible regardless of thread
+scheduling. Aggregation, checkpoint writes and KS evaluation happen on the
+calling thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -18,6 +19,7 @@ import math
 import os
 import sys
 import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -181,12 +183,13 @@ def _digest(sampler: str, kwargs: dict, seed: int, batch: int) -> str:
     return hashlib.sha1(blob.encode()).hexdigest()[:10]
 
 
-def _load(path: Path, check) -> np.ndarray | None:
+def _load(path: Path, check, mmap_mode=None) -> np.ndarray | None:
     """The array saved at path if it loads and check(array) holds, else None:
     a file that is absent, unreadable (e.g. truncated) or not what its
-    writer stored is rebuilt by the caller."""
+    writer stored is rebuilt by the caller. With mmap_mode="r" only the
+    header is read, and a file shorter than its header says is refused."""
     try:
-        arr = np.load(path)
+        arr = np.load(path, mmap_mode=mmap_mode)
     except (OSError, ValueError, EOFError):
         return None
     return arr if check(arr) else None
@@ -197,65 +200,195 @@ def _run_batch(sampler: str, kwargs: dict, seed: int, stream_id: int, size: int)
     return SAMPLERS[sampler](rng, size, **kwargs)
 
 
-def collect_samples(sampler: str, kwargs: dict, seed: int, n_total: int,
-                    ctx: RunContext, tag: str | None = None,
-                    batch: int = _DEFAULT_BATCH) -> np.ndarray:
-    """Draw n_total samples in deterministic batches, optionally in parallel
-    on a pool of ctx.workers threads, and with per-batch checkpoints under
-    the run's output directory. Each batch is checkpointed by the calling
-    thread as it lands, so a batch that raises loses only itself and the
-    batches not yet drawn."""
-    tag = tag or sampler
-    base = _stable_base(tag)
+class _Batch(NamedTuple):
+    """Batch i of a draw: its rows, its checkpoint (None without an output
+    directory) and the arguments of _run_batch that draw it."""
+
+    i: int
+    size: int
+    path: Path | None
+    args: tuple
+
+    def load(self, mmap_mode=None) -> np.ndarray | None:
+        # the digest omits n_total, so the tail batch of another n_total has
+        # this name; its rows tell it apart
+        if self.path is None:
+            return None
+        return _load(self.path, lambda a: a.shape[:1] == (self.size,), mmap_mode)
+
+
+def _batches(sampler: str, kwargs: dict, seed: int, n_total: int,
+             ckpt: Path | None, tag: str, batch: int) -> list:
+    """The batches of a draw: batch i draws stream _stable_base(tag) + i."""
     n_batches = -(-n_total // batch)
+    if n_batches < 1:
+        raise ValueError(f"draw {tag!r} needs at least one sample, got {n_total}")
     if n_batches > _STREAMS_PER_TAG:
         raise ValueError(f"{n_batches} batches of {batch} exceed the "
                          f"{_STREAMS_PER_TAG} streams of tag {tag!r}")
-    sizes = [min(batch, n_total - i * batch) for i in range(n_batches)]
-    ckpt = ctx.checkpoint_dir()
-    dig = _digest(sampler, kwargs, seed, batch)
-    parts: list = [None] * len(sizes)
-    missing = []
-    for i, size in enumerate(sizes):
-        if ckpt is not None:
-            # the digest omits n_total, so the tail batch of another n_total
-            # has this name; its rows tell it apart
-            parts[i] = _load(ckpt / f"{tag}_{dig}_{i:04d}.npy",
-                             lambda a: a.shape[:1] == (size,))
-        if parts[i] is None:
-            missing.append(i)
+    base, dig = _stable_base(tag), _digest(sampler, kwargs, seed, batch)
+    out = []
+    for i in range(n_batches):
+        size = min(batch, n_total - i * batch)
+        path = None if ckpt is None else ckpt / f"{tag}_{dig}_{i:04d}.npy"
+        out.append(_Batch(i, size, path, (sampler, kwargs, seed, base + i, size)))
+    return out
 
-    def land(i: int, part: np.ndarray):
-        parts[i] = part
-        if ckpt is not None:
-            _save_atomic(ckpt / f"{tag}_{dig}_{i:04d}.npy", part)
 
-    if ctx.workers > 1 and len(missing) > 1:
-        pool = ThreadPoolExecutor(max_workers=ctx.workers)
+# a suite's pool holds at most this many batches per worker beyond the draw
+# being read: enough to keep every worker drawing through that draw's KS
+# tests, while the landed batches it holds stay a few batches of memory
+_LOOKAHEAD_PER_WORKER = 2
+
+
+class _BatchPool:
+    """The worker threads of one suite, drawing its planned batches ahead.
+
+    The plan maps each declared draw's tag, in the order the gates read
+    them, to its missing batches. Reading a draw submits its batches, then
+    planned batches of the draws after it until at most
+    _LOOKAHEAD_PER_WORKER * workers of theirs are in the pool; so the
+    threads draw the next draws while the caller tests the ones that have
+    landed. The threads only draw: the calling thread checkpoints each
+    batch when its draw is read, and close() saves those that landed but
+    were never read. The executor starts at the first submit, and the first
+    batch that raises cancels every queued one."""
+
+    def __init__(self, workers: int, plan: dict):
+        self.workers = workers
+        self.plan = plan  # tag -> [_Batch], not yet submitted
+        self.drawn = {}  # Future -> (tag, _Batch), submitted and not yet saved
+        self.error = None
+        self._lock = threading.Lock()  # guards drawn and error
+        self._executor = None
+
+    def _draw(self, args: tuple):
         try:
-            futs = {pool.submit(_run_batch, sampler, kwargs, seed, base + i,
-                                sizes[i]): i for i in missing}
-            error = None
-            for fut in as_completed(futs):
-                if fut.cancelled():
-                    continue
-                if fut.exception() is None:
-                    land(futs[fut], fut.result())
-                elif error is None:
-                    # start no queued batch; keep the ones already running
-                    error = fut.exception()
-                    for queued in futs:
-                        queued.cancel()
-            if error is not None:
-                raise error
-        finally:
-            # on any exit, KeyboardInterrupt included, no queued batch
-            # starts and no thread outlives the call
-            pool.shutdown(cancel_futures=True)
-    else:
-        for i in missing:
-            land(i, _run_batch(sampler, kwargs, seed, base + i, sizes[i]))
-    return np.concatenate(parts, axis=0)
+            return _run_batch(*args)
+        except BaseException as exc:
+            # before this thread takes its next batch, no queued one may start
+            with self._lock:
+                if self.error is None:
+                    self.error = exc
+                for fut in self.drawn:
+                    fut.cancel()
+            raise
+
+    def submit(self, tag: str, batches) -> dict:
+        """Submit batches of the draw tag; {batch index: future}. Once a
+        batch has raised, nothing more is submitted."""
+        futs = {}
+        with self._lock:
+            for b in batches:
+                if self.error is not None:
+                    break
+                if self._executor is None:
+                    self._executor = ThreadPoolExecutor(max_workers=self.workers)
+                fut = self._executor.submit(self._draw, b.args)
+                self.drawn[fut] = (tag, b)
+                futs[b.i] = fut
+        return futs
+
+    def take(self, tag: str) -> dict:
+        """{batch index: future} of every submitted batch of the draw tag,
+        after topping up the look-ahead beyond it."""
+        self.submit(tag, self.plan.pop(tag, []))
+        room = _LOOKAHEAD_PER_WORKER * self.workers - sum(
+            t != tag for t, _ in self.drawn.values())
+        while room > 0 and self.plan:
+            later = next(iter(self.plan))
+            self.submit(later, [self.plan[later].pop(0)])
+            if not self.plan[later]:
+                del self.plan[later]
+            room -= 1
+        return {b.i: fut for fut, (t, b) in self.drawn.items() if t == tag}
+
+    def land(self, futs, put):
+        """put(batch, part) on the calling thread for each of futs as it
+        lands; then raise the first error of any batch of the suite."""
+        for fut in as_completed(futs):
+            _, b = self.drawn[fut]
+            if not fut.cancelled() and fut.exception() is None:
+                put(b, fut.result())
+            with self._lock:
+                del self.drawn[fut]
+        if self.error is not None:
+            raise self.error
+
+    def close(self):
+        """Start no queued batch, join the threads, and checkpoint every
+        batch that landed and was never read."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+        for fut, (_, b) in self.drawn.items():
+            if b.path is not None and not fut.cancelled() and fut.exception() is None:
+                _save_atomic(b.path, fut.result())
+        self.drawn.clear()
+
+
+@contextlib.contextmanager
+def _suite_pool(draws, seed: int, ctx: RunContext):
+    """The pool a suite's draws share, closed on exit: None with one worker
+    or no draw, else a _BatchPool planned with the missing batches of draws,
+    in their order. Each checkpoint is checked once, from its header."""
+    if ctx.workers == 1 or not draws:
+        yield None
+        return
+    ckpt = ctx.checkpoint_dir()
+    plan = {}
+    for d in draws:
+        missing = [b for b in _batches(d.sampler, d.kwargs, seed, d.n, ckpt, d.tag,
+                                       d.batch) if b.load(mmap_mode="r") is None]
+        if missing:
+            plan[d.tag] = missing
+    pool = _BatchPool(ctx.workers, plan)
+    try:
+        yield pool
+    finally:
+        pool.close()
+
+
+def collect_samples(sampler: str, kwargs: dict, seed: int, n_total: int,
+                    ctx: RunContext, tag: str | None = None,
+                    batch: int = _DEFAULT_BATCH, *,
+                    pool: _BatchPool | None = None) -> np.ndarray:
+    """Draw n_total samples in deterministic batches, with per-batch
+    checkpoints under the run's output directory. Without a pool every
+    missing batch is drawn on the calling thread. With the suite's pool,
+    the batches its plan found missing were submitted ahead (_BatchPool),
+    every other batch is read from its checkpoint or submitted now, and
+    the call waits for this draw's batches alone. Either way the calling
+    thread checkpoints each batch and copies it into the draw as it lands,
+    so a batch that raises loses only itself and the batches not yet
+    drawn."""
+    tag = tag or sampler
+    out = None
+
+    def put(b: _Batch, part: np.ndarray, save: bool = True):
+        nonlocal out
+        if save and b.path is not None:
+            _save_atomic(b.path, part)
+        if out is None:
+            out = np.empty((n_total, *part.shape[1:]), part.dtype)
+        out[b.i * batch:b.i * batch + b.size] = part
+
+    drawn = pool.take(tag) if pool is not None else {}
+    missing = []
+    for b in _batches(sampler, kwargs, seed, n_total, ctx.checkpoint_dir(), tag,
+                      batch):
+        if b.i in drawn:
+            continue
+        part = b.load()
+        if part is not None:
+            put(b, part, save=False)
+        elif pool is not None:
+            missing.append(b)
+        else:
+            put(b, _run_batch(*b.args))
+    if pool is not None:
+        drawn.update(pool.submit(tag, missing))
+        pool.land(drawn.values(), put)
+    return out
 
 
 def _save_atomic(path: Path, arr: np.ndarray):
@@ -296,9 +429,9 @@ class _Draw(NamedTuple):
     batch: int = _DEFAULT_BATCH
 
 
-def _collect(d: _Draw, seed: int, ctx: RunContext) -> np.ndarray:
+def _collect(d: _Draw, seed: int, ctx: RunContext, pool=None) -> np.ndarray:
     return collect_samples(d.sampler, d.kwargs, seed, d.n, ctx, tag=d.tag,
-                           batch=d.batch)
+                           batch=d.batch, pool=pool)
 
 
 def _side(draw, side) -> SampleSet:
@@ -380,40 +513,50 @@ def _evaluate(name: str, gates: list, seed: int, ctx: RunContext) -> dict:
     """The report fields of an experiment's gates: their results in
     declaration order, the verdict and the suite's retries. Each draw is
     collected once and released after the last gate that reads it; only
-    the gated results count toward the verdict."""
+    the gated results count toward the verdict. With more than one worker
+    the suite's pool draws the batches of the KS gates' draws in gate
+    order, ahead of the gate that reads them; a draw that only a function
+    gate reads is drawn on the same pool when that gate asks for it."""
     # a run of value gates alone makes no checkpoint directory
     ckpt = None if all(isinstance(g, dict) for g in gates) else ctx.checkpoint_dir()
-    arrays = {}
-
-    def draw(d: _Draw) -> np.ndarray:
-        if d.tag not in arrays:
-            arrays[d.tag] = _collect(d, seed, ctx)
-        return arrays[d.tag]
-
-    # index of the last tuple gate reading each tag
-    last = {side[0].tag: i for i, g in enumerate(gates) if isinstance(g, tuple)
-            for side in g[1:3] if isinstance(side, tuple)}
+    # the draws of the KS gates in the order they are read, and the index of
+    # the last gate reading each
+    declared, last = {}, {}
+    for i, g in enumerate(gates):
+        if isinstance(g, tuple):
+            for side in g[1:3]:
+                if isinstance(side, tuple):
+                    declared.setdefault(side[0].tag, side[0])
+                    last[side[0].tag] = i
     suite = KsSuite(name=name)
     first, results = {}, []
-    for i, gate in enumerate(gates):
-        if isinstance(gate, dict):
-            results.append(gate)
-        elif callable(gate):
-            results.append(gate(first, functools.partial(_ks, draw, ckpt=ckpt)))
-        else:
-            label, a, b, *unretried = gate
-            res = first[label] = _ks(draw, a, b, ckpt)
-            if unretried:
-                threshold, *extra = unretried
-                if callable(threshold):
-                    threshold = threshold(res.threshold)
-                results.append(_result(label, res.statistic, threshold, *extra))
+    with _suite_pool(list(declared.values()), seed, ctx) as pool:
+        arrays = {}
+
+        def draw(d: _Draw) -> np.ndarray:
+            if d.tag not in arrays:
+                arrays[d.tag] = _collect(d, seed, ctx, pool)
+            return arrays[d.tag]
+
+        for i, gate in enumerate(gates):
+            if isinstance(gate, dict):
+                results.append(gate)
+            elif callable(gate):
+                results.append(gate(first, functools.partial(_ks, draw, ckpt=ckpt)))
             else:
-                # the suite's result, possibly retried, takes this place
-                results.append(len(suite.checks))
-                suite.add(label, res, functools.partial(_retry, a, b, ckpt=ckpt))
-        for tag in [t for t in arrays if last.get(t, i) <= i]:
-            del arrays[tag]
+                label, a, b, *unretried = gate
+                res = first[label] = _ks(draw, a, b, ckpt)
+                if unretried:
+                    threshold, *extra = unretried
+                    if callable(threshold):
+                        threshold = threshold(res.threshold)
+                    results.append(_result(label, res.statistic, threshold, *extra))
+                else:
+                    # the suite's result, possibly retried, takes this place
+                    results.append(len(suite.checks))
+                    suite.add(label, res, functools.partial(_retry, a, b, ckpt=ckpt))
+            for tag in [t for t in arrays if last.get(t, i) <= i]:
+                del arrays[tag]
     rep = suite.evaluate(RngStream(seed, 0xDEAD) if suite.checks else None)
     results = [rep["results"][r] if isinstance(r, int) else r for r in results]
     ok = rep["pass"] and all(r["pass"] for r in results if r.get("gated", True))
@@ -872,17 +1015,20 @@ def exp_moments(params: dict, seed: int, ctx: RunContext) -> dict:
     results = []
     # analytic second moment of the scaled initial data vs Monte Carlo
     nsamp = int(params["mc_samples"])
-    for (n, u, v, X) in params["second_moment_points"]:
-        target = stationary.second_moment_analytic(n, u, v, X)
-        logv = collect_samples("scaled_init", {"n": n, "u": u, "v": v, "xs": [X]},
-                               seed, nsamp, ctx, tag=f"mom_n{n}_u{u}_v{v}_x{X}",
-                               batch=200000)
-        cmp = moment_compare(SampleSet(np.exp(2.0 * logv[:, 0]), label="sq"), 1,
-                             target)
-        results.append(_result(
-            f"second-moment:n={n},u={u},v={v},X={X}", cmp["statistic"], 3.0,
-            extra={"estimate": cmp["estimate"], "target": cmp["target"],
-                   "se": cmp["se"]}))
+    points = params["second_moment_points"]
+    draws = [_Draw("scaled_init", {"n": n, "u": u, "v": v, "xs": [X]},
+                   f"mom_n{n}_u{u}_v{v}_x{X}", nsamp, batch=200000)
+             for (n, u, v, X) in points]
+    with _suite_pool(draws, seed, ctx) as pool:
+        for d, (n, u, v, X) in zip(draws, points):
+            target = stationary.second_moment_analytic(n, u, v, X)
+            logv = _collect(d, seed, ctx, pool)
+            cmp = moment_compare(SampleSet(np.exp(2.0 * logv[:, 0]), label="sq"), 1,
+                                 target)
+            results.append(_result(
+                f"second-moment:n={n},u={u},v={v},X={X}", cmp["statistic"], 3.0,
+                extra={"estimate": cmp["estimate"], "target": cmp["target"],
+                       "se": cmp["se"]}))
     # exact moment expansions of the matching weight laws across n
     reps = {n: scaling.bulk_weight_matching_moments(n)
             for n in params["moment_ns"]}
@@ -1071,6 +1217,21 @@ EXPERIMENTS = {
 }
 
 
+def _refused_scalar(default, v) -> str | None:
+    """What a parameter whose catalog default is a bool, int or float must
+    be, when v is not that; None when v is accepted. A float count or a
+    string flag used to run as if it were valid (bool is a subclass of int,
+    and a nonempty string is true)."""
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    if isinstance(default, bool):
+        return None if isinstance(v, bool) else "true or false"
+    if isinstance(default, int):
+        return None if number and isinstance(v, int) else "an integer"
+    if isinstance(default, float):
+        return None if number and math.isfinite(v) else "a finite number"
+    return None
+
+
 def run_experiment(name: str, params: dict, seeds: list, ctx: RunContext) -> dict:
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r}")
@@ -1081,6 +1242,9 @@ def run_experiment(name: str, params: dict, seeds: list, ctx: RunContext) -> dic
     for k, v in (params or {}).items():
         if k not in merged:
             raise ValueError(f"unknown parameter {k!r} for experiment {name}")
+        kind = _refused_scalar(merged[k], v)
+        if kind is not None:
+            raise ValueError(f"{name}: parameter {k!r} must be {kind}, got {v!r}")
         # a scalar or an empty axis would fail mid-run or drop every check
         # along it
         if isinstance(merged[k], list) and (not isinstance(v, (list, tuple))

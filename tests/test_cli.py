@@ -179,6 +179,26 @@ def test_a_scalar_for_a_list_parameter_exits_2(runner, tmp_path, monkeypatch,
     assert not (tmp_path / "o" / f"{experiment}_report.json").exists()
 
 
+@pytest.mark.parametrize("experiment,params", [
+    ("burke", {"n_samples": 1000.7}),
+    ("burke", {"n_samples": "1000"}),
+    ("kpz-scaling", {"resolution_check": "no"}),
+], ids=["float-count", "string-count", "string-flag"])
+def test_a_scalar_of_the_wrong_type_exits_2(runner, tmp_path, monkeypatch,
+                                            experiment, params):
+    # each used to exit 0: burke ran 1000.7 samples as 1000 and recorded
+    # 1000.7, and a nonempty string flag read as true
+    def no_draw(*args):
+        raise AssertionError("a sampler ran")
+
+    monkeypatch.setattr(experiments, "_run_batch", no_draw)
+    cfg = _write_config(tmp_path / "c.json", experiment=experiment, params=params)
+    res = runner.invoke(main, ["run", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert repr(next(iter(params))) in res.output
+    assert not (tmp_path / "o" / f"{experiment}_report.json").exists()
+
+
 @pytest.mark.parametrize("params", [{"n": 256, "Xs": [0.0625, 0.5]}, {"n": 25}],
                          ids=["X-off-level-n/4", "odd-sqrt-n"])
 def test_kpz_resolution_check_is_refused_before_any_draw(runner, tmp_path,
@@ -281,34 +301,39 @@ def _polymer(*args):
     return exc.value.code
 
 
-def test_run_starts_a_pool_per_draw_and_a_warm_run_none(tmp_path, counted_pools,
-                                                        no_worker_left):
+def test_run_starts_one_pool_per_cold_suite_and_a_warm_run_none(tmp_path,
+                                                                counted_pools,
+                                                                no_worker_left):
     cfg = _pooled_config(tmp_path / "c.json")
     out = tmp_path / "out"
     assert _polymer(cfg, "--workers", "2", "--out", str(out)) == 0
-    assert counted_pools.started == 2
+    assert counted_pools.started == 1
     no_worker_left()
     cold = json.loads((out / "burke_report.json").read_text())
     # every batch is checkpointed, so the rerun reads them and starts no pool
     assert _polymer(cfg, "--workers", "2", "--out", str(out)) == 0
-    assert counted_pools.started == 2
+    assert counted_pools.started == 1
     no_worker_left()
     warm = json.loads((out / "burke_report.json").read_text())
     cold["wallclock_s"] = warm["wallclock_s"] = None
     assert cold == warm
-    # a draw with one batch missing draws it on the calling thread
+    # one missing batch is enough for the suite to draw it on a pool
     sorted((out / "checkpoints").glob("*_0000.npy"))[0].unlink()
     assert _polymer(cfg, "--workers", "2", "--out", str(out)) == 0
     assert counted_pools.started == 2
+    no_worker_left()
 
 
 @pytest.mark.parametrize("experiment,params", [
+    # 50001 samples are two batches per draw
     ("burke", {"alpha_grid": [1.5], "u_spec": [0.0, "half"], "n_samples": 50001}),
     ("one-row-stationarity", {"m_list": [1, 2], "n_samples": 50001}),
+    # suites of one-batch draws, which the suite's pool draws ahead
+    ("huv-properties", {"n_samples": 2000, "delta": 2.0 ** -6}),
+    ("zuv-properties", {"n_samples": 2000}),
 ])
 def test_two_workers_give_the_one_worker_report(tmp_path, counted_pools,
                                                 experiment, params):
-    # 50001 samples are two batches per draw, so two workers draw on a pool
     cfg = _write_config(tmp_path / "c.json", experiment=experiment, params=params)
     texts = []
     for workers in ("1", "2"):
@@ -389,5 +414,5 @@ def test_error_in_a_pool_child_reaches_the_caller(tmp_path, monkeypatch,
     with pytest.raises(RuntimeError, match="tail batch failed"):
         main(["run", cfg, "--workers", "2", "--out", str(tmp_path / "out")],
              prog_name="polymer")
-    assert counted_pools.started == 2
+    assert counted_pools.started == 1
     no_worker_left()

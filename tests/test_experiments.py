@@ -1,11 +1,14 @@
 import functools
 import importlib.util
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hspolymer import experiments, lattice, lpp
+from hspolymer.distributions import normal_cdf
 from hspolymer.experiments import RunContext, collect_samples, run_experiment
 from hspolymer.rng import RngStream
 from hspolymer.stats import KsSuite
@@ -109,12 +112,30 @@ def test_collect_refuses_more_batches_than_streams():
                            batch=1).shape[0] == 1000
 
 
+def _pooled_collect(d, seed, ctx):
+    """One draw through the suite pool a one-draw suite opens."""
+    with experiments._suite_pool([d], seed, ctx) as pool:
+        return experiments._collect(d, seed, ctx, pool)
+
+
 def test_collect_parallel_equals_serial(tmp_path):
     serial = collect_samples("burke", BURKE_KW, 11, 800, RunContext(),
                              batch=200)
-    par = collect_samples("burke", BURKE_KW, 11, 800,
-                          RunContext(out_dir=tmp_path, workers=4), batch=200)
+    d = experiments._Draw("burke", BURKE_KW, "burke", 800, batch=200)
+    par = _pooled_collect(d, 11, RunContext(out_dir=tmp_path, workers=4))
     assert np.array_equal(serial, par)
+
+
+def test_the_suite_plan_redraws_a_truncated_checkpoint(tmp_path):
+    ctx = RunContext(out_dir=tmp_path, workers=2)
+    d = experiments._Draw("burke", BURKE_KW, "burke", 500, batch=200)
+    a = _pooled_collect(d, 7, ctx)
+    part = sorted((tmp_path / "checkpoints").glob("burke_*.npy"))[1]
+    part.write_bytes(part.read_bytes()[:-8])
+    with experiments._suite_pool([d], 7, ctx) as pool:
+        assert [b.i for b in pool.plan["burke"]] == [1]
+        b = experiments._collect(d, 7, ctx, pool)
+    assert np.array_equal(a, b)
 
 
 _REAL_RUN_BATCH = experiments._run_batch
@@ -134,9 +155,9 @@ def test_each_batch_is_checkpointed_as_it_lands(tmp_path, monkeypatch, workers,
     with monkeypatch.context() as m:
         m.setattr(experiments, "_run_batch", _fail_third_batch)
         with pytest.raises(RuntimeError, match="batch 2 failed"):
-            collect_samples("burke", BURKE_KW, 7, 800,
-                            RunContext(out_dir=tmp_path, workers=workers),
-                            batch=200)
+            _pooled_collect(experiments._Draw("burke", BURKE_KW, "burke", 800,
+                                              batch=200),
+                            7, RunContext(out_dir=tmp_path, workers=workers))
     no_worker_left()
     saved = {int(p.stem[-4:])
              for p in (tmp_path / "checkpoints").glob("burke_*.npy")}
@@ -156,6 +177,96 @@ def test_each_batch_is_checkpointed_as_it_lands(tmp_path, monkeypatch, workers,
                             RunContext(out_dir=tmp_path), batch=200)
     assert sorted(drawn) == sorted({0, 1, 2, 3} - saved)
     assert np.array_equal(again, fresh)
+
+
+def _normals(rng, n, tag):
+    return rng.gen.standard_normal(n)
+
+
+def _normal_suite(sizes, batch):
+    """One KS gate per tag, on a draw of sizes[tag] standard normals."""
+    cdf = functools.partial(normal_cdf, mean=0.0, sd=1.0)
+    return [(t, (experiments._Draw("normals", {"tag": t}, t, n, batch=batch), None),
+             cdf) for t, n in sizes.items()]
+
+
+def test_the_suite_pool_draws_at_most_two_batches_per_worker_ahead(
+        tmp_path, monkeypatch, no_worker_left):
+    tags = ["t0", "t1", "t2", "t3"]
+    opened = {t: threading.Event() for t in tags}
+    read, submitted, ahead = [], [], []
+
+    def gated(rng, n, tag):
+        # a batch is drawn only once its draw is read, so the look-ahead
+        # stays in the pool for as long as it can
+        assert opened[tag].wait(timeout=30)
+        return _normals(rng, n, tag)
+
+    real_collect = experiments.collect_samples
+
+    def reading(*args, **kwargs):
+        read.append(kwargs["tag"])
+        opened[kwargs["tag"]].set()
+        return real_collect(*args, **kwargs)
+
+    class CountingPool(experiments.ThreadPoolExecutor):
+        def submit(self, fn, args):
+            submitted.append(args[1]["tag"])
+            # batches of the draws after the one being read
+            ahead.append(sum(tags.index(t) >= len(read) for t in submitted))
+            return super().submit(fn, args)
+
+    monkeypatch.setitem(experiments.SAMPLERS, "normals", gated)
+    monkeypatch.setattr(experiments, "collect_samples", reading)
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", CountingPool)
+    gates = _normal_suite(dict.fromkeys(tags, 300), 100)
+    pooled = experiments._evaluate("gated", gates, 7,
+                                   RunContext(out_dir=tmp_path / "2", workers=2))
+    no_worker_left()
+    assert read == tags and sorted(submitted) == sorted(tags * 3)
+    assert max(ahead) == 2 * 2
+    serial = experiments._evaluate("gated", gates, 7,
+                                   RunContext(out_dir=tmp_path / "1"))
+    assert pooled == serial
+
+
+def test_a_failing_batch_of_a_later_draw_stops_the_suite(tmp_path, monkeypatch,
+                                                        no_worker_left):
+    lock = threading.Lock()
+    started, landed = [], []
+    # with two workers the pool holds four batches beyond the draw being
+    # read: while t0 is read, t1 to t3's first batch; while t1 is read,
+    # t3's second batch too. t1's batch fails late, when t2 has landed,
+    # unread, and t3's first batch is in flight
+    delay = {("t1", 0): 0.5, ("t3", 0): 1.0}
+
+    def flaky(sampler, kwargs, seed, stream_id, size):
+        key = (kwargs["tag"], stream_id - experiments._stable_base(kwargs["tag"]))
+        with lock:
+            started.append(key)
+        time.sleep(delay.get(key, 0.0))
+        if key == ("t1", 0):
+            raise RuntimeError("a prefetched batch failed")
+        part = _REAL_RUN_BATCH(sampler, kwargs, seed, stream_id, size)
+        with lock:
+            landed.append(key)
+        return part
+
+    monkeypatch.setitem(experiments.SAMPLERS, "normals", _normals)
+    monkeypatch.setattr(experiments, "_run_batch", flaky)
+    gates = _normal_suite({"t0": 100, "t1": 100, "t2": 200, "t3": 200}, 100)
+    with pytest.raises(RuntimeError, match="a prefetched batch failed"):
+        experiments._evaluate("flaky", gates, 7,
+                              RunContext(out_dir=tmp_path, workers=2))
+    no_worker_left()
+    # every batch that landed is kept, the unread ones included, and the
+    # batch queued at the failure never started
+    assert set(landed) == {("t0", 0), ("t2", 0), ("t2", 1), ("t3", 0)}
+    assert ("t3", 1) not in started
+    saved = {(p.name.split("_")[0], int(p.stem[-4:]))
+             for p in (tmp_path / "checkpoints").glob("t*_*.npy")}
+    assert saved == set(landed)
+    assert not list((tmp_path / "checkpoints").glob("*.tmp"))
 
 
 @pytest.mark.parametrize("workers", [0, -2, 2.5, 2.0, True, "2", None])
