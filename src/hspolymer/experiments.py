@@ -303,11 +303,14 @@ class _BatchPool:
             room -= 1
         return {b.i: fut for fut, (t, b) in self.drawn.items() if t == tag}
 
-    def land(self, futs, put):
-        """put(batch, part) on the calling thread for each of futs as it
-        lands; then raise the first error of any batch of the suite."""
-        for fut in as_completed(futs):
+    def land(self, futs: dict, put):
+        """put(batch, part) on the calling thread for each future of futs,
+        {batch index: future}, as it lands, dropping it from futs so that
+        no part outlives its copy; then raise the first error of any batch
+        of the suite."""
+        for fut in as_completed(list(futs.values())):
             _, b = self.drawn[fut]
+            del futs[b.i]
             if not fut.cancelled() and fut.exception() is None:
                 put(b, fut.result())
             with self._lock:
@@ -353,14 +356,15 @@ def collect_samples(sampler: str, kwargs: dict, seed: int, n_total: int,
                     batch: int = _DEFAULT_BATCH, *,
                     pool: _BatchPool | None = None) -> np.ndarray:
     """Draw n_total samples in deterministic batches, with per-batch
-    checkpoints under the run's output directory. Without a pool every
-    missing batch is drawn on the calling thread. With the suite's pool,
-    the batches its plan found missing were submitted ahead (_BatchPool),
-    every other batch is read from its checkpoint or submitted now, and
-    the call waits for this draw's batches alone. Either way the calling
-    thread checkpoints each batch and copies it into the draw as it lands,
-    so a batch that raises loses only itself and the batches not yet
-    drawn."""
+    checkpoints under the run's output directory; the one call that returns
+    a draw and writes its checkpoints. Without a pool every missing batch
+    is drawn on the calling thread. With the suite's pool (_suite_pool),
+    the batches its plan found missing were submitted ahead, every other
+    batch is read from its checkpoint or submitted now, and the call waits
+    for this draw's batches alone. Either way the calling thread
+    checkpoints each batch it receives and copies it into one preallocated
+    array, so a batch that raises loses only itself and the batches not
+    yet drawn."""
     tag = tag or sampler
     out = None
 
@@ -387,7 +391,7 @@ def collect_samples(sampler: str, kwargs: dict, seed: int, n_total: int,
             put(b, _run_batch(*b.args))
     if pool is not None:
         drawn.update(pool.submit(tag, missing))
-        pool.land(drawn.values(), put)
+        pool.land(drawn, put)
     return out
 
 
