@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import sys
 import threading
 import time
 from pathlib import Path
@@ -267,6 +268,49 @@ def test_a_failing_batch_of_a_later_draw_stops_the_suite(tmp_path, monkeypatch,
              for p in (tmp_path / "checkpoints").glob("t*_*.npy")}
     assert saved == set(landed)
     assert not list((tmp_path / "checkpoints").glob("*.tmp"))
+
+
+def test_the_suite_pool_under_thread_switching_stress(tmp_path, monkeypatch,
+                                                      no_worker_left):
+    # more workers than cores and a switch interval of a microsecond: a
+    # batch lost from the pool's books would go unsaved or be saved twice
+    lock = threading.Lock()
+    tags = {f"t{k}": 500 for k in range(6)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for rep, failing in enumerate([None, ("t3", 2), ("t1", 4)]):
+            landed = []
+
+            def flaky(sampler, kwargs, seed, stream_id, size):
+                key = (kwargs["tag"],
+                       stream_id - experiments._stable_base(kwargs["tag"]))
+                if key == failing:
+                    raise RuntimeError("stress failure")
+                part = _REAL_RUN_BATCH(sampler, kwargs, seed, stream_id, size)
+                with lock:
+                    landed.append(key)
+                return part
+
+            monkeypatch.setitem(experiments.SAMPLERS, "normals", _normals)
+            monkeypatch.setattr(experiments, "_run_batch", flaky)
+            ctx = RunContext(out_dir=tmp_path / str(rep), workers=8)
+            gates = _normal_suite(tags, 100)
+            if failing is None:
+                rep_pooled = experiments._evaluate("stress", gates, 7, ctx)
+                monkeypatch.setattr(experiments, "_run_batch", _REAL_RUN_BATCH)
+                assert rep_pooled == experiments._evaluate(
+                    "stress", gates, 7, RunContext(out_dir=tmp_path / "serial"))
+            else:
+                with pytest.raises(RuntimeError, match="stress failure"):
+                    experiments._evaluate("stress", gates, 7, ctx)
+            no_worker_left()
+            saved = [(p.name.split("_")[0], int(p.stem[-4:]))
+                     for p in (tmp_path / str(rep) / "checkpoints").glob("t*_*.npy")]
+            assert sorted(saved) == sorted(landed)
+            assert len(set(landed)) == len(landed)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("workers", [0, -2, 2.5, 2.0, True, "2", None])
